@@ -7,7 +7,6 @@ state by linear-inversion tomography, and export the correlation-space
 geometry of the standard figures.
 """
 
-from .backends import ACTIVE_BACKEND, resolve_backend
 from .game import (
     ChshReport,
     GameConfig,
@@ -31,7 +30,7 @@ from .geometry import (
     range_model,
     werner_line_intersection,
 )
-from .multiparty import expected_payoff3, ghz_state, ghz_witness, honest_strategy3, run_game3
+from .multiparty import ghz_state, ghz_witness
 from .qcore import (
     CorrelationTable,
     DensityMatrix,

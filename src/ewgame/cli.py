@@ -88,11 +88,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"unknown strategy {strategy_name!r}; use honest or cheat")
 
     want_csv = args.format == "csv"
-    if want_csv and args.workers > 1:
-        raise ValueError("per-round CSV output needs --workers 1")
     tr = game.run_game(config, strategy, wit.weights,
-                       keep_records=True if want_csv else None,
-                       workers=args.workers)
+                       keep_records=True if want_csv else None)
     mean, se = game.empirical_payoff(tr)
     summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.seed,
                "strategy": strategy.name}
@@ -243,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--pi", help="uniform | support-only | JSON file")
     p.add_argument("--strategy", choices=("honest", "cheat"))
-    p.add_argument("--workers", type=int, default=1,
-                   help="independent RNG streams to merge (1 = reference mode)")
     add_out_format(p, ("text", "structured", "csv"))
     p.set_defaults(func=cmd_simulate)
 

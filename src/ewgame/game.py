@@ -4,23 +4,25 @@ the average payoff.
 
 Honest players answer by measuring their shared state; the built-in cheating
 strategy answers from shared classical randomness instead and reproduces the
-maximally entangled state's diagonal correlations.  Runs are reproducible:
-a (config, strategy, weights, seed) tuple always yields the same transcript,
-on either compute backend.
+maximally entangled state's diagonal correlations.  Either way a strategy
+enters the game only through its joint answer distribution per label cell,
+its outcome table.  Runs are reproducible: a (config, strategy, weights,
+seed) tuple always yields the same transcript.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from . import backends, qcore
+from . import qcore
 from .witness import PauliWeights
 
 PI_SUM_TOL = 1e-12
+OUTCOME_TOL = 1e-10
 RECORD_LIMIT = 100_000
 
 # Joint outcomes are indexed 0..2^n-1; party j's answer is the j-th bit from
@@ -59,10 +61,14 @@ class GameConfig:
         n = p.ndim
         if p.shape != (4,) * n or n not in (2, 3):
             raise ValueError(f"pi must have shape (4, 4) or (4, 4, 4), got {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("pi entries must be finite")
         if np.any(p < 0):
             raise ValueError("pi entries must be nonnegative")
         if abs(p.sum() - 1.0) > PI_SUM_TOL:
             raise ValueError(f"pi must sum to 1, got {p.sum():.15g}")
+        if isinstance(self.rounds, bool) or not isinstance(self.rounds, (int, np.integer)):
+            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         p = p.copy()
@@ -104,18 +110,31 @@ class RoundRecord(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """How the players answer: a responder mapping labels (plus an RNG) to
-    +/-1 answers, and, for the built-ins, the exact joint outcome
-    distribution per label cell that drives the fast sampling path."""
+    """How the players answer: outcome_table[labels + (k,)] is the
+    probability of joint outcome k for each label cell, shape
+    (4,)*n + (2^n,).  The players see only their labels and randomness, so
+    this distribution describes any strategy completely."""
 
     name: str
-    responder: Callable
-    outcome_table: np.ndarray | None = None
+    outcome_table: np.ndarray
+
+    def __post_init__(self):
+        t = np.asarray(self.outcome_table, dtype=np.float64)
+        n = t.ndim - 1
+        if n < 1 or t.shape != (4,) * n + (2 ** n,):
+            raise ValueError(f"outcome table must have shape (4,)*n + (2^n,), got {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("outcome probabilities must be finite")
+        if np.min(t) < -OUTCOME_TOL:
+            raise ValueError(f"negative outcome probability {np.min(t):.3e}")
+        if np.max(np.abs(t.sum(axis=-1) - 1.0)) > OUTCOME_TOL:
+            raise ValueError("outcome probabilities must sum to 1 in every label cell")
+        t = t.copy()
+        t.setflags(write=False)
+        object.__setattr__(self, "outcome_table", t)
 
     @property
     def n_parties(self) -> int:
-        if self.outcome_table is None:
-            raise ValueError(f"strategy {self.name!r} has no outcome table")
         return self.outcome_table.ndim - 1
 
 
@@ -180,12 +199,21 @@ def empirical_payoff(tr: Transcript) -> tuple[float, float]:
 # Measurement statistics and built-in strategies
 # ---------------------------------------------------------------------------
 
-def _projectors(label: int) -> tuple[np.ndarray, np.ndarray]:
+def _projector_coefficients() -> np.ndarray:
+    # m[l, a, k]: Pauli coefficients of the projector onto answer a (0: +1,
+    # 1: -1) for label l, i.e. (I + a sigma_l)/2 = sum_k m[l, a, k] sigma_k.
     # Label 0 measures the identity: the answer is +1 with certainty.
-    if label == 0:
-        return np.eye(2, dtype=np.complex128), np.zeros((2, 2), dtype=np.complex128)
-    eye = np.eye(2)
-    return (eye + qcore.PAULIS[label]) / 2.0, (eye - qcore.PAULIS[label]) / 2.0
+    m = np.zeros((4, 2, 4))
+    m[0, 0, 0] = 1.0
+    for label in range(1, 4):
+        m[label, :, 0] = 0.5
+        m[label, 0, label] = 0.5
+        m[label, 1, label] = -0.5
+    m.setflags(write=False)
+    return m
+
+
+_PROJECTOR_COEFFS = _projector_coefficients()
 
 
 def outcome_distribution(rho: qcore.DensityMatrix, s: int, t: int) -> np.ndarray:
@@ -200,27 +228,19 @@ def outcome_distribution(rho: qcore.DensityMatrix, s: int, t: int) -> np.ndarray
 
 
 def outcome_table(rho: qcore.DensityMatrix) -> np.ndarray:
-    """Joint answer distribution for every label cell, shape (4,)*n + (2^n,)."""
+    """Joint answer distribution for every label cell, shape (4,)*n + (2^n,).
+
+    The Born rule Tr(rho P_1 (x) ... (x) P_n) in Pauli coordinates: one
+    projector-coefficient factor per party contracted with the correlation
+    table r[k] = Tr(rho sigma_k).
+    """
     n = rho.n_qubits
-    if n not in (2, 3):
-        raise ValueError("games are defined for two or three qubits")
-    projs = [_projectors(l) for l in range(4)]
-    n_out = 2 ** n
-    table = np.empty((4,) * n + (n_out,), dtype=np.float64)
-    for labels in product(range(4), repeat=n):
-        for k in range(n_out):
-            answers = decode_answers(k, n)
-            op = projs[labels[0]][(1 - answers[0]) // 2]
-            for lab, ans in zip(labels[1:], answers[1:]):
-                op = np.kron(op, projs[lab][(1 - ans) // 2])
-            val = np.trace(rho.matrix @ op)
-            table[labels + (k,)] = val.real
-    if np.min(table) < -1e-10:
-        raise ValueError(f"negative outcome probability {np.min(table):.3e}")
-    sums = table.sum(axis=-1)
-    if np.max(np.abs(sums - 1.0)) > 1e-10:
-        raise ValueError("outcome probabilities do not sum to 1")
-    return table
+    operands = []
+    for j in range(n):
+        operands += [_PROJECTOR_COEFFS, [j, n + j, 2 * n + j]]
+    operands += [qcore.pauli_traces(rho.matrix, n), list(range(2 * n, 3 * n))]
+    table = np.einsum(*operands, list(range(2 * n)))
+    return table.reshape((4,) * n + (2 ** n,))
 
 
 def _table_cdfs(table: np.ndarray) -> np.ndarray:
@@ -231,24 +251,10 @@ def _table_cdfs(table: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def _sample_from_row(cdf_row: np.ndarray, rng: np.random.Generator) -> int:
-    return int(min(np.searchsorted(cdf_row, rng.random(), side="right"),
-                   len(cdf_row) - 1))
-
-
 def honest_strategy(rho: qcore.DensityMatrix) -> Strategy:
     """Players measure the Pauli operators named by their labels on a shared
     copy of rho and report the outcomes."""
-    table = outcome_table(rho)
-    n = rho.n_qubits
-    cdfs = _table_cdfs(table).reshape((4,) * n + (2 ** n,))
-
-    def responder(*args):
-        *labels, rng = args
-        k = _sample_from_row(cdfs[tuple(labels)], rng)
-        return decode_answers(k, n)
-
-    return Strategy(name="honest", responder=responder, outcome_table=table)
+    return Strategy(name="honest", outcome_table=outcome_table(rho))
 
 
 def cheat_outcome_table() -> np.ndarray:
@@ -269,127 +275,68 @@ def classical_cheat_strategy() -> Strategy:
     bit 1 for label 1 and bit 3 for label 3, while on label 2 Bob flips
     bit 2.  This reproduces the (+1, -1, +1) diagonal correlations of the
     maximally entangled state without any shared entanglement."""
-
-    def responder(s, t, rng):
-        bits = 1 - 2 * rng.integers(0, 2, size=3)
-        alice = (1, int(bits[0]), int(bits[1]), int(bits[2]))
-        bob = (1, int(bits[0]), -int(bits[1]), int(bits[2]))
-        return alice[s], bob[t]
-
-    return Strategy(name="cheat", responder=responder, outcome_table=cheat_outcome_table())
+    return Strategy(name="cheat", outcome_table=cheat_outcome_table())
 
 
 # ---------------------------------------------------------------------------
 # Running games
 # ---------------------------------------------------------------------------
 
-def payoff_table(config: GameConfig, weights: PauliWeights) -> np.ndarray:
-    """Per-cell, per-outcome payment -w[cell] * parity(outcome) / pi[cell]."""
-    n = config.n_parties
-    parity = outcome_parity(n)
-    pi = config.pi.ravel()
+def payoff_table(pi: np.ndarray, weights: PauliWeights) -> np.ndarray:
+    """Per-cell, per-outcome payment -w[cell] * parity(outcome) / pi[cell],
+    zero on cells that pi never draws."""
+    parity = outcome_parity(pi.ndim)
+    flat_pi = pi.ravel()
     w = weights.table.ravel()
-    out = np.zeros((pi.size, parity.size), dtype=np.float64)
-    live = pi > 0.0
-    out[live] = -w[live, None] * parity[None, :] / pi[live, None]
+    out = np.zeros((flat_pi.size, parity.size), dtype=np.float64)
+    live = flat_pi > 0.0
+    out[live] = -w[live, None] * parity[None, :] / flat_pi[live, None]
     return out
 
 
-def _play_rounds(config: GameConfig, strategy: Strategy, rounds: int,
-                 rng: np.random.Generator, pays: np.ndarray, parity: np.ndarray,
-                 label_cdf: np.ndarray):
-    """Core loop: returns (cells, outcomes, counts, parity_sums, payoff sums,
-    payoff square sums) for `rounds` rounds driven by `rng`."""
-    if strategy.outcome_table is not None:
-        if strategy.outcome_table.shape[:-1] != config.pi.shape:
-            raise ValueError("strategy outcome table does not match pi's shape")
-        out_cdf = _table_cdfs(strategy.outcome_table)
-        u = rng.random((rounds, 2))
-        return backends.sample_rounds(u, label_cdf, out_cdf, pays, parity)
-
-    cells = np.empty(rounds, dtype=np.int64)
-    outcomes = np.empty(rounds, dtype=np.int64)
-    counts = np.zeros(pays.shape[0], dtype=np.int64)
-    parity_sums = np.zeros(pays.shape[0], dtype=np.int64)
-    pay_sums = np.zeros(pays.shape[0], dtype=np.float64)
-    pay_sqs = np.zeros(pays.shape[0], dtype=np.float64)
-    for r in range(rounds):
-        c = int(min(np.searchsorted(label_cdf, rng.random(), side="right"),
-                    label_cdf.size - 1))
-        labels = np.unravel_index(c, config.pi.shape)
-        answers = strategy.responder(*labels, rng)
-        if any(a not in (1, -1) for a in answers):
-            raise ValueError(f"strategy {strategy.name!r} returned non +/-1 answers")
-        k = encode_answers(answers)
-        pay = pays[c, k]
-        cells[r] = c
-        outcomes[r] = k
-        counts[c] += 1
-        parity_sums[c] += parity[k]
-        pay_sums[c] += pay
-        pay_sqs[c] += pay * pay
-    return cells, outcomes, counts, parity_sums, pay_sums, pay_sqs
-
-
 def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
-             keep_records: bool | None = None, workers: int = 1) -> Transcript:
+             keep_records: bool | None = None) -> Transcript:
     """Play all rounds and return the transcript.
 
-    Strategies with an exact outcome table go through the compiled sampling
-    kernel; other strategies are queried round by round through their
-    responder.  keep_records defaults to rounds <= 100000; past that the
-    transcript retains only per-cell moments.
-
-    With workers > 1 the rounds are split across independent RNG streams
-    seeded by (seed, worker index) and the per-cell moments are merged in
-    worker order; per-round records are not retained in that mode.  The
-    single-worker run is the bit-reproducibility reference.
+    Each round consumes two uniforms from ``default_rng(seed)``: the first
+    picks the label cell by inverse CDF over pi, the second the joint answer
+    by inverse CDF over that cell's row of the strategy's outcome table.
+    keep_records defaults to rounds <= 100000; past that the transcript
+    retains only per-cell moments.
     """
     n = config.n_parties
     if weights.n_qubits != n:
         raise ValueError("weights and config have different party counts")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     config.validate_against(weights)
-
-    parity = outcome_parity(n)
-    pays = payoff_table(config, weights)
-    label_cdf = np.cumsum(config.pi.ravel())
-    label_cdf[-1] = 1.0
-
-    if workers > 1:
-        counts = np.zeros(pays.shape[0], dtype=np.int64)
-        parity_sums = np.zeros(pays.shape[0], dtype=np.int64)
-        pay_sums = np.zeros(pays.shape[0], dtype=np.float64)
-        pay_sqs = np.zeros(pays.shape[0], dtype=np.float64)
-        base = config.rounds // workers
-        for w in range(workers):
-            share = base + (1 if w < config.rounds % workers else 0)
-            if share == 0:
-                continue
-            rng = np.random.default_rng([config.seed, w])
-            _, _, c, p, ps, pq = _play_rounds(config, strategy, share, rng,
-                                              pays, parity, label_cdf)
-            counts += c
-            parity_sums += p
-            pay_sums += ps
-            pay_sqs += pq
-        return Transcript(n_parties=n, counts=counts, parity_sums=parity_sums,
-                          payoff_sums=pay_sums, payoff_sq_sums=pay_sqs,
-                          rounds=config.rounds, seed=config.seed)
-
+    if strategy.outcome_table.shape[:-1] != config.pi.shape:
+        raise ValueError("strategy outcome table does not match pi's shape")
     if keep_records is None:
         keep_records = config.rounds <= RECORD_LIMIT
-    rng = np.random.default_rng(config.seed)
-    cells, outcomes, counts, parity_sums, pay_sums, pay_sqs = _play_rounds(
-        config, strategy, config.rounds, rng, pays, parity, label_cdf)
+
+    parity = outcome_parity(n)
+    pays = payoff_table(config.pi, weights)
+    n_cells, n_out = pays.shape
+    label_cdf = np.cumsum(config.pi.ravel())
+    label_cdf[-1] = 1.0
+    out_cdf = _table_cdfs(strategy.outcome_table)
+
+    u = np.random.default_rng(config.seed).random((config.rounds, 2))
+    cells = np.minimum(np.searchsorted(label_cdf, u[:, 0], side="right"), n_cells - 1)
+    outcomes = np.minimum((u[:, 1:2] >= out_cdf[cells]).sum(axis=1), n_out - 1)
+    round_pays = pays[cells, outcomes]
+    counts = np.bincount(cells, minlength=n_cells).astype(np.int64)
+    parity_sums = np.bincount(
+        cells, weights=parity[outcomes].astype(np.float64), minlength=n_cells
+    ).astype(np.int64)
+    pay_sums = np.bincount(cells, weights=round_pays, minlength=n_cells)
+    pay_sqs = np.bincount(cells, weights=round_pays * round_pays, minlength=n_cells)
 
     labels = answers_arr = payoffs = None
     if keep_records:
         labels = np.stack(np.unravel_index(cells, config.pi.shape), axis=1).astype(np.int8)
         answers_arr = np.array(
-            [decode_answers(k, n) for k in range(2 ** n)], dtype=np.int8)[outcomes]
-        payoffs = pays[cells, outcomes]
+            [decode_answers(k, n) for k in range(n_out)], dtype=np.int8)[outcomes]
+        payoffs = round_pays
     return Transcript(
         n_parties=n, counts=counts, parity_sums=parity_sums,
         payoff_sums=pay_sums, payoff_sq_sums=pay_sqs,
@@ -400,25 +347,15 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
 
 def exact_average_payoff(pi: np.ndarray, outcome_table: np.ndarray,
                          weights: PauliWeights) -> float:
-    """Enumerate sum over cells and outcomes of Pi * V * payment.
+    """Sum over cells and outcomes of Pi * V * payment.
 
     This is the exact expectation of the per-round payment for any strategy
     described by its outcome table; for honest play it reproduces
     -Tr(rho W) through the importance weighting by 1/Pi.
     """
     pi = np.asarray(pi, dtype=np.float64)
-    n = pi.ndim
-    parity = outcome_parity(n)
-    flat_pi = pi.ravel()
-    flat_v = outcome_table.reshape(flat_pi.size, parity.size)
-    flat_w = weights.table.ravel()
-    total = 0.0
-    for c in range(flat_pi.size):
-        if flat_pi[c] == 0.0:
-            continue
-        pays = -flat_w[c] * parity / flat_pi[c]
-        total += flat_pi[c] * float(flat_v[c] @ pays)
-    return total
+    flat_v = np.asarray(outcome_table).reshape(pi.size, -1)
+    return float(np.einsum("c,ck,ck->", pi.ravel(), flat_v, payoff_table(pi, weights)))
 
 
 # ---------------------------------------------------------------------------

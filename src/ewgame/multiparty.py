@@ -1,17 +1,16 @@
 """Three-player extension: triple labels (i, j, k), answers (a, b, c), and
 payment -w[i,j,k] * abc / Pi(i,j,k).
 
-The witness machinery is shared with the two-qubit case; this module adds the
-GHZ example state, its projector witness, and thin three-party wrappers over
-the generic game runner.
+The witness, strategy and game machinery is generic in the party count, so
+this module adds only the GHZ example state and its projector witness.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import game, qcore
-from .witness import PauliWeights, Witness
+from . import qcore
+from .witness import Witness
 
 
 def ghz_state() -> qcore.DensityMatrix:
@@ -29,30 +28,3 @@ def ghz_witness() -> Witness:
     """
     op = 0.5 * np.eye(8, dtype=np.complex128) - ghz_state().matrix
     return Witness.from_operator(op)
-
-
-def expected_payoff3(rho: qcore.DensityMatrix, weights: PauliWeights) -> float:
-    """Exact three-party average payoff -Tr(rho W) for W = sum w sigma^(3)."""
-    if rho.dim != 8:
-        raise ValueError("expected an 8x8 three-qubit state")
-    if weights.n_qubits != 3:
-        raise ValueError("expected a three-qubit weight table")
-    val = -np.trace(rho.matrix @ weights.to_operator())
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"payoff has imaginary residue {val.imag:.3e}")
-    return float(val.real)
-
-
-def honest_strategy3(rho: qcore.DensityMatrix) -> game.Strategy:
-    """Born-rule answers for three parties measuring labels (i, j, k)."""
-    if rho.dim != 8:
-        raise ValueError("expected an 8x8 three-qubit state")
-    return game.honest_strategy(rho)
-
-
-def run_game3(config: game.GameConfig, strategy: game.Strategy,
-              weights: PauliWeights, keep_records: bool | None = None) -> game.Transcript:
-    """Play a three-party game; see run_game for the contract."""
-    if config.n_parties != 3:
-        raise ValueError("config must carry a (4, 4, 4) label distribution")
-    return game.run_game(config, strategy, weights, keep_records=keep_records)

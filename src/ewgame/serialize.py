@@ -69,12 +69,15 @@ def load_state_file(path: str) -> qcore.DensityMatrix:
         data = json.load(fh)
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError(f"{path}: expected a JSON object with 'dim' and 'entries'")
-    dim = int(data.get("dim", 0))
-    entries = data["entries"]
+    try:
+        dim = int(data.get("dim", 0))
+        entries = [complex(float(re_), float(im)) for re_, im in data["entries"]]
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: 'dim' must be an integer and 'entries' a list "
+                         f"of [re, im] pairs") from None
     if dim * dim != len(entries):
         raise ValueError(f"{path}: {len(entries)} entries do not fill a {dim}x{dim} matrix")
-    flat = np.array([complex(float(re_), float(im)) for re_, im in entries])
-    return qcore.DensityMatrix(flat.reshape(dim, dim))
+    return qcore.DensityMatrix(np.array(entries).reshape(dim, dim))
 
 
 def state_to_dict(rho: qcore.DensityMatrix) -> dict:
@@ -141,6 +144,8 @@ def parse_pi_spec(spec: str, weights: witness.PauliWeights, rounds: int, seed: i
         with open(text) as fh:
             data = json.load(fh)
         if isinstance(data, dict):
+            if "pi" not in data:
+                raise ValueError(f"{text}: expected a JSON object with a 'pi' key")
             data = data["pi"]
         pi = np.asarray(data, dtype=np.float64).reshape((4,) * n)
         return GameConfig(pi, rounds, seed)

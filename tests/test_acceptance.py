@@ -166,10 +166,10 @@ def test_criterion_10_chsh_relation():
 
 
 def test_criterion_11_tripartite(warm_kernels):
-    exact = ew.expected_payoff3(ew.ghz_state(), ew.ghz_witness().weights)
+    exact = ew.expected_payoff(ew.ghz_state(), ew.ghz_witness())
     assert abs(exact - 0.5) <= 1e-12
     cfg = ew.GameConfig.uniform(1_000_000, seed=202, n_parties=3)
-    tr = ew.run_game3(cfg, ew.honest_strategy3(ew.ghz_state()), ew.ghz_witness().weights)
+    tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights)
     mean, se = ew.empirical_payoff(tr)
     assert abs(mean - 0.5) <= 3 * se
     report(11, f"GHZ payoff exactly 1/2; three-player 1e6-round mean {mean:.4f} "

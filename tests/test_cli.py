@@ -128,6 +128,23 @@ class TestSimulate:
                                "--seed", "0", "--strategy", "cheat")
         assert code == 2
 
+    def test_pi_file_without_pi_key_is_an_error(self, capsys, tmp_path):
+        pi_file = tmp_path / "pi.json"
+        pi_file.write_text(json.dumps({"probabilities": [[1 / 16] * 4] * 4}))
+        code, _, err = run_cli(capsys, "simulate", "--state", "werner(1)",
+                               "--witness", "werner", "--rounds", "100",
+                               "--seed", "0", "--pi", str(pi_file))
+        assert code == 2
+        assert err.startswith("error:") and str(pi_file) in err
+
+    def test_state_file_with_scalar_entries_is_an_error(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"dim": 4, "entries": 5}))
+        code, _, err = run_cli(capsys, "simulate", "--state", str(state),
+                               "--witness", "werner", "--rounds", "100", "--seed", "0")
+        assert code == 2
+        assert err.startswith("error:") and str(state) in err
+
 
 class TestTomography:
     def test_text_output(self, capsys):

@@ -1,13 +1,54 @@
-import dataclasses
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ewgame as ew
 from ewgame import game
 
 RT2 = np.sqrt(2.0)
 RT3 = np.sqrt(3.0)
+
+
+def born_rule_table(rho):
+    """Independent oracle: Tr(rho P_1 (x) ... (x) P_n) from explicit Kronecker
+    products of the answer projectors, one label cell and outcome at a time."""
+    n = rho.n_qubits
+    eye = np.eye(2)
+    projs = [(eye, np.zeros((2, 2)))] + [
+        ((eye + ew.pauli_string((l,))) / 2, (eye - ew.pauli_string((l,))) / 2)
+        for l in range(1, 4)]
+    table = np.empty((4,) * n + (2 ** n,))
+    for labels in product(range(4), repeat=n):
+        for k, bits in enumerate(product((0, 1), repeat=n)):
+            op = reduce(np.kron, [projs[l][b] for l, b in zip(labels, bits)])
+            table[labels + (k,)] = np.trace(rho.matrix @ op).real
+    return table
+
+
+def sample_cheat_answers(rng, rounds):
+    """Independent sampler for the classical cheat: three fresh shared bits per
+    round; Alice answers (1, b1, b2, b3)[s], Bob (1, b1, -b2, b3)[t].
+    Returns answer arrays of shape (rounds, 4) indexed by label."""
+    bits = 1 - 2 * rng.integers(0, 2, size=(rounds, 3))
+    ones = np.ones((rounds, 1), dtype=bits.dtype)
+    alice = np.hstack([ones, bits])
+    bob = np.hstack([ones, bits[:, :1], -bits[:, 1:2], bits[:, 2:]])
+    return alice, bob
+
+
+def random_strategy_game(rng, zero_cells):
+    # random pi with some dead cells, weights supported where pi is live,
+    # and a random outcome table
+    pi = rng.dirichlet(np.ones(16))
+    pi[rng.choice(16, size=zero_cells, replace=False)] = 0.0
+    pi = (pi / pi.sum()).reshape(4, 4)
+    weights = ew.PauliWeights(2, np.where(pi > 0, rng.normal(size=(4, 4)), 0.0))
+    table = rng.dirichlet(np.ones(4), size=16).reshape(4, 4, 4)
+    return pi, weights, ew.Strategy(name="random", outcome_table=table)
 
 
 class TestOutcomeDistribution:
@@ -50,6 +91,17 @@ class TestOutcomeDistribution:
         with pytest.raises(ValueError):
             ew.outcome_distribution(ew.bell_psi_plus(), 4, 0)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+           rank=st.integers(1, 8))
+    def test_table_matches_born_rule_oracle(self, seed, n, rank):
+        gen = np.random.default_rng(seed)
+        shape = (2 ** n, min(rank, 2 ** n))
+        g = gen.normal(size=shape) + 1j * gen.normal(size=shape)
+        m = g @ g.conj().T
+        rho = ew.DensityMatrix(m / m.trace())
+        assert np.max(np.abs(game.outcome_table(rho) - born_rule_table(rho))) <= 1e-12
+
 
 class TestGameConfig:
     def test_uniform_sums_to_one(self):
@@ -73,6 +125,20 @@ class TestGameConfig:
             ew.GameConfig(bad, 10, 0)
         with pytest.raises(ValueError):
             ew.GameConfig(np.full((4, 4), 1 / 16), 0, 0)
+
+    def test_rejects_non_finite_pi(self):
+        pi = np.full((4, 4), 1 / 16)
+        pi[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ew.GameConfig(pi, 10, 0)
+
+    def test_rejects_non_integer_rounds(self):
+        with pytest.raises(ValueError, match="integer"):
+            ew.GameConfig.uniform(1000.5, 0)
+
+    def test_rejects_bool_rounds(self):
+        with pytest.raises(ValueError, match="integer"):
+            ew.GameConfig.uniform(True, 0)
 
     def test_support_violation_fails_before_any_round(self):
         pi = np.zeros((4, 4))
@@ -112,15 +178,6 @@ class TestHonestStrategy:
         mean, se = ew.empirical_payoff(tr)
         assert abs(mean - exact) <= 3 * se
 
-    def test_responder_agrees_with_table(self, rng):
-        # the slow per-round responder draws from the same distribution
-        strat = ew.honest_strategy(ew.bell_psi_plus())
-        n = 20_000
-        prods = [np.prod(strat.responder(1, 1, rng)) for _ in range(n)]
-        assert np.mean(prods) == pytest.approx(1.0, abs=1e-12)  # r_11 = 1 exactly
-        marg = [strat.responder(0, 3, rng)[1] for _ in range(n)]
-        assert abs(np.mean(marg)) <= 4 / np.sqrt(n)  # r_03 = 0
-
 
 class TestCheatStrategy:
     def test_enumerated_correlation_pattern(self):
@@ -147,13 +204,18 @@ class TestCheatStrategy:
                                       ew.werner_witness().weights)
         assert val == pytest.approx(2 * RT3 / 3, abs=1e-12)
 
-    def test_responder_matches_enumeration(self, rng):
-        strat = ew.classical_cheat_strategy()
+    def test_sampled_cheat_matches_table(self, rng):
+        # every cell's sampled answer frequencies agree with the enumerated table
         n = 40_000
-        for s, t, expect in ((1, 1, 1.0), (2, 2, -1.0), (1, 3, 0.0)):
-            prods = [np.prod(strat.responder(s, t, rng)) for _ in range(n)]
-            se = 1 / np.sqrt(n)
-            assert abs(np.mean(prods) - expect) <= 4 * se
+        alice, bob = sample_cheat_answers(rng, n)
+        table = ew.classical_cheat_strategy().outcome_table
+        for s in range(4):
+            for t in range(4):
+                # outcome index: Alice's answer is the high bit, 1 meaning -1
+                k = 2 * (alice[:, s] == -1) + (bob[:, t] == -1)
+                freq = np.bincount(k, minlength=4) / n
+                se = np.sqrt(table[s, t] * (1 - table[s, t]) / n)
+                assert np.all(np.abs(freq - table[s, t]) <= 4 * se + 1e-12), (s, t)
 
     def test_empirical_payoff_reaches_ceiling(self):
         tr = ew.run_game(ew.GameConfig.uniform(1_000_000, seed=9),
@@ -192,6 +254,21 @@ class TestRunGame:
             enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), wit.weights)
             assert enumerated == pytest.approx(ew.expected_payoff(rho, wit), abs=1e-12)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+           dead=st.integers(0, 8))
+    def test_unbiasedness_over_random_pi_weights_states(self, seed, n, dead):
+        # Pi * V * payment sums to -Tr(rho W) for any pi covering the support
+        gen = np.random.default_rng(seed)
+        pi = gen.dirichlet(np.ones(4 ** n))
+        pi[gen.choice(4 ** n, size=dead, replace=False)] = 0.0
+        pi = (pi / pi.sum()).reshape((4,) * n)
+        table = np.where(pi > 0, gen.uniform(-1, 1, size=pi.shape), 0.0)
+        wit = ew.Witness.from_weights(ew.PauliWeights(n, table))
+        rho = ew.random_density_matrix(gen, 2 ** n)
+        enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), wit.weights)
+        assert enumerated == pytest.approx(ew.expected_payoff(rho, wit), abs=1e-12)
+
     def test_unbiasedness_holds_for_any_supported_pi(self, rng):
         w = ew.werner_witness().weights
         rho = ew.make_werner(0.9)
@@ -220,9 +297,11 @@ class TestRunGame:
                              keep_records=True)
         assert forced.has_records
 
-    def test_custom_responder_strategy(self):
+    def test_always_plus_strategy(self):
         # deterministic all-plus answers: mean payoff enumerable by hand
-        strat = ew.Strategy(name="always-plus", responder=lambda s, t, rng: (1, 1))
+        table = np.zeros((4, 4, 4))
+        table[..., 0] = 1.0
+        strat = ew.Strategy(name="always-plus", outcome_table=table)
         w = ew.werner_witness().weights
         cfg = ew.GameConfig.uniform(4_000, seed=5)
         tr = ew.run_game(cfg, strat, w)
@@ -232,39 +311,20 @@ class TestRunGame:
         expect = (counts * (-16.0) * w.table / cfg.rounds).sum()
         assert mean == pytest.approx(expect, abs=1e-10)
 
-    def test_rejects_bad_answers(self):
-        strat = ew.Strategy(name="broken", responder=lambda s, t, rng: (2, 1))
-        with pytest.raises(ValueError, match="non \\+/-1"):
-            ew.run_game(ew.GameConfig.uniform(10, seed=0), strat,
-                        ew.werner_witness().weights)
+    def test_zero_probability_cells_never_sampled(self, rng):
+        pi, weights, strat = random_strategy_game(rng, zero_cells=6)
+        tr = ew.run_game(ew.GameConfig(pi, 50_000, seed=21), strat, weights)
+        assert np.all(tr.counts[pi.ravel() == 0.0] == 0)
+        assert tr.counts.sum() == 50_000
 
-    def test_honest_responder_path_matches_moment_contract(self):
-        # force the slow path by dropping the outcome table
-        strat = ew.honest_strategy(ew.bell_psi_plus())
-        slow = dataclasses.replace(strat, outcome_table=None)
-        tr = ew.run_game(ew.GameConfig.uniform(2_000, seed=8), slow,
-                         ew.werner_witness().weights)
-        assert tr.counts.sum() == 2_000
-        mean, se = ew.empirical_payoff(tr)
-        assert abs(mean - 2 / RT3) <= 4 * se
-
-    def test_worker_streams_merge_deterministically(self):
-        cfg = ew.GameConfig.uniform(90_001, seed=13)
-        strat = ew.honest_strategy(ew.make_werner(1.0))
-        w = ew.werner_witness().weights
-        t1 = ew.run_game(cfg, strat, w, workers=3)
-        t2 = ew.run_game(cfg, strat, w, workers=3)
-        assert np.array_equal(t1.counts, t2.counts)
-        assert np.array_equal(t1.payoff_sums, t2.payoff_sums)
-        assert t1.counts.sum() == 90_001
-        assert not t1.has_records  # merged mode keeps moments only
-        mean, se = ew.empirical_payoff(t1)
-        assert abs(mean - 2 / RT3) <= 4 * se
-        # a different stream layout is a different (but valid) experiment
-        t3 = ew.run_game(cfg, strat, w, workers=2)
-        assert not np.array_equal(t1.counts, t3.counts)
-        with pytest.raises(ValueError):
-            ew.run_game(cfg, strat, w, workers=0)
+    def test_cell_frequencies_match_pi(self, rng):
+        pi, weights, strat = random_strategy_game(rng, zero_cells=0)
+        n = 400_000
+        tr = ew.run_game(ew.GameConfig(pi, n, seed=22), strat, weights)
+        freq = tr.counts / n
+        p = pi.ravel()
+        se = np.sqrt(p * (1 - p) / n)
+        assert np.all(np.abs(freq - p) <= 5 * se + 1e-9)
 
     def test_mean_within_three_sigma_over_seeds(self):
         exact = ew.expected_payoff(ew.bell_psi_plus(), ew.werner_witness())
@@ -291,6 +351,37 @@ class TestRunGame:
             if mean > 3 * se:
                 lam = np.linalg.eigvalsh(ew.partial_transpose(rho))[0]
                 assert lam < 0, "positive payoff from a PPT state"
+
+
+class TestStrategy:
+    def test_rejects_wrong_shape(self):
+        for shape in [(4, 4), (4, 4, 3), (3, 4, 4), (4, 4, 4, 4)]:
+            with pytest.raises(ValueError, match="shape"):
+                ew.Strategy(name="bad", outcome_table=np.full(shape, 1 / shape[-1]))
+
+    def test_rejects_negative_entry(self):
+        table = np.full((4, 4, 4), 0.25)
+        table[1, 2] = [0.75, 0.5, -0.25, 0.0]
+        with pytest.raises(ValueError, match="negative"):
+            ew.Strategy(name="bad", outcome_table=table)
+
+    def test_rejects_rows_not_summing_to_one(self):
+        table = np.full((4, 4, 4), 0.25)
+        table[3, 0, 1] = 0.3
+        with pytest.raises(ValueError, match="sum to 1"):
+            ew.Strategy(name="bad", outcome_table=table)
+        table[3, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            ew.Strategy(name="bad", outcome_table=table)
+
+    def test_table_is_a_frozen_copy(self):
+        table = np.full((4, 4, 4), 0.25)
+        strat = ew.Strategy(name="uniform", outcome_table=table)
+        table[0, 0] = [1.0, 0.0, 0.0, 0.0]
+        assert np.all(strat.outcome_table == 0.25)
+        assert strat.n_parties == 2
+        with pytest.raises(ValueError):
+            strat.outcome_table[0, 0, 0] = 1.0
 
 
 class TestEmpiricalPayoff:

@@ -25,12 +25,12 @@ class TestGhzState:
 
 class TestGhzWitness:
     def test_payoff_on_ghz(self):
-        assert ew.expected_payoff3(ew.ghz_state(), ew.ghz_witness().weights) == \
+        assert ew.expected_payoff(ew.ghz_state(), ew.ghz_witness()) == \
             pytest.approx(0.5, abs=1e-12)
 
     def test_payoff_on_maximally_mixed(self):
         # Tr W = 4 - 1 = 3, so -Tr(W I/8) = -3/8
-        assert ew.expected_payoff3(ew.maximally_mixed(3), ew.ghz_witness().weights) == \
+        assert ew.expected_payoff(ew.maximally_mixed(3), ew.ghz_witness()) == \
             pytest.approx(-3 / 8, abs=1e-12)
 
     def test_weights_rebuild_operator(self):
@@ -48,27 +48,27 @@ class TestGhzWitness:
         worst = -np.inf
         for _ in range(10_000):
             sigma = ew.random_separable(gen, k=int(gen.integers(1, 4)), n_qubits=3)
-            worst = max(worst, ew.expected_payoff3(sigma, wit.weights))
+            worst = max(worst, ew.expected_payoff(sigma, wit))
         assert worst <= 1e-9
 
 
 class TestExpectedPayoff3:
     def test_linearity(self, rng):
-        w = ew.ghz_witness().weights
+        w = ew.ghz_witness()
         for _ in range(20):
             r1 = ew.random_density_matrix(rng, 8)
             r2 = ew.random_density_matrix(rng, 8)
             alpha = rng.uniform()
             mix = ew.DensityMatrix(alpha * r1.matrix + (1 - alpha) * r2.matrix)
-            lhs = ew.expected_payoff3(mix, w)
-            rhs = alpha * ew.expected_payoff3(r1, w) + (1 - alpha) * ew.expected_payoff3(r2, w)
+            lhs = ew.expected_payoff(mix, w)
+            rhs = alpha * ew.expected_payoff(r1, w) + (1 - alpha) * ew.expected_payoff(r2, w)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_dimension_guards(self):
         with pytest.raises(ValueError):
-            ew.expected_payoff3(ew.maximally_mixed(2), ew.ghz_witness().weights)
+            ew.expected_payoff(ew.maximally_mixed(2), ew.ghz_witness())
         with pytest.raises(ValueError):
-            ew.expected_payoff3(ew.ghz_state(), ew.werner_witness().weights)
+            ew.expected_payoff(ew.ghz_state(), ew.werner_witness())
 
 
 class TestRunGame3:
@@ -80,7 +80,7 @@ class TestRunGame3:
 
     def test_honest_ghz_converges(self):
         cfg = ew.GameConfig.uniform(1_000_000, seed=6, n_parties=3)
-        tr = ew.run_game3(cfg, ew.honest_strategy3(ew.ghz_state()), ew.ghz_witness().weights)
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights)
         mean, se = ew.empirical_payoff(tr)
         assert abs(mean - 0.5) <= 3 * se
 
@@ -91,20 +91,21 @@ class TestRunGame3:
             table = rng.uniform(-1, 1, size=(4, 4, 4))
             w = ew.PauliWeights(3, table)
             enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), w)
-            assert enumerated == pytest.approx(ew.expected_payoff3(rho, w), abs=1e-12)
+            assert enumerated == pytest.approx(
+                ew.expected_payoff(rho, ew.Witness.from_weights(w)), abs=1e-12)
 
     def test_identity_labels_all_plus(self):
         cfg = ew.GameConfig.uniform(5_000, seed=1, n_parties=3)
-        tr = ew.run_game3(cfg, ew.honest_strategy3(ew.ghz_state()), ew.ghz_witness().weights)
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights)
         for col in range(3):
             assert np.all(tr.answers[tr.labels[:, col] == 0, col] == 1)
 
     def test_deterministic(self):
         cfg = ew.GameConfig.uniform(20_000, seed=77, n_parties=3)
-        strat = ew.honest_strategy3(ew.ghz_state())
+        strat = ew.honest_strategy(ew.ghz_state())
         w = ew.ghz_witness().weights
-        t1 = ew.run_game3(cfg, strat, w)
-        t2 = ew.run_game3(cfg, strat, w)
+        t1 = ew.run_game(cfg, strat, w)
+        t2 = ew.run_game(cfg, strat, w)
         assert t1.payoffs.tobytes() == t2.payoffs.tobytes()
         assert np.array_equal(t1.counts, t2.counts)
 
@@ -113,18 +114,16 @@ class TestRunGame3:
         pi[0, 0, 0] = 1.0
         cfg = ew.GameConfig(pi, 10, seed=0)
         with pytest.raises(ValueError, match="nonzero weight"):
-            ew.run_game3(cfg, ew.honest_strategy3(ew.ghz_state()), ew.ghz_witness().weights)
+            ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights)
 
     def test_party_count_guards(self):
         cfg2 = ew.GameConfig.uniform(10, seed=0, n_parties=2)
         with pytest.raises(ValueError):
-            ew.run_game3(cfg2, ew.honest_strategy3(ew.ghz_state()), ew.ghz_witness().weights)
-        with pytest.raises(ValueError):
-            ew.honest_strategy3(ew.make_werner(0.5))
+            ew.run_game(cfg2, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights)
 
     def test_csv_has_three_party_columns(self, tmp_path):
         cfg = ew.GameConfig.uniform(50, seed=0, n_parties=3)
-        tr = ew.run_game3(cfg, ew.honest_strategy3(ew.ghz_state()), ew.ghz_witness().weights)
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights)
         path = tmp_path / "rounds3.csv"
         tr.to_csv(path)
         header = path.read_text().split("\n", 1)[0]

@@ -42,7 +42,7 @@ class TestMoments:
 
     def test_rejects_three_party_transcript(self):
         cfg = ew.GameConfig.uniform(1000, seed=0, n_parties=3)
-        tr = ew.run_game3(cfg, ew.honest_strategy3(ew.ghz_state()), ew.ghz_witness().weights)
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights)
         with pytest.raises(ValueError):
             ew.accumulate(tr)
 
