@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import game, geometry, multiparty, qcore, serialize, tomography, witness
+from . import game, geometry, serialize, tomography, witness
 from .serialize import float17
 
 ENV_SEED = "EWGAME_SEED"
@@ -52,6 +52,17 @@ def cmd_payoff(args) -> int:
     return EXIT_OK if value > 0.0 else EXIT_NEGATIVE
 
 
+def _spec_int(spec: dict, key: str, default: int) -> int:
+    """An integer field of a config file; JSON may write it as an integral
+    float such as 1e6, but never as a bool, a fraction or anything else."""
+    value = spec.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"config field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _load_run_spec(args):
     spec = {}
     if args.config:
@@ -61,8 +72,8 @@ def _load_run_spec(args):
     wit_spec = args.witness or spec.get("witness")
     if not state or not wit_spec:
         raise ValueError("simulate needs --state and --witness (flags or config file)")
-    rounds = args.rounds if args.rounds is not None else int(spec.get("rounds", 100_000))
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+    rounds = args.rounds if args.rounds is not None else _spec_int(spec, "rounds", 100_000)
+    seed = args.seed if args.seed is not None else _spec_int(spec, "seed", 0)
     pi = args.pi or spec.get("pi", "uniform")
     strategy_name = args.strategy or spec.get("strategy", "honest")
     return state, wit_spec, rounds, _resolve_seed(seed), pi, strategy_name
@@ -287,8 +298,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as exc:
+        # an input no check above caught still exits 2, never 1 ("negative")
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
 

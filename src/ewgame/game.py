@@ -243,18 +243,29 @@ def outcome_table(rho: qcore.DensityMatrix) -> np.ndarray:
     return table.reshape((4,) * n + (2 ** n,))
 
 
-def _table_cdfs(table: np.ndarray) -> np.ndarray:
+def _table_rows(table: np.ndarray) -> np.ndarray:
+    """Outcome table as one probability row per raveled label cell, clipped
+    at 0 and renormalised."""
     flat = np.clip(table.reshape(-1, table.shape[-1]), 0.0, None)
-    flat = flat / flat.sum(axis=1, keepdims=True)
-    cdf = np.cumsum(flat, axis=1)
-    cdf[:, -1] = 1.0
-    return cdf
+    return flat / flat.sum(axis=1, keepdims=True)
 
 
 def honest_strategy(rho: qcore.DensityMatrix) -> Strategy:
     """Players measure the Pauli operators named by their labels on a shared
-    copy of rho and report the outcomes."""
-    return Strategy(name="honest", outcome_table=outcome_table(rho))
+    copy of rho and report the outcomes.
+
+    DensityMatrix tolerates eigenvalues down to -PSD_TOL, and one outcome
+    probability sums up to 2^n of them, so entries in [-2^n PSD_TOL, 0) are
+    Born-rule round-off: they are set to 0 and their rows renormalised.
+    Anything more negative is left for Strategy to reject.
+    """
+    table = outcome_table(rho)
+    noise = (table < 0.0) & (table >= -(2 ** rho.n_qubits) * qcore.PSD_TOL)
+    if np.any(noise):
+        table[noise] = 0.0
+        rows = np.any(noise, axis=-1)
+        table[rows] /= table[rows].sum(axis=-1, keepdims=True)
+    return Strategy(name="honest", outcome_table=table)
 
 
 def cheat_outcome_table() -> np.ndarray:
@@ -298,11 +309,19 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
              keep_records: bool | None = None) -> Transcript:
     """Play all rounds and return the transcript.
 
-    Each round consumes two uniforms from ``default_rng(seed)``: the first
-    picks the label cell by inverse CDF over pi, the second the joint answer
-    by inverse CDF over that cell's row of the strategy's outcome table.
-    keep_records defaults to rounds <= 100000; past that the transcript
-    retains only per-cell moments.
+    Every moment follows from the count matrix N[cell, outcome], the number
+    of rounds that landed on each raveled label cell and joint outcome; the
+    two RNG schemes below differ only in how N is drawn from
+    ``default_rng(seed)``.
+
+    With records, each round consumes two uniforms: the first picks the
+    label cell by inverse CDF over pi, the second the joint answer by
+    inverse CDF over that cell's row of the strategy's outcome table, and N
+    is counted from the rounds.  Without records, N is drawn directly: a
+    multinomial of all rounds over the cells, then one multinomial per cell
+    over its row, so time and memory do not grow with the rounds.
+
+    keep_records defaults to rounds <= 100000.
     """
     n = config.n_parties
     if weights.n_qubits != n:
@@ -313,33 +332,35 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
     if keep_records is None:
         keep_records = config.rounds <= RECORD_LIMIT
 
-    parity = outcome_parity(n)
     pays = payoff_table(config.pi, weights)
     n_cells, n_out = pays.shape
-    label_cdf = np.cumsum(config.pi.ravel())
-    label_cdf[-1] = 1.0
-    out_cdf = _table_cdfs(strategy.outcome_table)
-
-    u = np.random.default_rng(config.seed).random((config.rounds, 2))
-    cells = np.minimum(np.searchsorted(label_cdf, u[:, 0], side="right"), n_cells - 1)
-    outcomes = np.minimum((u[:, 1:2] >= out_cdf[cells]).sum(axis=1), n_out - 1)
-    round_pays = pays[cells, outcomes]
-    counts = np.bincount(cells, minlength=n_cells).astype(np.int64)
-    parity_sums = np.bincount(
-        cells, weights=parity[outcomes].astype(np.float64), minlength=n_cells
-    ).astype(np.int64)
-    pay_sums = np.bincount(cells, weights=round_pays, minlength=n_cells)
-    pay_sqs = np.bincount(cells, weights=round_pays * round_pays, minlength=n_cells)
+    rows = _table_rows(strategy.outcome_table)
+    rng = np.random.default_rng(config.seed)
 
     labels = answers_arr = payoffs = None
     if keep_records:
+        label_cdf = np.cumsum(config.pi.ravel())
+        label_cdf[-1] = 1.0
+        out_cdf = np.cumsum(rows, axis=1)
+        out_cdf[:, -1] = 1.0
+        u = rng.random((config.rounds, 2))
+        cells = np.minimum(np.searchsorted(label_cdf, u[:, 0], side="right"), n_cells - 1)
+        outcomes = np.minimum((u[:, 1:2] >= out_cdf[cells]).sum(axis=1), n_out - 1)
+        count_matrix = np.bincount(cells * n_out + outcomes, minlength=n_cells * n_out)
+        count_matrix = count_matrix.reshape(n_cells, n_out)
         labels = np.stack(np.unravel_index(cells, config.pi.shape), axis=1).astype(np.int8)
         answers_arr = np.array(
             [decode_answers(k, n) for k in range(n_out)], dtype=np.int8)[outcomes]
-        payoffs = round_pays
+        payoffs = pays[cells, outcomes]
+    else:
+        pi = config.pi.ravel()
+        count_matrix = rng.multinomial(rng.multinomial(config.rounds, pi / pi.sum()), rows)
+
     return Transcript(
-        n_parties=n, counts=counts, parity_sums=parity_sums,
-        payoff_sums=pay_sums, payoff_sq_sums=pay_sqs,
+        n_parties=n, counts=count_matrix.sum(axis=1),
+        parity_sums=count_matrix @ outcome_parity(n),
+        payoff_sums=(count_matrix * pays).sum(axis=1),
+        payoff_sq_sums=(count_matrix * (pays * pays)).sum(axis=1),
         rounds=config.rounds, seed=config.seed,
         labels=labels, answers=answers_arr, payoffs=payoffs,
     )

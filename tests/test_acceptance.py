@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ewgame as ew
-from ewgame import game, geometry
+from ewgame import game
 
 RT2 = np.sqrt(2.0)
 RT3 = np.sqrt(3.0)

@@ -104,6 +104,33 @@ class TestSimulate:
         _, out2, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--seed", "12")
         assert "seed=12" in out2
 
+    @pytest.mark.parametrize("field,value", [
+        ("rounds", 1000.7), ("seed", 3.9), ("rounds", True), ("seed", "3"), ("rounds", [5])])
+    def test_config_non_integer_field_is_an_error(self, capsys, tmp_path, field, value):
+        cfg = tmp_path / "run.json"
+        spec = {"state": "werner(1)", "witness": "werner", "rounds": 1000, "seed": 3}
+        spec[field] = value
+        cfg.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and repr(field) in err
+
+    def test_config_integral_float_rounds(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"state": "werner(1)", "witness": "werner",
+                                   "rounds": 1e4, "seed": 3.0}))
+        code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 0 and "rounds=10000 seed=3\n" in out
+
+    def test_unexpected_exception_exits_2(self, capsys, tmp_path):
+        # a pi object that is neither a spec string nor a table raises TypeError
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"state": "werner(1)", "witness": "werner",
+                                   "rounds": 100, "pi": {"a": 1}}))
+        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: TypeError:")
+
     def test_support_violation_is_an_error(self, capsys, tmp_path):
         pi = np.zeros((4, 4))
         pi[0, 0] = 1.0

@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 from itertools import product
 
@@ -179,6 +180,33 @@ class TestHonestStrategy:
         assert abs(mean - exact) <= 3 * se
 
 
+    def test_born_rule_round_off_is_clipped(self):
+        # four eigenvalues of -0.9e-10 pass DensityMatrix; the cells that
+        # measure the third qubit's "-" outcome sum all four of them
+        diag = np.full(8, (1 + 3.6e-10) / 4)
+        diag[1::2] = -0.9e-10
+        rho = ew.DensityMatrix(np.diag(diag))
+        raw = game.outcome_table(rho)
+        assert raw.min() == pytest.approx(-3.6e-10, rel=1e-6)
+        table = ew.honest_strategy(rho).outcome_table
+        assert table.min() == 0.0
+        assert np.max(np.abs(table.sum(axis=-1) - 1.0)) <= 1e-15
+        assert np.max(np.abs(table - raw)) <= 1e-9
+        untouched = np.all(raw >= 0.0, axis=-1)
+        assert table[untouched].tobytes() == raw[untouched].tobytes()
+
+    def test_tables_without_negative_entries_are_unchanged(self, rng):
+        checked = 0
+        for n in (2, 3):
+            for _ in range(10):
+                rho = ew.random_density_matrix(rng, 2 ** n)
+                raw = game.outcome_table(rho)
+                if raw.min() >= 0.0:
+                    assert ew.honest_strategy(rho).outcome_table.tobytes() == raw.tobytes()
+                    checked += 1
+        assert checked >= 10
+
+
 class TestCheatStrategy:
     def test_enumerated_correlation_pattern(self):
         table = ew.classical_cheat_strategy().outcome_table
@@ -351,6 +379,109 @@ class TestRunGame:
             if mean > 3 * se:
                 lam = np.linalg.eigvalsh(ew.partial_transpose(rho))[0]
                 assert lam < 0, "positive payoff from a PPT state"
+
+
+def parity_pair_game(gen, n, dead):
+    """Random pi with dead cells, weights on the live cells, and a table that
+    gives each cell one even- and one odd-parity outcome.  A cell's count
+    matrix row is then recoverable from its count and parity sum."""
+    parity = game.outcome_parity(n)
+    even, odd = np.flatnonzero(parity == 1), np.flatnonzero(parity == -1)
+    cells = 4 ** n
+    pi = gen.dirichlet(np.ones(cells))
+    pi[gen.choice(cells, size=dead, replace=False)] = 0.0
+    pi /= pi.sum()
+    table = np.zeros((cells, 2 ** n))
+    p_even = gen.uniform(0.05, 0.95, size=cells)
+    table[np.arange(cells), gen.choice(even, size=cells)] = p_even
+    table[np.arange(cells), gen.choice(odd, size=cells)] = 1.0 - p_even
+    weights = ew.PauliWeights(n, np.where(pi > 0, gen.normal(size=cells), 0.0)
+                              .reshape((4,) * n))
+    return (pi.reshape((4,) * n), weights,
+            ew.Strategy(name="pairs", outcome_table=table.reshape((4,) * n + (2 ** n,))))
+
+
+class TestStreamedCounts:
+    @pytest.mark.parametrize("n,dead", [(2, 5), (3, 20)])
+    def test_counts_match_pi_times_table(self, n, dead):
+        gen = np.random.default_rng(40 + n)
+        pi, weights, strat = parity_pair_game(gen, n, dead)
+        rounds = 2_000_000
+        tr = ew.run_game(ew.GameConfig(pi, rounds, seed=n), strat, weights,
+                         keep_records=False)
+        assert not tr.has_records
+        live = pi.ravel() > 0
+        assert np.all(tr.counts[~live] == 0)
+        assert tr.counts.sum() == rounds
+        # each cell has one even- and one odd-parity outcome, so its row of
+        # the count matrix is (count + parity sum) / 2 on the even outcome
+        table = strat.outcome_table.reshape(4 ** n, -1)
+        even = game.outcome_parity(n) == 1
+        got = np.stack([tr.counts + tr.parity_sums, tr.counts - tr.parity_sums], axis=1) // 2
+        q = pi.ravel()[:, None] * np.stack(
+            [table[:, even].sum(axis=1), table[:, ~even].sum(axis=1)], axis=1)
+        se = np.sqrt(rounds * q * (1 - q))
+        assert np.all(np.abs(got - rounds * q) <= 4 * se)
+        # payment -w * parity / pi per round
+        w = weights.table.ravel()
+        pay = np.divide(-w, pi.ravel(), out=np.zeros_like(w), where=live)
+        assert np.allclose(tr.payoff_sums, pay * tr.parity_sums, rtol=1e-12, atol=1e-9)
+        assert np.allclose(tr.payoff_sq_sums, pay ** 2 * tr.counts, rtol=1e-12, atol=1e-9)
+
+    def test_same_seed_moments_are_byte_equal(self):
+        strat = ew.honest_strategy(ew.ghz_state())
+        w = ew.ghz_witness().weights
+        cfg = ew.GameConfig.uniform(3_000_000, seed=77, n_parties=3)
+        t1, t2 = (ew.run_game(cfg, strat, w) for _ in range(2))
+        for name in ("counts", "parity_sums", "payoff_sums", "payoff_sq_sums"):
+            assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes(), name
+        other = ew.run_game(ew.GameConfig.uniform(3_000_000, seed=78, n_parties=3), strat, w)
+        assert not np.array_equal(t1.counts, other.counts)
+
+    def test_cost_does_not_grow_with_rounds(self):
+        strat = ew.honest_strategy(ew.make_werner(1.0))
+        w = ew.werner_witness().weights
+        cfg = ew.GameConfig.uniform(10 ** 9, seed=5)
+        t0 = time.perf_counter()
+        tr = ew.run_game(cfg, strat, w)
+        elapsed = time.perf_counter() - t0
+        assert tr.counts.sum() == 10 ** 9
+        assert elapsed < 0.25, f"10^9 streamed rounds took {elapsed:.3f} s"
+        mean, se = ew.empirical_payoff(tr)
+        assert abs(mean - 2 / RT3) <= 4 * se
+
+    def test_sums_at_the_tolerance(self):
+        # GameConfig accepts a pi summing to within 1e-12 of 1 and Strategy
+        # rows summing to within 1e-10; numpy's multinomial rejects
+        # probabilities before the last summing above 1 + 1e-12.  Zero last
+        # entries put all of the excess in front of the last category.
+        pi = np.full(16, 1 / 15 * (1 + 0.9e-12))
+        pi[-1] = 0.0
+        table = np.zeros((4, 4, 4))
+        table[..., :2] = 0.5 * (1 + 0.9e-10)
+        w = np.where(pi > 0, 1.0, 0.0).reshape(4, 4)
+        cfg = ew.GameConfig(pi.reshape(4, 4), 1_000_000, seed=3)
+        assert cfg.pi.sum() > 1.0
+        tr = ew.run_game(cfg, ew.Strategy(name="edge", outcome_table=table),
+                         ew.PauliWeights(2, w), keep_records=False)
+        assert tr.counts.sum() == 1_000_000 and tr.counts[-1] == 0
+
+
+class TestRecordedMoments:
+    @pytest.mark.parametrize("state,wit,n", [
+        (ew.make_werner(0.8), ew.werner_witness(), 2), (ew.ghz_state(), ew.ghz_witness(), 3)])
+    def test_moments_equal_sums_over_records(self, state, wit, n):
+        cfg = ew.GameConfig.uniform(20_000, seed=2024, n_parties=n)
+        tr = ew.run_game(cfg, ew.honest_strategy(state), wit.weights)
+        cells = np.ravel_multi_index(tr.labels.T, cfg.pi.shape)
+        parity = tr.answers.prod(axis=1, dtype=np.int64)
+        assert np.array_equal(tr.counts, np.bincount(cells, minlength=4 ** n))
+        assert np.array_equal(tr.parity_sums,
+                              np.bincount(cells, weights=parity, minlength=4 ** n))
+        for got, per_round in ((tr.payoff_sums, tr.payoffs),
+                               (tr.payoff_sq_sums, tr.payoffs ** 2)):
+            expect = np.bincount(cells, weights=per_round, minlength=4 ** n)
+            assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
 
 
 class TestStrategy:
