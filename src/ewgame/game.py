@@ -13,6 +13,7 @@ seed) tuple always yields the same transcript.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
@@ -24,6 +25,8 @@ from .witness import PauliWeights
 PI_SUM_TOL = 1e-12
 OUTCOME_TOL = 1e-10
 RECORD_LIMIT = 100_000
+MAX_ROUNDS = 2 ** 63 - 1  # numpy's multinomial takes its count as a C long
+CSV_BLOCK_ROWS = 4096
 
 # Joint outcomes are indexed 0..2^n-1; party j's answer is the j-th bit from
 # the left, with bit 0 meaning +1 and bit 1 meaning -1.
@@ -40,12 +43,14 @@ def encode_answers(answers) -> int:
     return k
 
 
+@lru_cache(maxsize=4)
 def outcome_parity(n_parties: int) -> np.ndarray:
-    """Product of all answers for each joint outcome index."""
-    return np.array(
-        [int(np.prod(decode_answers(k, n_parties))) for k in range(2 ** n_parties)],
-        dtype=np.int64,
-    )
+    """Product of all answers for each joint outcome index: -1 when an odd
+    number of answer bits are set.  The array is shared and read-only."""
+    bits = (np.arange(2 ** n_parties)[:, None] >> np.arange(n_parties)) & 1
+    parity = 1 - 2 * (bits.sum(axis=1) & 1)
+    parity.setflags(write=False)
+    return parity
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,6 +76,8 @@ class GameConfig:
             raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
+        if self.rounds > MAX_ROUNDS:
+            raise ValueError(f"rounds must be at most 2**63 - 1, got {self.rounds}")
         p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "pi", p)
@@ -178,11 +185,16 @@ class Transcript:
             raise ValueError("transcript was streamed; per-round records were discarded")
         label_cols = ["s", "t"] if self.n_parties == 2 else ["i", "j", "k"]
         answer_cols = ["a", "b", "c"][: self.n_parties]
+        # column_stack makes every column float64; %d prints the integral
+        # label and answer values exactly as int() would.
+        row = ",".join(["%d"] * (2 * self.n_parties) + ["%.17g"]) + "\n"
         with open(path, "w", newline="") as fh:
             fh.write(",".join(label_cols + answer_cols + ["payoff"]) + "\n")
-            for lab, ans, pay in zip(self.labels, self.answers, self.payoffs):
-                cells = [str(int(x)) for x in lab] + [str(int(x)) for x in ans]
-                fh.write(",".join(cells + [f"{pay:.17g}"]) + "\n")
+            for start in range(0, self.rounds, CSV_BLOCK_ROWS):
+                block = slice(start, start + CSV_BLOCK_ROWS)
+                values = np.column_stack(
+                    (self.labels[block], self.answers[block], self.payoffs[block]))
+                fh.write(row * len(values) % tuple(values.ravel().tolist()))
 
 
 def empirical_payoff(tr: Transcript) -> tuple[float, float]:

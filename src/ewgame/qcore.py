@@ -60,21 +60,45 @@ def pauli_basis(n_qubits: int):
     return stack, labels
 
 
-def _as_operator(matrix, name: str = "operator") -> np.ndarray:
+def _as_operator(matrix, name: str = "operator", stack: bool = False) -> np.ndarray:
+    """Finite complex square matrix of dimension 2, 4 or 8, or with
+    stack=True a (..., d, d) stack of them."""
     m = np.asarray(matrix, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-    if m.shape[0] not in (2, 4, 8):
-        raise ValueError(f"{name} dimension must be 2, 4 or 8, got {m.shape[0]}")
+    if m.shape[-1] not in (2, 4, 8):
+        raise ValueError(f"{name} dimension must be 2, 4 or 8, got {m.shape[-1]}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
 def _check_hermitian(m: np.ndarray, name: str = "operator") -> np.ndarray:
-    dev = np.max(np.abs(m - m.conj().T))
+    dev = np.max(np.abs(m - _adjoint(m)))
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
+    return m
+
+
+def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
+    """Check a (..., d, d) stack of density matrices (one d x d matrix when
+    stack=False) and return it as complex128: finite, Hermitian, unit trace,
+    and no eigenvalue below -PSD_TOL.  The first failing check raises
+    ValueError; for a stack it reports the worst offending matrix.
+    """
+    m = _as_operator(matrices, "density matrix", stack)
+    _check_hermitian(m, "density matrix")
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    off = np.abs(tr - 1.0)
+    if np.max(off) > TRACE_TOL:
+        raise ValueError(f"density matrix trace is {tr.flat[np.argmax(off)]:.12g}, expected 1")
+    low = np.min(np.linalg.eigvalsh((m + _adjoint(m)) / 2.0)[..., 0])
+    if low < -PSD_TOL:
+        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
     return m
 
 
@@ -89,17 +113,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_operator(self.matrix, "density matrix")
-        _check_hermitian(m, "density matrix")
-        tr = m.trace()
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
-        vals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        if vals[0] < -PSD_TOL:
-            raise ValueError(
-                f"density matrix has negative eigenvalue {vals[0]:.3e}"
-            )
-        m = m.copy()
+        m = validate_density_matrices(self.matrix, stack=False).copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -191,7 +205,7 @@ def hermitian_eigensystem(op) -> tuple[np.ndarray, np.ndarray]:
     Hermitian operator (LAPACK via np.linalg.eigh)."""
     m = _as_operator(op)
     _check_hermitian(m)
-    return np.linalg.eigh((m + m.conj().T) / 2.0)
+    return np.linalg.eigh((m + _adjoint(m)) / 2.0)
 
 
 def trace_distance(a, b) -> float:
@@ -235,12 +249,6 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())
-
-
-def random_pure_qubit(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random single-qubit pure state as a normalized 2-vector."""
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return v / np.linalg.norm(v)
 
 
 def validate_spin_observable(op, name: str = "observable") -> np.ndarray:

@@ -18,6 +18,7 @@ from . import qcore
 WEIGHT_CONSISTENCY_TOL = 1e-12
 SEPARABLE_FLOOR = 1e-9
 NPT_THRESHOLD = -1e-9
+SAMPLE_CHUNK = 1024
 
 
 class PPTStateError(ValueError):
@@ -193,6 +194,42 @@ def expected_payoff(rho: qcore.DensityMatrix, witness: Witness) -> float:
     return float(val.real)
 
 
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def _product_mixtures(rng: np.random.Generator, ks, n_qubits: int) -> np.ndarray:
+    """Stack of len(ks) unvalidated separable states, shape (len(ks), d, d):
+    state i is a Dirichlet(1,...,1)-weighted mixture of ks[i] products of
+    Haar-random single-qubit pure states.
+
+    Draws, in order: one standard exponential per component (normalised per
+    state, these are the Dirichlet weights), then the normals of shape
+    (components, n_qubits, 2, 2) holding each qubit's real parts and then
+    its imaginary parts.  For one state this is the stream of
+    ``rng.dirichlet(np.ones(k))`` followed by k * n_qubits draws of
+    ``normal(size=2) + 1j * normal(size=2)``.
+    """
+    if (isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer))
+            or not 1 <= n_qubits <= 3):
+        raise ValueError(f"n_qubits must be 1, 2 or 3, got {n_qubits!r}")
+    ks = np.asarray(ks, dtype=np.int64)
+    total = int(ks.sum())
+    starts = np.cumsum(ks) - ks
+    e = rng.standard_exponential(total)
+    weights = e / np.repeat(np.add.reduceat(e, starts), ks)
+    g = rng.normal(size=(total, n_qubits, 2, 2))
+    qubits = g[:, :, 0] + 1j * g[:, :, 1]
+    qubits /= np.linalg.norm(qubits, axis=-1, keepdims=True)
+    psi = qubits[:, 0]
+    for j in range(1, n_qubits):
+        psi = (psi[:, :, None] * qubits[:, j, None, :]).reshape(total, -1)
+    outers = psi[:, :, None] * psi.conj()[:, None, :]
+    return np.add.reduceat(weights[:, None, None] * outers, starts, axis=0)
+
+
 def random_separable(rng: np.random.Generator, k: int, n_qubits: int = 2
                      ) -> qcore.DensityMatrix:
     """Convex mixture of k random product states.
@@ -200,37 +237,33 @@ def random_separable(rng: np.random.Generator, k: int, n_qubits: int = 2
     Each component is a tensor product of Haar-random single-qubit pure
     states; the mixing weights are uniform on the simplex.
     """
-    if k < 1:
-        raise ValueError("need at least one product component")
-    weights = rng.dirichlet(np.ones(k))
-    dim = 2 ** n_qubits
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for w in weights:
-        vec = qcore.random_pure_qubit(rng)
-        for _ in range(n_qubits - 1):
-            vec = np.kron(vec, qcore.random_pure_qubit(rng))
-        m += w * np.outer(vec, vec.conj())
-    return qcore.DensityMatrix(m)
+    k = _positive_int(k, "k")
+    return qcore.DensityMatrix(_product_mixtures(rng, [k], n_qubits)[0])
 
 
 def check_witness(witness: Witness, rho: qcore.DensityMatrix, n_samples: int,
                   rng: np.random.Generator) -> CheckReport:
     """Evaluate a witness on its target and on sampled separable states.
 
-    The verdict is positive only when the target payoff is positive and no
-    sampled separable state drove Tr(sigma W) below -1e-9.
+    The samples are drawn SAMPLE_CHUNK at a time, each chunk as its
+    component counts (1 to 4 per sample), then the mixtures; every chunk is
+    validated as density matrices before it is scored, so memory does not
+    grow with n_samples.  The verdict is positive only when the target
+    payoff is positive and no sampled separable state drove Tr(sigma W)
+    below -1e-9.
     """
-    if n_samples < 1:
-        raise ValueError("need at least one separable sample")
+    n_samples = _positive_int(n_samples, "n_samples")
     payoff = expected_payoff(rho, witness)
     min_val = np.inf
-    for _ in range(n_samples):
-        sigma = random_separable(rng, k=int(rng.integers(1, 5)), n_qubits=witness.n_qubits)
-        val = float(np.real(np.trace(sigma.matrix @ witness.operator)))
-        min_val = min(min_val, val)
+    for start in range(0, n_samples, SAMPLE_CHUNK):
+        ks = rng.integers(1, 5, min(SAMPLE_CHUNK, n_samples - start))
+        sigmas = qcore.validate_density_matrices(
+            _product_mixtures(rng, ks, witness.n_qubits))
+        values = np.einsum("nij,ji->n", sigmas, witness.operator).real
+        min_val = min(min_val, float(values.min()))
     return CheckReport(
         payoff_on_target=payoff,
-        min_separable_value=float(min_val),
+        min_separable_value=min_val,
         n_samples=n_samples,
         verdict=bool(payoff > 0.0 and min_val >= -SEPARABLE_FLOOR),
     )

@@ -122,6 +122,12 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", "--config", str(cfg))
         assert code == 0 and "rounds=10000 seed=3\n" in out
 
+    def test_rounds_beyond_int64_is_an_error(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--state", "werner(1)",
+                               "--witness", "werner", "--rounds", "100000000000000000000")
+        assert code == 2
+        assert err.startswith("error: rounds")
+
     def test_unexpected_exception_exits_2(self, capsys, tmp_path):
         # a pi object that is neither a spec string nor a table raises TypeError
         cfg = tmp_path / "run.json"

@@ -104,6 +104,14 @@ class TestOutcomeDistribution:
         assert np.max(np.abs(game.outcome_table(rho) - born_rule_table(rho))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_outcome_parity_is_product_of_answers(n):
+    parity = game.outcome_parity(n)
+    expect = [int(np.prod(game.decode_answers(k, n))) for k in range(2 ** n)]
+    assert parity.tolist() == expect
+    assert not parity.flags.writeable
+
+
 class TestGameConfig:
     def test_uniform_sums_to_one(self):
         cfg = ew.GameConfig.uniform(10, seed=0)
@@ -140,6 +148,13 @@ class TestGameConfig:
     def test_rejects_bool_rounds(self):
         with pytest.raises(ValueError, match="integer"):
             ew.GameConfig.uniform(True, 0)
+
+    def test_rejects_rounds_beyond_int64(self):
+        assert ew.GameConfig.uniform(2 ** 63 - 1, 0).rounds == 2 ** 63 - 1
+        with pytest.raises(ValueError, match="rounds"):
+            ew.GameConfig.uniform(2 ** 63, 0)
+        with pytest.raises(ValueError, match="rounds"):
+            ew.GameConfig.uniform(10 ** 20, 0)
 
     def test_support_violation_fails_before_any_round(self):
         pi = np.zeros((4, 4))
@@ -550,7 +565,30 @@ class TestEmpiricalPayoff:
             ew.empirical_payoff(tr)
 
 
+def row_loop_csv(tr, path):
+    """Transcript.to_csv as ewgame 0.1.0 wrote it, one round per write."""
+    label_cols = ["s", "t"] if tr.n_parties == 2 else ["i", "j", "k"]
+    answer_cols = ["a", "b", "c"][: tr.n_parties]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(label_cols + answer_cols + ["payoff"]) + "\n")
+        for lab, ans, pay in zip(tr.labels, tr.answers, tr.payoffs):
+            cells = [str(int(x)) for x in lab] + [str(int(x)) for x in ans]
+            fh.write(",".join(cells + [f"{pay:.17g}"]) + "\n")
+
+
 class TestTranscriptCsv:
+    @pytest.mark.parametrize("state,wit,n", [
+        (ew.make_werner(0.8), ew.werner_witness(), 2),
+        (ew.ghz_state(), ew.ghz_witness(), 3),
+    ])
+    def test_matches_row_loop(self, tmp_path, state, wit, n):
+        rounds = 2 * game.CSV_BLOCK_ROWS + 5
+        tr = ew.run_game(ew.GameConfig.uniform(rounds, seed=6, n_parties=n),
+                         ew.honest_strategy(state), wit.weights, keep_records=True)
+        row_loop_csv(tr, tmp_path / "loop.csv")
+        tr.to_csv(tmp_path / "block.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
     def test_round_trip(self, tmp_path):
         cfg = ew.GameConfig.uniform(200, seed=4)
         w = ew.werner_witness().weights

@@ -97,6 +97,29 @@ class TestDensityMatrixValidation:
         with pytest.raises(ValueError, match="finite"):
             ew.DensityMatrix(m)
 
+    def test_rejects_a_stack(self):
+        with pytest.raises(ValueError, match="square matrix"):
+            ew.DensityMatrix(np.stack([np.eye(4, dtype=complex) / 4] * 2))
+
+    def test_stack_checks_match_single_matrix_checks(self, rng):
+        good = np.stack([ew.random_density_matrix(rng, 4).matrix for _ in range(5)])
+        assert np.array_equal(qcore.validate_density_matrices(good), good)
+        non_hermitian = np.eye(4, dtype=complex) / 4
+        non_hermitian[0, 1] = 0.1
+        bad = [non_hermitian, np.eye(4, dtype=complex) / 2,
+               np.diag([1.1, 0.0, 0.0, -0.1]).astype(complex)]
+        nan = np.eye(4, dtype=complex) / 4
+        nan[0, 0] = np.nan
+        bad.append(nan)
+        for m in bad:
+            with pytest.raises(ValueError) as single:
+                ew.DensityMatrix(m)
+            stack = good.copy()
+            stack[3] = m
+            with pytest.raises(ValueError) as batched:
+                qcore.validate_density_matrices(stack.reshape(1, 5, 4, 4))
+            assert str(batched.value) == str(single.value)
+
     def test_matrix_is_frozen(self):
         rho = ew.make_werner(0.5)
         with pytest.raises(ValueError):

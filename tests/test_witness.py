@@ -1,13 +1,31 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import ewgame as ew
 from ewgame import qcore
+from ewgame.witness import SAMPLE_CHUNK, SEPARABLE_FLOOR
 
 from conftest import builtin_witnesses
 
 RT2 = np.sqrt(2.0)
 RT3 = np.sqrt(3.0)
+
+
+def kron_loop_separable(rng, k, n_qubits):
+    """The per-sample separable sampler of ewgame 0.1.0: Dirichlet weights,
+    then one normalised complex Gaussian 2-vector per qubit joined by kron."""
+    weights = rng.dirichlet(np.ones(k))
+    dim = 2 ** n_qubits
+    m = np.zeros((dim, dim), dtype=complex)
+    for w in weights:
+        vec = np.ones(1, dtype=complex)
+        for _ in range(n_qubits):
+            v = rng.normal(size=2) + 1j * rng.normal(size=2)
+            vec = np.kron(vec, v / np.linalg.norm(v))
+        m += w * np.outer(vec, vec.conj())
+    return m
 
 
 def rebuild_from_weights(wit):
@@ -204,6 +222,28 @@ class TestRandomSeparable:
         with pytest.raises(ValueError):
             ew.random_separable(rng, k=0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_kron_loop(self, n, k):
+        for seed in range(5):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            expect = kron_loop_separable(old, k, n)
+            got = ew.random_separable(new, k, n).matrix
+            assert np.max(np.abs(got - expect)) <= 1e-14
+            assert new.random() == old.random()
+
+    @pytest.mark.parametrize("k", [2.0, True, 0, -1, "2"])
+    def test_rejects_bad_k(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ew.random_separable(np.random.default_rng(0), k)
+
+    @pytest.mark.parametrize("n_qubits", [0, 4, 2.0, True])
+    def test_rejects_bad_qubit_count_before_drawing(self, n_qubits):
+        gen = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="n_qubits must be 1, 2 or 3"):
+            ew.random_separable(gen, 2, n_qubits=n_qubits)
+        assert gen.random() == np.random.default_rng(0).random()
+
 
 class TestCheckWitness:
     def test_detects_bell_state(self, rng):
@@ -226,6 +266,57 @@ class TestCheckWitness:
     def test_sample_count_guard(self, rng):
         with pytest.raises(ValueError):
             ew.check_witness(ew.werner_witness(), ew.make_werner(1.0), 0, rng)
+
+    @pytest.mark.parametrize("n_samples", [True, False, 10.0, 2.5, -3, "10"])
+    def test_rejects_non_integer_sample_counts(self, rng, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            ew.check_witness(ew.werner_witness(), ew.make_werner(1.0), n_samples, rng)
+
+    @pytest.mark.parametrize("wit,rho", [(ew.werner_witness(), ew.make_werner(1.0)),
+                                         (ew.ghz_witness(), ew.ghz_state())])
+    def test_same_seed_reports_are_equal(self, wit, rho):
+        n = SAMPLE_CHUNK + 7
+        first = ew.check_witness(wit, rho, n, np.random.default_rng(3))
+        second = ew.check_witness(wit, rho, n, np.random.default_rng(3))
+        assert repr(first) == repr(second)
+        assert first.min_separable_value.hex() == second.min_separable_value.hex()
+
+    def test_one_sample_is_one_random_separable_draw(self):
+        wit, rho = ew.ghz_witness(), ew.ghz_state()
+        checked, direct = np.random.default_rng(5), np.random.default_rng(5)
+        report = ew.check_witness(wit, rho, 1, checked)
+        k = int(direct.integers(1, 5, 1)[0])
+        sigma = ew.random_separable(direct, k, n_qubits=3)
+        value = np.trace(sigma.matrix @ wit.operator).real
+        assert report.min_separable_value == pytest.approx(value, abs=1e-14)
+        assert checked.random() == direct.random()
+
+    def test_longer_run_extends_the_same_samples(self):
+        wit, rho = ew.werner_witness(), ew.make_werner(1.0)
+        one = ew.check_witness(wit, rho, SAMPLE_CHUNK, np.random.default_rng(8))
+        two = ew.check_witness(wit, rho, 2 * SAMPLE_CHUNK, np.random.default_rng(8))
+        assert two.min_separable_value <= one.min_separable_value
+
+    def test_non_witness_is_caught(self):
+        ket00 = np.zeros((4, 4), dtype=complex)
+        ket00[0, 0] = 1.0
+        fake = ew.Witness.from_operator(np.eye(4) - 2 * ket00)
+        report = ew.check_witness(fake, ew.DensityMatrix(ket00), SAMPLE_CHUNK + 1,
+                                  np.random.default_rng(0))
+        assert report.payoff_on_target == pytest.approx(1.0, abs=1e-12)
+        assert report.min_separable_value < -SEPARABLE_FLOOR
+        assert report.verdict is False
+        assert report.n_samples == SAMPLE_CHUNK + 1
+
+    def test_memory_does_not_grow_with_samples(self):
+        wit, rho = ew.ghz_witness(), ew.ghz_state()
+        peaks = []
+        for n in (SAMPLE_CHUNK, 20 * SAMPLE_CHUNK):
+            tracemalloc.start()
+            ew.check_witness(wit, rho, n, np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestWitnessTypes:
