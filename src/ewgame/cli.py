@@ -52,17 +52,6 @@ def cmd_payoff(args) -> int:
     return EXIT_OK if value > 0.0 else EXIT_NEGATIVE
 
 
-def _spec_int(spec: dict, key: str, default: int) -> int:
-    """An integer field of a config file; JSON may write it as an integral
-    float such as 1e6, but never as a bool, a fraction or anything else."""
-    value = spec.get(key, default)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"config field {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def _load_run_spec(args):
     spec = {}
     if args.config:
@@ -72,8 +61,14 @@ def _load_run_spec(args):
     wit_spec = args.witness or spec.get("witness")
     if not state or not wit_spec:
         raise ValueError("simulate needs --state and --witness (flags or config file)")
-    rounds = args.rounds if args.rounds is not None else _spec_int(spec, "rounds", 100_000)
-    seed = args.seed if args.seed is not None else _spec_int(spec, "seed", 0)
+    if args.rounds is not None:
+        rounds = args.rounds
+    else:
+        rounds = serialize.json_int(spec.get("rounds", 100_000), "config field 'rounds'")
+    if args.seed is not None:
+        seed = args.seed
+    else:
+        seed = serialize.json_int(spec.get("seed", 0), "config field 'seed'")
     pi = args.pi or spec.get("pi", "uniform")
     strategy_name = args.strategy or spec.get("strategy", "honest")
     return state, wit_spec, rounds, _resolve_seed(seed), pi, strategy_name
@@ -99,8 +94,8 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"unknown strategy {strategy_name!r}; use honest or cheat")
 
     want_csv = args.format == "csv"
-    tr = game.run_game(config, strategy, wit.weights,
-                       keep_records=True if want_csv else None)
+    # keep_records never changes the moments; only the csv transcript needs records
+    tr = game.run_game(config, strategy, wit.weights, keep_records=want_csv)
     mean, se = game.empirical_payoff(tr)
     summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.seed,
                "strategy": strategy.name}
@@ -126,7 +121,7 @@ def cmd_tomography(args) -> int:
     seed = _resolve_seed(args.seed)
     wit = serialize.parse_witness_spec(args.witness)
     config = serialize.parse_pi_spec(args.pi, wit.weights, args.rounds, seed)
-    tr = game.run_game(config, game.honest_strategy(rho), wit.weights)
+    tr = game.run_game(config, game.honest_strategy(rho), wit.weights, keep_records=False)
     moments = tomography.accumulate(tr)
     est = tomography.reconstruct(moments)
     err = tomography.reconstruction_error(rho, est)

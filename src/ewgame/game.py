@@ -44,11 +44,30 @@ def encode_answers(answers) -> int:
 
 
 @lru_cache(maxsize=4)
+def _answer_table(n_parties: int) -> np.ndarray:
+    """Every party's +/-1 answer for each joint outcome index, shape
+    (2^n, n), int8.  The array is shared and read-only."""
+    bits = (np.arange(2 ** n_parties)[:, None] >> np.arange(n_parties - 1, -1, -1)) & 1
+    answers = (1 - 2 * bits).astype(np.int8)
+    answers.setflags(write=False)
+    return answers
+
+
+@lru_cache(maxsize=4)
+def _label_table(n_parties: int) -> np.ndarray:
+    """Every party's label for each raveled label cell, shape (4^n, n),
+    int8.  The array is shared and read-only."""
+    cells = np.unravel_index(np.arange(4 ** n_parties), (4,) * n_parties)
+    labels = np.stack(cells, axis=1).astype(np.int8)
+    labels.setflags(write=False)
+    return labels
+
+
+@lru_cache(maxsize=4)
 def outcome_parity(n_parties: int) -> np.ndarray:
     """Product of all answers for each joint outcome index: -1 when an odd
     number of answer bits are set.  The array is shared and read-only."""
-    bits = (np.arange(2 ** n_parties)[:, None] >> np.arange(n_parties)) & 1
-    parity = 1 - 2 * (bits.sum(axis=1) & 1)
+    parity = _answer_table(n_parties).prod(axis=1, dtype=np.int64)
     parity.setflags(write=False)
     return parity
 
@@ -322,18 +341,16 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
     """Play all rounds and return the transcript.
 
     Every moment follows from the count matrix N[cell, outcome], the number
-    of rounds that landed on each raveled label cell and joint outcome; the
-    two RNG schemes below differ only in how N is drawn from
-    ``default_rng(seed)``.
+    of rounds that landed on each raveled label cell and joint outcome.  N
+    is drawn from ``default_rng(seed)`` as a multinomial of all rounds over
+    the cells, then one multinomial per cell over its row of the strategy's
+    outcome table, so time and memory do not grow with the rounds.
 
-    With records, each round consumes two uniforms: the first picks the
-    label cell by inverse CDF over pi, the second the joint answer by
-    inverse CDF over that cell's row of the strategy's outcome table, and N
-    is counted from the rounds.  Without records, N is drawn directly: a
-    multinomial of all rounds over the cells, then one multinomial per cell
-    over its row, so time and memory do not grow with the rounds.
-
-    keep_records defaults to rounds <= 100000.
+    With records, the rounds are N's (cell, outcome) pairs in a uniformly
+    random order: one shuffle, drawn after N.  Given its counts, an i.i.d.
+    sequence of rounds is equally likely to be any arrangement of them, so
+    the records have the law of rounds drawn one at a time.  keep_records
+    never changes the moments; it defaults to rounds <= 100000.
     """
     n = config.n_parties
     if weights.n_qubits != n:
@@ -345,28 +362,20 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
         keep_records = config.rounds <= RECORD_LIMIT
 
     pays = payoff_table(config.pi, weights)
-    n_cells, n_out = pays.shape
-    rows = _table_rows(strategy.outcome_table)
+    n_out = pays.shape[1]
     rng = np.random.default_rng(config.seed)
+    pi = config.pi.ravel()
+    count_matrix = rng.multinomial(rng.multinomial(config.rounds, pi / pi.sum()),
+                                   _table_rows(strategy.outcome_table))
 
-    labels = answers_arr = payoffs = None
+    labels = answers = payoffs = None
     if keep_records:
-        label_cdf = np.cumsum(config.pi.ravel())
-        label_cdf[-1] = 1.0
-        out_cdf = np.cumsum(rows, axis=1)
-        out_cdf[:, -1] = 1.0
-        u = rng.random((config.rounds, 2))
-        cells = np.minimum(np.searchsorted(label_cdf, u[:, 0], side="right"), n_cells - 1)
-        outcomes = np.minimum((u[:, 1:2] >= out_cdf[cells]).sum(axis=1), n_out - 1)
-        count_matrix = np.bincount(cells * n_out + outcomes, minlength=n_cells * n_out)
-        count_matrix = count_matrix.reshape(n_cells, n_out)
-        labels = np.stack(np.unravel_index(cells, config.pi.shape), axis=1).astype(np.int8)
-        answers_arr = np.array(
-            [decode_answers(k, n) for k in range(n_out)], dtype=np.int8)[outcomes]
-        payoffs = pays[cells, outcomes]
-    else:
-        pi = config.pi.ravel()
-        count_matrix = rng.multinomial(rng.multinomial(config.rounds, pi / pi.sum()), rows)
+        # joint = cell * 2^n + outcome, one entry per round
+        joint = np.repeat(np.arange(count_matrix.size), count_matrix.ravel())
+        rng.shuffle(joint)
+        labels = np.take(_label_table(n), joint >> n, axis=0)
+        answers = np.take(_answer_table(n), joint & (n_out - 1), axis=0)
+        payoffs = np.take(pays.ravel(), joint)
 
     return Transcript(
         n_parties=n, counts=count_matrix.sum(axis=1),
@@ -374,7 +383,7 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
         payoff_sums=(count_matrix * pays).sum(axis=1),
         payoff_sq_sums=(count_matrix * (pays * pays)).sum(axis=1),
         rounds=config.rounds, seed=config.seed,
-        labels=labels, answers=answers_arr, payoffs=payoffs,
+        labels=labels, answers=answers, payoffs=payoffs,
     )
 
 

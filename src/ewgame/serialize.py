@@ -32,6 +32,16 @@ def float17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def json_int(value, what: str) -> int:
+    """An integer field read from JSON, which may write it as an integral
+    float such as 1e6, but never as a bool, a fraction or anything else."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def parse_weight_value(value) -> float:
     """Resolve a numeric weight or a "p/sqrt(q)" token to a float."""
     if isinstance(value, (int, float)):
@@ -69,13 +79,12 @@ def load_state_file(path: str) -> qcore.DensityMatrix:
         data = json.load(fh)
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError(f"{path}: expected a JSON object with 'dim' and 'entries'")
+    dim = json_int(data.get("dim", 0), f"{path}: 'dim'")
     try:
-        dim = int(data.get("dim", 0))
         entries = [complex(float(re_), float(im)) for re_, im in data["entries"]]
     except (TypeError, ValueError):
-        raise ValueError(f"{path}: 'dim' must be an integer and 'entries' a list "
-                         f"of [re, im] pairs") from None
-    if dim * dim != len(entries):
+        raise ValueError(f"{path}: 'entries' must be a list of [re, im] pairs") from None
+    if dim < 1 or dim * dim != len(entries):
         raise ValueError(f"{path}: {len(entries)} entries do not fill a {dim}x{dim} matrix")
     return qcore.DensityMatrix(np.array(entries).reshape(dim, dim))
 
@@ -108,16 +117,27 @@ def load_witness_file(path: str) -> witness.Witness:
         data = json.load(fh)
     if not isinstance(data, dict) or "n" not in data or "weights" not in data:
         raise ValueError(f"{path}: expected a JSON object with 'n' and 'weights'")
-    n = int(data["n"])
+    n = json_int(data["n"], f"{path}: 'n'")
     if n not in (2, 3):
         raise ValueError(f"{path}: n must be 2 or 3, got {n}")
+    if not isinstance(data["weights"], list):
+        raise ValueError(f"{path}: 'weights' must be a list of rows")
     table = np.zeros((4,) * n)
+    seen = set()
     for row in data["weights"]:
+        if not isinstance(row, list) or len(row) != n + 1:
+            raise ValueError(f"{path}: weights row {row!r} is not {n} labels and a weight")
         *labels, value = row
-        labels = tuple(int(l) for l in labels)
-        if len(labels) != n or any(l not in (0, 1, 2, 3) for l in labels):
+        labels = tuple(json_int(l, f"{path}: label") for l in labels)
+        if any(l not in (0, 1, 2, 3) for l in labels):
             raise ValueError(f"{path}: bad label tuple {labels}")
-        table[labels] = parse_weight_value(value)
+        if labels in seen:
+            raise ValueError(f"{path}: duplicate label tuple {labels}")
+        seen.add(labels)
+        try:
+            table[labels] = parse_weight_value(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     return witness.Witness.from_weights(witness.PauliWeights(n, table))
 
 

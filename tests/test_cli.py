@@ -32,6 +32,19 @@ class TestPayoff:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("payload", [
+        {"n": 2.7, "weights": [[0, 0, 1.0], [1, 1, -1.0]]},
+        {"n": 2, "weights": [[0, 0, 1.0], 5]},
+        {"n": 2, "weights": [[0, 0, 1.0], [0, 0, -1.0]]},
+    ])
+    def test_bad_witness_file_exits_2(self, capsys, tmp_path, payload):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "payoff", "--state", "werner(0.9)",
+                                 "--witness", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}:")
+
     def test_unknown_state(self, capsys):
         code, _, err = run_cli(capsys, "payoff", "--state", "nope", "--witness", "werner")
         assert code == 2
@@ -84,6 +97,17 @@ class TestSimulate:
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "s,t,a,b,payoff"
         assert len(lines) == 501
+
+    def test_csv_prints_the_same_mean(self, capsys, tmp_path):
+        # above the record limit the text run streams and the csv run keeps
+        # records; both estimate from the same count matrix
+        base = ("simulate", "--state", "werner(0.8)", "--witness", "werner",
+                "--rounds", "200000", "--seed", "3")
+        code_text, out_text, _ = run_cli(capsys, *base)
+        code_csv, out_csv, _ = run_cli(capsys, *base, "--format", "csv",
+                                       "--out", str(tmp_path / "rounds.csv"))
+        assert code_text == code_csv == 0
+        assert out_text.startswith("mean=") and out_csv == out_text
 
     def test_structured_summary(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--state", "werner(1)",

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -497,6 +498,75 @@ class TestRecordedMoments:
                                (tr.payoff_sq_sums, tr.payoffs ** 2)):
             expect = np.bincount(cells, weights=per_round, minlength=4 ** n)
             assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
+
+
+class TestRecordsFromCounts:
+    @pytest.mark.parametrize("state,wit,n", [
+        (ew.make_werner(0.8), ew.werner_witness(), 2), (ew.ghz_state(), ew.ghz_witness(), 3)])
+    @pytest.mark.parametrize("seed", [0, 31, 2024])
+    def test_both_paths_give_one_estimate(self, state, wit, n, seed):
+        cfg = ew.GameConfig.uniform(20_000, seed=seed, n_parties=n)
+        strat = ew.honest_strategy(state)
+        kept = ew.run_game(cfg, strat, wit.weights, keep_records=True)
+        streamed = ew.run_game(cfg, strat, wit.weights, keep_records=False)
+        assert kept.has_records and not streamed.has_records
+        for name in ("counts", "parity_sums", "payoff_sums", "payoff_sq_sums"):
+            assert getattr(kept, name).tobytes() == getattr(streamed, name).tobytes(), name
+        assert ew.empirical_payoff(kept) == ew.empirical_payoff(streamed)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_records_are_a_permutation_of_the_count_matrix(self, n):
+        # the scheme written out: counts-v1's N, then one rng.permutation of
+        # the rounds it holds; labels and answers decoded one by one
+        gen = np.random.default_rng(60 + n)
+        pi, weights, strat = parity_pair_game(gen, n, dead=3)
+        cfg = ew.GameConfig(pi, 5_000, seed=9)
+        tr = ew.run_game(cfg, strat, weights, keep_records=True)
+        rng = np.random.default_rng(9)
+        rows = strat.outcome_table.reshape(4 ** n, -1)
+        counts = rng.multinomial(rng.multinomial(5_000, pi.ravel() / pi.sum()), rows)
+        joint = rng.permutation(np.repeat(np.arange(counts.size), counts.ravel()))
+        cells, outcomes = np.divmod(joint, 2 ** n)
+        assert np.array_equal(tr.labels, np.stack(np.unravel_index(cells, pi.shape), axis=1))
+        assert np.array_equal(tr.answers, [game.decode_answers(k, n) for k in outcomes])
+        pays = game.payoff_table(cfg.pi, weights)
+        assert tr.payoffs.tobytes() == pays[cells, outcomes].tobytes()
+        assert tr.labels.dtype == tr.answers.dtype == np.int8
+
+    def test_records_are_shuffled_not_grouped_by_cell(self):
+        rounds = 20_000
+        cfg = ew.GameConfig.uniform(rounds, seed=12)
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(0.8)),
+                         ew.werner_witness().weights, keep_records=True)
+        half = rounds // 2
+        p = 1 / 16
+        se = np.sqrt(half * p * (1 - p))
+        for part in (tr.labels[:half], tr.labels[half:]):
+            counts = np.bincount(np.ravel_multi_index(part.T, (4, 4)), minlength=16)
+            assert np.all(np.abs(counts - half * p) <= 5 * se), counts
+
+    def test_records_memory_per_round(self):
+        rounds = 200_000
+        strat = ew.honest_strategy(ew.make_werner(0.8))
+        w = ew.werner_witness().weights
+        cfg = ew.GameConfig.uniform(rounds, seed=4)
+        ew.run_game(ew.GameConfig.uniform(100, seed=4), strat, w)  # warm caches
+        tracemalloc.start()
+        try:
+            tr = ew.run_game(cfg, strat, w, keep_records=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tr.payoffs.size == rounds
+        assert peak / rounds < 32, f"{peak / rounds:.1f} B/round"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_lookup_tables(self, n):
+        answers, labels = game._answer_table(n), game._label_table(n)
+        assert answers.dtype == labels.dtype == np.int8
+        assert not answers.flags.writeable and not labels.flags.writeable
+        assert answers.tolist() == [list(game.decode_answers(k, n)) for k in range(2 ** n)]
+        assert labels.tolist() == [list(c) for c in product(range(4), repeat=n)]
 
 
 class TestStrategy:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,63 @@ class TestWitnessSpecs:
     def test_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown witness spec"):
             serialize.parse_witness_spec("bogus")
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize("value,expect", [(3, 3), (3.0, 3), (1e6, 10 ** 6), (-2, -2)])
+    def test_json_int_accepts_integers(self, value, expect):
+        got = serialize.json_int(value, "field")
+        assert got == expect and type(got) is int
+
+    @pytest.mark.parametrize("value", [2.7, True, False, "3", None, [3], float("nan")])
+    def test_json_int_rejects_other_values(self, value):
+        with pytest.raises(ValueError, match="field must be an integer"):
+            serialize.json_int(value, "field")
+
+    @pytest.mark.parametrize("dim", [4.5, True, "4", -2, 0])
+    def test_state_file_bad_dim(self, tmp_path, dim):
+        path = tmp_path / "state.json"
+        entries = [[0.25 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
+        if dim == -2:
+            entries = entries[:4]
+        path.write_text(json.dumps({"dim": dim, "entries": entries}))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            serialize.parse_state_spec(str(path))
+
+    def test_state_file_integral_float_dim(self, tmp_path):
+        path = tmp_path / "state.json"
+        data = serialize.state_to_dict(ew.make_werner(0.7))
+        data["dim"] = 4.0
+        path.write_text(json.dumps(data))
+        assert serialize.parse_state_spec(str(path)).dim == 4
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"n": 2.7, "weights": [[0, 0, 1.0]]}, "'n' must be an integer"),
+        ({"n": True, "weights": [[0, 0, 1.0]]}, "'n' must be an integer"),
+        ({"n": 2, "weights": [[1.9, 1, 1.0]]}, "label must be an integer"),
+        ({"n": 2, "weights": [[False, 1, 1.0]]}, "label must be an integer"),
+        ({"n": 2, "weights": [[1, 1, 1.0], [1, 1, -1.0]]}, "duplicate label tuple"),
+        ({"n": 2, "weights": [[1, 1, 1.0], [1.0, 1, 1.0]]}, "duplicate label tuple"),
+        ({"n": 2, "weights": [[1, 1, 1.0], 5]}, "weights row"),
+        ({"n": 2, "weights": [[1, 1, 1.0], "011"]}, "weights row"),
+        ({"n": 2, "weights": [[1, 1, 1.0], {"s": 1}]}, "weights row"),
+        ({"n": 2, "weights": [[1, 1, 1.0], [1, 1]]}, "weights row"),
+        ({"n": 2, "weights": [[1, 1, 1.0], []]}, "weights row"),
+        ({"n": 2, "weights": 5}, "'weights' must be a list"),
+        ({"n": 2, "weights": [[1, 1, "one"]]}, "cannot parse weight"),
+    ])
+    def test_witness_file_bad_fields(self, tmp_path, payload, message):
+        path = tmp_path / "wit.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=message) as info:
+            serialize.parse_witness_spec(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_witness_file_integral_float_fields(self, tmp_path):
+        path = tmp_path / "wit.json"
+        path.write_text(json.dumps({"n": 2.0, "weights": [[1.0, 1, 0.5], [3, 3.0, -0.5]]}))
+        wit = serialize.parse_witness_spec(str(path))
+        assert wit.weights[1, 1] == 0.5 and wit.weights[3, 3] == -0.5
 
 
 class TestTokens:
