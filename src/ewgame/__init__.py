@@ -10,7 +10,6 @@ geometry of the standard figures.
 from .game import (
     ChshReport,
     GameConfig,
-    RoundRecord,
     Strategy,
     Transcript,
     chsh_value,
@@ -18,21 +17,15 @@ from .game import (
     empirical_payoff,
     exact_average_payoff,
     honest_strategy,
-    outcome_distribution,
     run_game,
 )
 from .geometry import (
     FigureData,
-    Projection,
-    RangeModel,
     export_figure_data,
-    project,
-    range_model,
     werner_line_intersection,
 )
 from .multiparty import ghz_state, ghz_witness
 from .qcore import (
-    CorrelationTable,
     DensityMatrix,
     bell_psi_plus,
     from_pauli_coefficients,
@@ -40,7 +33,6 @@ from .qcore import (
     make_werner,
     maximally_mixed,
     partial_transpose,
-    pauli_coefficients,
     pauli_string,
     random_density_matrix,
     trace_distance,
@@ -61,7 +53,6 @@ from .witness import (
     PPTStateError,
     Witness,
     check_witness,
-    chsh_witness,
     expected_payoff,
     fixed_chsh_witness,
     ppt_witness,

@@ -28,7 +28,10 @@ EXIT_ERROR = 2
 def _resolve_seed(seed: int) -> int:
     env = os.environ.get(ENV_SEED)
     if env is not None and env.strip():
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
     return int(seed)
 
 
@@ -75,6 +78,9 @@ def _load_run_spec(args):
 
 
 def cmd_simulate(args) -> int:
+    want_csv = args.format == "csv"
+    if want_csv and not args.out:
+        raise ValueError("--format csv needs --out for the transcript file")
     state_spec, wit_spec, rounds, seed, pi_spec, strategy_name = _load_run_spec(args)
     rho = serialize.parse_state_spec(state_spec)
     wit = serialize.parse_witness_spec(wit_spec)
@@ -93,15 +99,12 @@ def cmd_simulate(args) -> int:
     else:
         raise ValueError(f"unknown strategy {strategy_name!r}; use honest or cheat")
 
-    want_csv = args.format == "csv"
     # keep_records never changes the moments; only the csv transcript needs records
     tr = game.run_game(config, strategy, wit.weights, keep_records=want_csv)
     mean, se = game.empirical_payoff(tr)
     summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.seed,
                "strategy": strategy.name}
     if want_csv:
-        if not args.out:
-            raise ValueError("--format csv needs --out for the transcript file")
         tr.to_csv(args.out)
         print(f"mean={float17(mean)} std_error={float17(se)} "
               f"rounds={tr.rounds} seed={tr.seed}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
 
 import numpy as np
 
@@ -30,17 +29,6 @@ CSV_BLOCK_ROWS = 4096
 
 # Joint outcomes are indexed 0..2^n-1; party j's answer is the j-th bit from
 # the left, with bit 0 meaning +1 and bit 1 meaning -1.
-
-
-def decode_answers(outcome: int, n_parties: int) -> tuple[int, ...]:
-    return tuple(1 - 2 * ((outcome >> (n_parties - 1 - j)) & 1) for j in range(n_parties))
-
-
-def encode_answers(answers) -> int:
-    k = 0
-    for a in answers:
-        k = (k << 1) | (0 if a == 1 else 1)
-    return k
 
 
 @lru_cache(maxsize=4)
@@ -122,16 +110,8 @@ class GameConfig:
             raise ValueError("pi and weights must have matching shapes")
         bad = (weights.table != 0.0) & (self.pi == 0.0)
         if np.any(bad):
-            cells = [tuple(ix) for ix in np.argwhere(bad)]
+            cells = [tuple(ix) for ix in np.argwhere(bad).tolist()]
             raise ValueError(f"pi is zero on cells with nonzero weight: {cells}")
-
-
-class RoundRecord(NamedTuple):
-    s: int
-    t: int
-    a: int
-    b: int
-    payoff: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,63 +146,126 @@ class Strategy:
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """Per-cell moments of one game run, plus the raw rounds when retained.
+    """One game run, stored as its count matrix.
 
-    counts, parity_sums (sum of answer products) and the payoff first/second
-    moments are indexed by the raveled label cell.  records is None when the
-    run streamed (rounds above the retention limit).
+    count_matrix[cell, outcome] is the number of rounds that landed on each
+    raveled label cell and joint outcome (int64), and payments[cell,
+    outcome] the payment each such round earned (``payoff_table``); both are
+    read-only.  With records, joint holds every round's cell * 2^n +
+    outcome in the order played (int64, read-only); it is None when the run
+    streamed.  Every other quantity is a property derived from these.
     """
 
-    n_parties: int
-    counts: np.ndarray
-    parity_sums: np.ndarray
-    payoff_sums: np.ndarray
-    payoff_sq_sums: np.ndarray
-    rounds: int
+    count_matrix: np.ndarray
+    payments: np.ndarray
     seed: int
-    labels: np.ndarray | None = None
-    answers: np.ndarray | None = None
-    payoffs: np.ndarray | None = None
+    joint: np.ndarray | None = None
+
+    def __post_init__(self):
+        counts = np.array(self.count_matrix, dtype=np.int64)
+        pays = np.array(self.payments, dtype=np.float64)
+        n = counts.shape[-1].bit_length() - 1 if counts.ndim == 2 else 0
+        if n < 1 or counts.shape != (4 ** n, 2 ** n):
+            raise ValueError(f"count matrix must have shape (4^n, 2^n), got {counts.shape}")
+        if pays.shape != counts.shape:
+            raise ValueError(f"payments must have shape {counts.shape}, got {pays.shape}")
+        counts.setflags(write=False)
+        pays.setflags(write=False)
+        object.__setattr__(self, "count_matrix", counts)
+        object.__setattr__(self, "payments", pays)
+        if self.joint is not None:
+            # a read-only view: one index per round is not worth copying
+            joint = np.asarray(self.joint, dtype=np.int64).view()
+            joint.setflags(write=False)
+            object.__setattr__(self, "joint", joint)
+
+    @property
+    def n_parties(self) -> int:
+        return self.count_matrix.shape[1].bit_length() - 1
+
+    @property
+    def rounds(self) -> int:
+        return int(self.count_matrix.sum())
+
+    @property
+    def counts(self) -> np.ndarray:
+        """Rounds per raveled label cell."""
+        return self.count_matrix.sum(axis=1)
+
+    @property
+    def parity_sums(self) -> np.ndarray:
+        """Sum of the answer products per raveled label cell."""
+        return self.count_matrix @ outcome_parity(self.n_parties)
+
+    @property
+    def payoff_sums(self) -> np.ndarray:
+        """Sum of the payments per raveled label cell."""
+        return (self.count_matrix * self.payments).sum(axis=1)
+
+    @property
+    def payoff_sq_sums(self) -> np.ndarray:
+        """Sum of the squared payments per raveled label cell."""
+        return (self.count_matrix * (self.payments * self.payments)).sum(axis=1)
 
     @property
     def has_records(self) -> bool:
-        return self.labels is not None
+        return self.joint is not None
 
-    def round_records(self):
-        """Iterate rounds as RoundRecord tuples (two-party transcripts)."""
-        if not self.has_records:
-            raise ValueError("transcript was streamed; per-round records were discarded")
-        if self.n_parties != 2:
-            raise ValueError("RoundRecord view is for two-party games")
-        for (s, t), (a, b), p in zip(self.labels, self.answers, self.payoffs):
-            yield RoundRecord(int(s), int(t), int(a), int(b), float(p))
+    @property
+    def labels(self) -> np.ndarray | None:
+        """Each round's labels, shape (rounds, n), int8."""
+        if self.joint is None:
+            return None
+        return np.take(_label_table(self.n_parties), self.joint >> self.n_parties, axis=0)
+
+    @property
+    def answers(self) -> np.ndarray | None:
+        """Each round's +/-1 answers, shape (rounds, n), int8."""
+        if self.joint is None:
+            return None
+        n_out = self.count_matrix.shape[1]
+        return np.take(_answer_table(self.n_parties), self.joint & (n_out - 1), axis=0)
+
+    @property
+    def payoffs(self) -> np.ndarray | None:
+        """Each round's payment, shape (rounds,)."""
+        if self.joint is None:
+            return None
+        return np.take(self.payments.ravel(), self.joint)
 
     def to_csv(self, path) -> None:
         """Write one row per round; columns s,t,a,b,payoff (plus c for three
         parties, with labels i,j,k)."""
         if not self.has_records:
             raise ValueError("transcript was streamed; per-round records were discarded")
-        label_cols = ["s", "t"] if self.n_parties == 2 else ["i", "j", "k"]
-        answer_cols = ["a", "b", "c"][: self.n_parties]
-        # column_stack makes every column float64; %d prints the integral
-        # label and answer values exactly as int() would.
-        row = ",".join(["%d"] * (2 * self.n_parties) + ["%.17g"]) + "\n"
+        n = self.n_parties
+        label_cols = ["s", "t"] if n == 2 else ["i", "j", "k"]
+        answer_cols = ["a", "b", "c"][:n]
+        # a row depends only on its joint index: format each one once
+        fmt = ",".join(["%d"] * (2 * n) + ["%.17g"]) + "\n"
+        labels, answers = _label_table(n).tolist(), _answer_table(n).tolist()
+        rows = np.array([fmt % (*labels[k >> n], *answers[k & (len(answers) - 1)], pay)
+                         for k, pay in enumerate(self.payments.ravel().tolist())],
+                        dtype=object)
         with open(path, "w", newline="") as fh:
             fh.write(",".join(label_cols + answer_cols + ["payoff"]) + "\n")
-            for start in range(0, self.rounds, CSV_BLOCK_ROWS):
-                block = slice(start, start + CSV_BLOCK_ROWS)
-                values = np.column_stack(
-                    (self.labels[block], self.answers[block], self.payoffs[block]))
-                fh.write(row * len(values) % tuple(values.ravel().tolist()))
+            for start in range(0, self.joint.size, CSV_BLOCK_ROWS):
+                fh.write("".join(rows[self.joint[start:start + CSV_BLOCK_ROWS]].tolist()))
 
 
 def empirical_payoff(tr: Transcript) -> tuple[float, float]:
-    """Sample mean payoff and its standard error."""
+    """Sample mean payoff and its standard error.
+
+    The variance is a second pass over the count matrix,
+    sum N * (payment - mean)^2 / (n - 1), so a game that always pays the
+    same amount reports a standard error of exactly 0.
+    """
     n = tr.rounds
     if n < 2:
         raise ValueError("need at least two rounds for a standard error")
     mean = tr.payoff_sums.sum() / n
-    var = max(0.0, (tr.payoff_sq_sums.sum() - n * mean * mean)) / (n - 1)
+    dev = tr.payments - mean
+    var = (tr.count_matrix * (dev * dev)).sum() / (n - 1)
     return float(mean), float(np.sqrt(var / n))
 
 
@@ -245,17 +288,6 @@ def _projector_coefficients() -> np.ndarray:
 
 
 _PROJECTOR_COEFFS = _projector_coefficients()
-
-
-def outcome_distribution(rho: qcore.DensityMatrix, s: int, t: int) -> np.ndarray:
-    """Born-rule probabilities of the four joint answers (+1,+1), (+1,-1),
-    (-1,+1), (-1,-1) when the parties measure labels s and t."""
-    if rho.n_qubits != 2:
-        raise ValueError("outcome_distribution takes a two-qubit state")
-    if s not in (0, 1, 2, 3) or t not in (0, 1, 2, 3):
-        raise ValueError(f"labels must be in 0..3, got ({s}, {t})")
-    table = outcome_table(rho)
-    return table[s, t].copy()
 
 
 def outcome_table(rho: qcore.DensityMatrix) -> np.ndarray:
@@ -308,7 +340,8 @@ def cheat_outcome_table() -> np.ndarray:
         bob = (1, b1, -b2, b3)
         for s in range(4):
             for t in range(4):
-                table[s, t, encode_answers((alice[s], bob[t]))] += 1.0 / 8.0
+                # outcome index: Alice's answer is the high bit, 1 meaning -1
+                table[s, t, 2 * (alice[s] < 0) + (bob[t] < 0)] += 1.0 / 8.0
     return table
 
 
@@ -362,29 +395,17 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
         keep_records = config.rounds <= RECORD_LIMIT
 
     pays = payoff_table(config.pi, weights)
-    n_out = pays.shape[1]
     rng = np.random.default_rng(config.seed)
     pi = config.pi.ravel()
     count_matrix = rng.multinomial(rng.multinomial(config.rounds, pi / pi.sum()),
                                    _table_rows(strategy.outcome_table))
 
-    labels = answers = payoffs = None
+    joint = None
     if keep_records:
         # joint = cell * 2^n + outcome, one entry per round
         joint = np.repeat(np.arange(count_matrix.size), count_matrix.ravel())
         rng.shuffle(joint)
-        labels = np.take(_label_table(n), joint >> n, axis=0)
-        answers = np.take(_answer_table(n), joint & (n_out - 1), axis=0)
-        payoffs = np.take(pays.ravel(), joint)
-
-    return Transcript(
-        n_parties=n, counts=count_matrix.sum(axis=1),
-        parity_sums=count_matrix @ outcome_parity(n),
-        payoff_sums=(count_matrix * pays).sum(axis=1),
-        payoff_sq_sums=(count_matrix * (pays * pays)).sum(axis=1),
-        rounds=config.rounds, seed=config.seed,
-        labels=labels, answers=answers, payoffs=payoffs,
-    )
+    return Transcript(count_matrix, pays, config.seed, joint)
 
 
 def exact_average_payoff(pi: np.ndarray, outcome_table: np.ndarray,

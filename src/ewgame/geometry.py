@@ -1,7 +1,6 @@
-"""Correlation-space geometry: project states into small Pauli subspaces,
-describe the attainable ranges (tetrahedron/octahedron in the diagonal
-3-space, square/diamond in the xx-zz plane), locate witness hyperplanes, and
-export plot-ready figure data.
+"""Correlation-space geometry: the attainable ranges (tetrahedron/octahedron
+in the diagonal 3-space, square/diamond in the xx-zz plane), witness
+hyperplanes, and plot-ready figure data.
 """
 
 from __future__ import annotations
@@ -26,58 +25,6 @@ OCTAHEDRON_VERTICES = np.array(
     dtype=np.float64)
 SQUARE_VERTICES = np.array([(1, 1), (-1, 1), (-1, -1), (1, -1)], dtype=np.float64)
 DIAMOND_VERTICES = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)], dtype=np.float64)
-
-
-@dataclass(frozen=True, eq=False)
-class Projection:
-    """Coordinates of a state in a chosen Pauli subspace."""
-
-    axes: tuple
-    coords: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class RangeModel:
-    """Vertex lists of the attainable region for all states and for the
-    separable states, in a 2- or 3-dimensional Pauli subspace."""
-
-    dimension: int
-    full_vertices: np.ndarray
-    separable_vertices: np.ndarray
-
-
-def project(rho: qcore.DensityMatrix, axes) -> Projection:
-    """Project a state onto correlation coordinates Tr(rho * sigma_axis)."""
-    axes = tuple(tuple(int(l) for l in ax) for ax in axes)
-    table = qcore.pauli_coefficients(rho)
-    for ax in axes:
-        if len(ax) != rho.n_qubits or any(l not in (0, 1, 2, 3) for l in ax):
-            raise ValueError(f"bad axis {ax} for a {rho.n_qubits}-qubit state")
-    coords = np.array([table[ax] for ax in axes], dtype=np.float64)
-    return Projection(axes=axes, coords=coords)
-
-
-def range_model(dimension: int) -> RangeModel:
-    """Attainable ranges in the diagonal subspaces.
-
-    dimension 3 (axes xx, yy, zz): all two-qubit states project into the
-    tetrahedron spanned by the four maximally entangled vertices, separable
-    states into the unit octahedron.  dimension 2 (axes xx, zz): the full
-    range is the square [-1, 1]^2, the separable range the diamond
-    |x| + |y| <= 1.
-    """
-    if dimension == 3:
-        return RangeModel(3, TETRAHEDRON_VERTICES.copy(), OCTAHEDRON_VERTICES.copy())
-    if dimension == 2:
-        return RangeModel(2, SQUARE_VERTICES.copy(), DIAMOND_VERTICES.copy())
-    raise ValueError(f"supported dimensions are 2 and 3, got {dimension}")
-
-
-def in_full_range(coords, tol: float = 1e-9) -> bool:
-    """Tetrahedron membership of diagonal-correlation coordinates: the Bell
-    projector expectations (1 + v.c)/4 must all be nonnegative."""
-    c = np.asarray(coords, dtype=np.float64)
-    return bool(np.min(1.0 + TETRAHEDRON_VERTICES @ c) >= -4.0 * tol)
 
 
 def werner_line_intersection(witness: Witness) -> float:

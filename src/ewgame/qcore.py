@@ -125,32 +125,6 @@ class DensityMatrix:
     def n_qubits(self) -> int:
         return self.dim.bit_length() - 1
 
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
-
-
-@dataclass(frozen=True, eq=False)
-class CorrelationTable:
-    """Pauli-basis coordinates of a state: r[t] = Tr(rho * sigma_t)."""
-
-    n_qubits: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (4,) * self.n_qubits:
-            raise ValueError(f"expected shape {(4,) * self.n_qubits}, got {v.shape}")
-        if abs(v[(0,) * self.n_qubits] - 1.0) > TRACE_TOL:
-            raise ValueError("identity coefficient must be 1 for a unit-trace state")
-        if np.max(np.abs(v)) > 1.0 + 1e-9:
-            raise ValueError("correlation values must lie in [-1, 1]")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __getitem__(self, labels) -> float:
-        return float(self.values[labels])
-
 
 def pauli_traces(matrix, n_qubits: int | None = None) -> np.ndarray:
     """Raw trace table Tr(M * sigma_t) for every Pauli string, shape (4,)*n.
@@ -169,21 +143,12 @@ def pauli_traces(matrix, n_qubits: int | None = None) -> np.ndarray:
     return traces.real.reshape((4,) * n_qubits)
 
 
-def pauli_coefficients(rho: DensityMatrix) -> CorrelationTable:
-    """Correlation table r[t] = Tr(rho * sigma_t) of a validated state."""
-    return CorrelationTable(rho.n_qubits, pauli_traces(rho.matrix, rho.n_qubits))
-
-
 def from_pauli_coefficients(table) -> np.ndarray:
-    """Inverse of pauli_coefficients: rebuild 2^-n * sum r[t] sigma_t."""
-    if isinstance(table, CorrelationTable):
-        values = table.values
-        n = table.n_qubits
-    else:
-        values = np.asarray(table, dtype=np.float64)
-        n = values.ndim
-        if values.shape != (4,) * n:
-            raise ValueError(f"coefficient table must have shape (4,)*n, got {values.shape}")
+    """Inverse of pauli_traces on a state: rebuild 2^-n * sum r[t] sigma_t."""
+    values = np.asarray(table, dtype=np.float64)
+    n = values.ndim
+    if values.shape != (4,) * n:
+        raise ValueError(f"coefficient table must have shape (4,)*n, got {values.shape}")
     basis, _ = pauli_basis(n)
     return np.einsum("k,kij->ij", values.ravel(), basis) / (2.0 ** n)
 

