@@ -84,11 +84,7 @@ def cmd_simulate(args) -> int:
     state_spec, wit_spec, rounds, seed, pi_spec, strategy_name = _load_run_spec(args)
     rho = serialize.parse_state_spec(state_spec)
     wit = serialize.parse_witness_spec(wit_spec)
-    if not isinstance(pi_spec, str):
-        pi = np.asarray(pi_spec, dtype=np.float64).reshape(wit.weights.table.shape)
-        config = game.GameConfig(pi, rounds, seed)
-    else:
-        config = serialize.parse_pi_spec(pi_spec, wit.weights, rounds, seed)
+    config = serialize.parse_pi_spec(pi_spec, wit.weights, rounds, seed)
 
     if strategy_name == "honest":
         strategy = game.honest_strategy(rho)
@@ -122,17 +118,18 @@ def cmd_tomography(args) -> int:
     if rho.n_qubits != 2:
         raise ValueError("tomography is defined for two-qubit states")
     seed = _resolve_seed(args.seed)
-    wit = serialize.parse_witness_spec(args.witness)
-    config = serialize.parse_pi_spec(args.pi, wit.weights, args.rounds, seed)
-    tr = game.run_game(config, game.honest_strategy(rho), wit.weights, keep_records=False)
+    # payments never reach the estimates; the werner weights keep --pi's meaning
+    weights = witness.werner_witness().weights
+    config = serialize.parse_pi_spec(args.pi, weights, args.rounds, seed)
+    tr = game.run_game(config, game.honest_strategy(rho), weights)
     moments = tomography.accumulate(tr)
     est = tomography.reconstruct(moments)
     err = tomography.reconstruction_error(rho, est)
 
     r_hat = moments.estimates()
+    se = moments.standard_errors()
     if args.format == "csv":
         lines = ["s,t,r_hat,std_error,count"]
-        se = moments.standard_errors()
         for s in range(4):
             for t in range(4):
                 lines.append(f"{s},{t},{float17(r_hat[s, t])},"
@@ -143,8 +140,7 @@ def cmd_tomography(args) -> int:
             "rounds": tr.rounds,
             "seed": tr.seed,
             "correlations": [[s, t, r_hat[s, t]] for s in range(4) for t in range(4)],
-            "standard_errors": [[s, t, moments.standard_errors()[s, t]]
-                                for s in range(4) for t in range(4)],
+            "standard_errors": [[s, t, se[s, t]] for s in range(4) for t in range(4)],
             "raw": {"dim": 4, "entries": [[z.real, z.imag] for z in est.raw.ravel()]},
             "projected": serialize.state_to_dict(est.projected),
             "trace_distance_to_input": err,
@@ -254,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tomography", help="reconstruct the state from an honest run")
     add_state(p)
-    p.add_argument("--witness", default="werner",
-                   help="witness whose payments the game uses (default werner)")
     p.add_argument("--rounds", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pi", default="uniform", help="uniform | JSON file (must reach all cells)")

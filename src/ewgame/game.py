@@ -23,7 +23,6 @@ from .witness import PauliWeights
 
 PI_SUM_TOL = 1e-12
 OUTCOME_TOL = 1e-10
-RECORD_LIMIT = 100_000
 MAX_ROUNDS = 2 ** 63 - 1  # numpy's multinomial takes its count as a C long
 CSV_BLOCK_ROWS = 4096
 
@@ -301,7 +300,7 @@ def outcome_table(rho: qcore.DensityMatrix) -> np.ndarray:
     operands = []
     for j in range(n):
         operands += [_PROJECTOR_COEFFS, [j, n + j, 2 * n + j]]
-    operands += [qcore.pauli_traces(rho.matrix, n), list(range(2 * n, 3 * n))]
+    operands += [qcore.pauli_traces(rho.matrix), list(range(2 * n, 3 * n))]
     table = np.einsum(*operands, list(range(2 * n)))
     return table.reshape((4,) * n + (2 ** n,))
 
@@ -370,7 +369,7 @@ def payoff_table(pi: np.ndarray, weights: PauliWeights) -> np.ndarray:
 
 
 def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
-             keep_records: bool | None = None) -> Transcript:
+             keep_records: bool = False) -> Transcript:
     """Play all rounds and return the transcript.
 
     Every moment follows from the count matrix N[cell, outcome], the number
@@ -383,16 +382,16 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
     random order: one shuffle, drawn after N.  Given its counts, an i.i.d.
     sequence of rounds is equally likely to be any arrangement of them, so
     the records have the law of rounds drawn one at a time.  keep_records
-    never changes the moments; it defaults to rounds <= 100000.
+    (True or False) never changes the moments.
     """
+    if not isinstance(keep_records, bool):
+        raise ValueError(f"keep_records must be True or False, got {keep_records!r}")
     n = config.n_parties
     if weights.n_qubits != n:
         raise ValueError("weights and config have different party counts")
     config.validate_against(weights)
     if strategy.outcome_table.shape[:-1] != config.pi.shape:
         raise ValueError("strategy outcome table does not match pi's shape")
-    if keep_records is None:
-        keep_records = config.rounds <= RECORD_LIMIT
 
     pays = payoff_table(config.pi, weights)
     rng = np.random.default_rng(config.seed)

@@ -118,14 +118,14 @@ class FigureData:
         }
 
 
-def _polytope_edges(vertices: np.ndarray, tol: float = 1e-9) -> list:
+def _polytope_edges(vertices: np.ndarray) -> list:
     # For the four regular solids used here, the edge set is exactly the
     # vertex pairs that are not antipodal through the centroid.
 
     center = vertices.mean(axis=0)
     edges = []
     for i, j in combinations(range(len(vertices)), 2):
-        if np.allclose(vertices[i] - center, -(vertices[j] - center), atol=tol):
+        if np.allclose(vertices[i] - center, -(vertices[j] - center), atol=1e-9):
             continue
         edges.append((vertices[i].copy(), vertices[j].copy()))
     return edges

@@ -48,16 +48,15 @@ def pauli_string(labels) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def pauli_basis(n_qubits: int):
-    """All 4^n Pauli strings stacked as an array plus their label tuples.
+def pauli_basis(n_qubits: int) -> np.ndarray:
+    """All 4^n Pauli strings stacked as one read-only array.
 
     Row order is np.ndindex order over (4,)*n, i.e. the raveled order of a
     coefficient table of shape (4,)*n.
     """
-    labels = list(product(range(4), repeat=n_qubits))
-    stack = np.stack([pauli_string(l) for l in labels])
+    stack = np.stack([pauli_string(l) for l in product(range(4), repeat=n_qubits)])
     stack.setflags(write=False)
-    return stack, labels
+    return stack
 
 
 def _as_operator(matrix, name: str = "operator", stack: bool = False) -> np.ndarray:
@@ -126,17 +125,16 @@ class DensityMatrix:
         return self.dim.bit_length() - 1
 
 
-def pauli_traces(matrix, n_qubits: int | None = None) -> np.ndarray:
-    """Raw trace table Tr(M * sigma_t) for every Pauli string, shape (4,)*n.
+def pauli_traces(matrix) -> np.ndarray:
+    """Raw trace table Tr(M * sigma_t) for every Pauli string, shape (4,)*n
+    for a 2^n x 2^n matrix.
 
     The imaginary residue must stay below 1e-10 (a larger one means the input
     was not Hermitian); it is discarded after the check.
     """
     m = np.asarray(matrix, dtype=np.complex128)
-    if n_qubits is None:
-        n_qubits = m.shape[0].bit_length() - 1
-    basis, _ = pauli_basis(n_qubits)
-    traces = np.einsum("kij,ji->k", basis, m)
+    n_qubits = m.shape[0].bit_length() - 1
+    traces = np.einsum("kij,ji->k", pauli_basis(n_qubits), m)
     resid = np.max(np.abs(traces.imag))
     if resid > HERMITICITY_TOL:
         raise ValueError(f"imaginary residue {resid:.3e} in Pauli traces; input not Hermitian")
@@ -149,20 +147,15 @@ def from_pauli_coefficients(table) -> np.ndarray:
     n = values.ndim
     if values.shape != (4,) * n:
         raise ValueError(f"coefficient table must have shape (4,)*n, got {values.shape}")
-    basis, _ = pauli_basis(n)
-    return np.einsum("k,kij->ij", values.ravel(), basis) / (2.0 ** n)
+    return np.einsum("k,kij->ij", values.ravel(), pauli_basis(n)) / (2.0 ** n)
 
 
-def partial_transpose(state, subsystem: str = "B") -> np.ndarray:
-    """Partial transpose of a two-qubit operator over subsystem "A" or "B"."""
+def partial_transpose(state) -> np.ndarray:
+    """Partial transpose of a two-qubit operator over the second qubit (B)."""
     m = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=np.complex128)
     if m.shape != (4, 4):
         raise ValueError(f"partial transpose is defined for 4x4 operators, got {m.shape}")
-    if subsystem not in ("A", "B"):
-        raise ValueError(f"subsystem must be 'A' or 'B', got {subsystem!r}")
-    r = m.reshape(2, 2, 2, 2)
-    axes = (2, 1, 0, 3) if subsystem == "A" else (0, 3, 2, 1)
-    return np.ascontiguousarray(r.transpose(axes).reshape(4, 4))
+    return np.ascontiguousarray(m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
 
 
 def hermitian_eigensystem(op) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ specs, weight files with exact symbolic constants, and structured summaries.
 States are named constructors ("werner(0.5)", "bell_psi_plus", "ghz") or a
 path to a JSON file {"dim": d, "entries": [[re, im], ...]} listing the dense
 matrix row-major.  Witnesses are named constructors ("werner", "chsh",
-"chsh-strengthened") or a path to a JSON file {"n": 2, "weights":
+"chsh-strengthened", "ghz") or a path to a JSON file {"n": 2, "weights":
 [[s, t, w], ...]} where w is a number or a token like "1/sqrt(3)" or
 "-1/sqrt(2)", resolved to full double precision.
 """
@@ -23,8 +23,15 @@ from . import multiparty, qcore, witness
 _WERNER_RE = re.compile(r"^werner\(\s*([-+0-9.eE]+)\s*\)$")
 _TOKEN_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*/\s*sqrt\(\s*([0-9]+)\s*\)$")
 
+_NAMED_WITNESSES = {
+    "werner": witness.werner_witness,
+    "chsh": witness.fixed_chsh_witness,
+    "chsh-strengthened": witness.strengthened_chsh_witness,
+    "ghz": multiparty.ghz_witness,
+}
+
 STATE_NAMES = "werner(z), bell_psi_plus, ghz, maximally_mixed(n), or a JSON matrix file"
-WITNESS_NAMES = "werner, chsh, chsh-strengthened, or a JSON weights file"
+WITNESS_NAMES = ", ".join(_NAMED_WITNESSES) + ", or a JSON weights file"
 
 
 def float17(x: float) -> str:
@@ -108,14 +115,8 @@ def state_to_dict(rho: qcore.DensityMatrix) -> dict:
 def parse_witness_spec(spec: str) -> witness.Witness:
     """Resolve a witness spec string to a witness."""
     text = spec.strip()
-    if text == "werner":
-        return witness.werner_witness()
-    if text == "chsh":
-        return witness.fixed_chsh_witness()
-    if text == "chsh-strengthened":
-        return witness.strengthened_chsh_witness()
-    if text == "ghz":
-        return multiparty.ghz_witness()
+    if text in _NAMED_WITNESSES:
+        return _NAMED_WITNESSES[text]()
     if os.path.exists(text):
         return load_witness_file(text)
     raise ValueError(f"unknown witness spec {spec!r}; expected {WITNESS_NAMES}")
@@ -158,13 +159,29 @@ def witness_to_dict(w: witness.Witness) -> dict:
     return {"n": w.n_qubits, "weights": rows}
 
 
-def parse_pi_spec(spec: str, weights: witness.PauliWeights, rounds: int, seed: int):
-    """Build a game config from "uniform", "support-only", or a JSON file
-    holding the label probabilities (flat or nested)."""
+def _json_numbers(value):
+    """Nested JSON lists of numbers, checked entry by entry."""
+    return [_json_numbers(v) for v in value] if isinstance(value, list) else _json_number(value)
+
+
+def _pi_table(data, n: int, source: str) -> np.ndarray:
+    """Label probabilities read from JSON: 4^n numbers, flat or nested."""
+    try:
+        return np.asarray(_json_numbers(data), dtype=np.float64).reshape((4,) * n)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{source}: pi must be a list of {4 ** n} numbers: {exc}") from None
+
+
+def parse_pi_spec(spec: str | list, weights: witness.PauliWeights, rounds: int, seed: int):
+    """Build a game config from "uniform", "support-only", a JSON file
+    holding the label probabilities (flat or nested, or under a "pi" key),
+    or such a table given inline as a run spec's "pi" field."""
     from .game import GameConfig
 
-    text = spec.strip()
     n = weights.n_qubits
+    if not isinstance(spec, str):
+        return GameConfig(_pi_table(spec, n, "config field 'pi'"), rounds, seed)
+    text = spec.strip()
     if text == "uniform":
         return GameConfig.uniform(rounds, seed, n_parties=n)
     if text == "support-only":
@@ -176,6 +193,5 @@ def parse_pi_spec(spec: str, weights: witness.PauliWeights, rounds: int, seed: i
             if "pi" not in data:
                 raise ValueError(f"{text}: expected a JSON object with a 'pi' key")
             data = data["pi"]
-        pi = np.asarray(data, dtype=np.float64).reshape((4,) * n)
-        return GameConfig(pi, rounds, seed)
+        return GameConfig(_pi_table(data, n, text), rounds, seed)
     raise ValueError(f"unknown pi spec {spec!r}; expected uniform, support-only, or a file")

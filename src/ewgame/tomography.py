@@ -27,26 +27,26 @@ class IncompleteTomographyError(ValueError):
 @dataclass(frozen=True, eq=False)
 class Moments:
     """Per-cell round counts and answer-product sums with the derived
-    correlation estimates r_hat = sum(ab) / n."""
+    correlation estimates r_hat = sum(ab) / n.  Both tables are 4x4 and
+    read-only, and every cell was played: construction checks that once."""
 
     counts: np.ndarray
     parity_sums: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64)
-        s = np.asarray(self.parity_sums, dtype=np.float64)
+        c = np.array(self.counts, dtype=np.int64)
+        s = np.array(self.parity_sums, dtype=np.float64)
         if c.shape != (4, 4) or s.shape != (4, 4):
             raise ValueError("moments are 4x4 tables over two-qubit label cells")
+        missing = np.argwhere(c == 0).tolist()
+        if missing:
+            raise IncompleteTomographyError(tuple(ix) for ix in missing)
+        c.setflags(write=False)
+        s.setflags(write=False)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "parity_sums", s)
 
-    def missing_cells(self) -> list[tuple[int, int]]:
-        return [tuple(ix) for ix in np.argwhere(self.counts == 0).tolist()]
-
     def estimates(self) -> np.ndarray:
-        missing = self.missing_cells()
-        if missing:
-            raise IncompleteTomographyError(missing)
         return self.parity_sums / self.counts
 
     def standard_errors(self) -> np.ndarray:
@@ -57,12 +57,11 @@ class Moments:
 
 @dataclass(frozen=True, eq=False)
 class Estimate:
-    """Reconstruction output: the raw linear inversion (possibly unphysical),
-    its projection onto valid states, and per-cell standard errors."""
+    """Reconstruction output: the raw linear inversion (possibly unphysical)
+    and its projection onto valid states."""
 
     raw: np.ndarray
     projected: qcore.DensityMatrix
-    cell_errors: np.ndarray
 
 
 def accumulate(tr: Transcript) -> Moments:
@@ -73,11 +72,7 @@ def accumulate(tr: Transcript) -> Moments:
     """
     if tr.n_parties != 2:
         raise ValueError("tomography is defined for the two-qubit game")
-    m = Moments(tr.counts.reshape(4, 4), tr.parity_sums.reshape(4, 4).astype(np.float64))
-    missing = m.missing_cells()
-    if missing:
-        raise IncompleteTomographyError(missing)
-    return m
+    return Moments(tr.counts.reshape(4, 4), tr.parity_sums.reshape(4, 4))
 
 
 def linear_inversion(m: Moments) -> np.ndarray:
@@ -107,7 +102,7 @@ def project_psd(raw) -> qcore.DensityMatrix:
 def reconstruct(m: Moments) -> Estimate:
     """Linear inversion followed by the physicality projection."""
     raw = linear_inversion(m)
-    return Estimate(raw=raw, projected=project_psd(raw), cell_errors=m.standard_errors())
+    return Estimate(raw=raw, projected=project_psd(raw))
 
 
 def reconstruction_error(truth: qcore.DensityMatrix, est: Estimate) -> float:

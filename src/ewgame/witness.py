@@ -49,8 +49,7 @@ class PauliWeights:
         return float(self.table[labels])
 
     def to_operator(self) -> np.ndarray:
-        basis, _ = qcore.pauli_basis(self.n_qubits)
-        return np.einsum("k,kij->ij", self.table.ravel(), basis)
+        return np.einsum("k,kij->ij", self.table.ravel(), qcore.pauli_basis(self.n_qubits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,7 +81,7 @@ class Witness:
     def from_operator(cls, op) -> "Witness":
         op = np.asarray(op, dtype=np.complex128)
         n = op.shape[0].bit_length() - 1
-        table = qcore.pauli_traces(op, n) / (2.0 ** n)
+        table = qcore.pauli_traces(op) / (2.0 ** n)
         return cls(op, PauliWeights(n, table))
 
 
@@ -154,13 +153,13 @@ def ppt_witness(rho: qcore.DensityMatrix) -> Witness:
     """
     if rho.dim != 4:
         raise ValueError("ppt witness construction needs a two-qubit state")
-    pt = qcore.partial_transpose(rho, "B")
+    pt = qcore.partial_transpose(rho)
     vals, vecs = qcore.hermitian_eigensystem(pt)
     if vals[0] >= NPT_THRESHOLD:
         raise PPTStateError("state is PPT; no witness of this form exists")
     phi = vecs[:, 0]
     proj = np.outer(phi, phi.conj())
-    return Witness.from_operator(qcore.partial_transpose(proj, "B"))
+    return Witness.from_operator(qcore.partial_transpose(proj))
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,30 @@ import numpy as np
 import pytest
 
 import ewgame as ew
+from ewgame import tomography
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def cell_scans(monkeypatch):
+    """Records each scan tomography makes for unplayed cells (an
+    np.argwhere over the counts) and returns the list of them."""
+    scans = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def argwhere(self, a):
+            scans.append(a.shape)
+            return np.argwhere(a)
+
+    monkeypatch.setattr(tomography, "np", CountingNumpy())
+    return scans
 
 
 def builtin_witnesses():

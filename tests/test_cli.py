@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ewgame as ew
 from ewgame import cli, game
@@ -180,14 +182,16 @@ class TestSimulate:
         assert code == 2
         assert err.startswith("error: rounds")
 
-    def test_unexpected_exception_exits_2(self, capsys, tmp_path):
-        # a pi object that is neither a spec string nor a table raises TypeError
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"state": "werner(1)", "witness": "werner",
-                                   "rounds": 100, "pi": {"a": 1}}))
-        code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    def test_unexpected_exception_exits_2(self, capsys, monkeypatch):
+        # an exception no input check anticipated still exits 2, never 1
+        def broken(rho):
+            raise TypeError("unanticipated")
+
+        monkeypatch.setattr(game, "honest_strategy", broken)
+        code, _, err = run_cli(capsys, "simulate", "--state", "werner(1)",
+                               "--witness", "werner", "--rounds", "100")
         assert code == 2
-        assert err.startswith("error: TypeError:")
+        assert err == "error: TypeError: unanticipated\n"
 
     def test_support_violation_is_an_error(self, capsys, tmp_path):
         pi = np.zeros((4, 4))
@@ -244,6 +248,69 @@ class TestSimulate:
         assert err.startswith("error:") and str(state) in err
 
 
+PI_RUN = ("simulate", "--state", "werner(0.8)", "--witness", "chsh", "--rounds", "2000",
+          "--seed", "5")
+# anything that is not a JSON number: strings, bools, null, and containers of them
+JUNK = st.recursive(st.text(max_size=4) | st.booleans() | st.none(),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                    max_leaves=4)
+
+
+def run_pi(capsys, tmp_path, pi, source):
+    """Run PI_RUN with pi given as a --pi file, a {"pi": ...} file or inline
+    in a --config file; return the exit code, stdout, stderr and the name
+    an error must mention."""
+    path = tmp_path / "pi.json"
+    if source == "config":
+        path.write_text(json.dumps({"state": "werner(0.8)", "witness": "chsh",
+                                    "rounds": 2000, "seed": 5, "pi": pi}))
+        return (*run_cli(capsys, "simulate", "--config", str(path)), "config field 'pi'")
+    path.write_text(json.dumps({"pi": pi} if source == "object" else pi))
+    return (*run_cli(capsys, *PI_RUN, "--pi", str(path)), str(path))
+
+
+class TestPiInput:
+    @pytest.mark.parametrize("source", ["file", "object", "config"])
+    @pytest.mark.parametrize("entry", ["0.0625", True, None])
+    def test_entries_must_be_numbers(self, capsys, tmp_path, source, entry):
+        code, out, err, name = run_pi(capsys, tmp_path, [entry] * 16, source)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and name in err
+
+    def test_numeric_pi_gives_one_mean_from_every_source(self, capsys, tmp_path):
+        pi = np.random.default_rng(3).dirichlet(np.ones(16))
+        runs = [run_pi(capsys, tmp_path, table, source)[:3]
+                for table in (pi.tolist(), pi.reshape(4, 4).tolist())
+                for source in ("file", "object", "config")]
+        assert runs[0][0] in (0, 1) and runs[0][1].startswith("mean=")
+        assert all(run == runs[0] for run in runs)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(junk=JUNK, at=st.integers(0, 15), nested=st.booleans(),
+           source=st.sampled_from(["file", "object", "config"]))
+    def test_malformed_pi_always_exits_2(self, capsys, tmp_path, junk, at, nested, source):
+        pi = [1 / 16] * 16
+        pi[at] = junk
+        if nested:
+            pi = [pi[i:i + 4] for i in range(0, 16, 4)]
+        code, out, err, name = run_pi(capsys, tmp_path, pi, source)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and name in err
+
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(seed=st.integers(0, 2 ** 32 - 1), nested=st.booleans(),
+           source=st.sampled_from(["file", "object", "config"]))
+    def test_valid_pi_runs(self, capsys, tmp_path, seed, nested, source):
+        pi = np.random.default_rng(seed).dirichlet(np.ones(16))
+        table = pi.reshape(4, 4).tolist() if nested else pi.tolist()
+        code, out, err, _ = run_pi(capsys, tmp_path, table, source)
+        assert code in (0, 1) and err == ""
+        assert out.startswith("mean=")
+
+
 class TestTomography:
     def test_missing_cells_print_as_plain_tuples(self, capsys):
         code, _, err = run_cli(capsys, "tomography", "--state", "werner(0.5)",
@@ -251,6 +318,30 @@ class TestTomography:
         assert code == 2
         assert "no rounds for 12 label cells: [(0, 1), (0, 2), (0, 3), (1, 0)," in err
         assert "np." not in err
+
+    def test_witness_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["tomography", "--state", "werner(0.5)", "--witness", "werner"])
+        assert exit_.value.code == 2
+
+    def test_std_errors_are_the_moments_standard_errors(self, capsys, tmp_path):
+        args = ("tomography", "--state", "werner(0.5)", "--rounds", "20000", "--seed", "3")
+        tr = ew.run_game(ew.GameConfig.uniform(20_000, seed=3),
+                         ew.honest_strategy(ew.make_werner(0.5)), ew.werner_witness().weights)
+        se = ew.accumulate(tr).standard_errors()
+        run_cli(capsys, *args, "--format", "csv", "--out", str(tmp_path / "cells.csv"))
+        rows = [line.split(",") for line in
+                (tmp_path / "cells.csv").read_text().strip().split("\n")[1:]]
+        assert [float(r[3]) for r in rows] == se.ravel().tolist()
+        _, out, _ = run_cli(capsys, *args, "--format", "structured")
+        assert [e for _, _, e in json.loads(out)["standard_errors"]] == se.ravel().tolist()
+
+    @pytest.mark.parametrize("fmt", ["text", "structured", "csv"])
+    def test_scans_for_missing_cells_once(self, capsys, cell_scans, tmp_path, fmt):
+        code, _, _ = run_cli(capsys, "tomography", "--state", "werner(0.5)",
+                             "--rounds", "20000", "--format", fmt,
+                             "--out", str(tmp_path / "out"))
+        assert code == 0 and cell_scans == [(4, 4)]
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "tomography", "--state", "werner(0.5)",

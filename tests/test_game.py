@@ -175,7 +175,7 @@ class TestHonestStrategy:
     def test_identity_label_records_plus_one(self):
         strat = ew.honest_strategy(ew.bell_psi_plus())
         cfg = ew.GameConfig.uniform(20_000, seed=3)
-        tr = ew.run_game(cfg, strat, ew.werner_witness().weights)
+        tr = ew.run_game(cfg, strat, ew.werner_witness().weights, keep_records=True)
         a_vals = tr.answers[tr.labels[:, 0] == 0, 0]
         b_vals = tr.answers[tr.labels[:, 1] == 0, 1]
         assert np.all(a_vals == 1)
@@ -278,8 +278,8 @@ class TestRunGame:
         cfg = ew.GameConfig.uniform(50_000, seed=31)
         strat = ew.honest_strategy(ew.make_werner(0.8))
         w = ew.werner_witness().weights
-        t1 = ew.run_game(cfg, strat, w)
-        t2 = ew.run_game(cfg, strat, w)
+        t1 = ew.run_game(cfg, strat, w, keep_records=True)
+        t2 = ew.run_game(cfg, strat, w, keep_records=True)
         assert t1.labels.tobytes() == t2.labels.tobytes()
         assert t1.answers.tobytes() == t2.answers.tobytes()
         assert t1.payoffs.tobytes() == t2.payoffs.tobytes()
@@ -289,8 +289,8 @@ class TestRunGame:
     def test_seed_changes_transcript(self):
         strat = ew.honest_strategy(ew.make_werner(0.8))
         w = ew.werner_witness().weights
-        t1 = ew.run_game(ew.GameConfig.uniform(10_000, seed=0), strat, w)
-        t2 = ew.run_game(ew.GameConfig.uniform(10_000, seed=1), strat, w)
+        t1 = ew.run_game(ew.GameConfig.uniform(10_000, seed=0), strat, w, keep_records=True)
+        t2 = ew.run_game(ew.GameConfig.uniform(10_000, seed=1), strat, w, keep_records=True)
         assert not np.array_equal(t1.payoffs, t2.payoffs)
 
     def test_unbiasedness_identity(self, rng):
@@ -328,22 +328,29 @@ class TestRunGame:
     def test_payoff_recorded_exactly(self):
         cfg = ew.GameConfig.uniform(5_000, seed=17)
         w = ew.werner_witness().weights
-        tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(1.0)), w)
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(1.0)), w, keep_records=True)
         for (s, t), (a, b), payoff in zip(tr.labels.tolist(), tr.answers.tolist(),
                                           tr.payoffs.tolist()):
             assert payoff == -w.table[s, t] * a * b / cfg.pi[s, t]
 
     def test_streaming_discards_records(self):
+        # records are opt-in at any round count
         strat = ew.honest_strategy(ew.make_werner(0.5))
         w = ew.werner_witness().weights
-        small = ew.run_game(ew.GameConfig.uniform(100, seed=0), strat, w)
-        assert small.has_records
-        big = ew.run_game(ew.GameConfig.uniform(100_001, seed=0), strat, w)
-        assert not big.has_records
-        assert big.labels is None and big.answers is None and big.payoffs is None
-        forced = ew.run_game(ew.GameConfig.uniform(100_001, seed=0), strat, w,
-                             keep_records=True)
-        assert forced.has_records
+        streamed = ew.run_game(ew.GameConfig.uniform(100, seed=0), strat, w)
+        assert not streamed.has_records
+        assert streamed.labels is None and streamed.answers is None
+        assert streamed.payoffs is None
+        kept = ew.run_game(ew.GameConfig.uniform(100_001, seed=0), strat, w,
+                           keep_records=True)
+        assert kept.has_records and kept.payoffs.size == 100_001
+
+    @pytest.mark.parametrize("flag", [None, 0, 1, "yes", np.True_])
+    def test_keep_records_is_true_or_false(self, flag):
+        with pytest.raises(ValueError, match="keep_records"):
+            ew.run_game(ew.GameConfig.uniform(100, seed=0),
+                        ew.honest_strategy(ew.make_werner(0.5)),
+                        ew.werner_witness().weights, keep_records=flag)
 
     def test_always_plus_strategy(self):
         # deterministic all-plus answers: mean payoff enumerable by hand
@@ -492,7 +499,7 @@ class TestRecordedMoments:
         (ew.make_werner(0.8), ew.werner_witness(), 2), (ew.ghz_state(), ew.ghz_witness(), 3)])
     def test_moments_equal_sums_over_records(self, state, wit, n):
         cfg = ew.GameConfig.uniform(20_000, seed=2024, n_parties=n)
-        tr = ew.run_game(cfg, ew.honest_strategy(state), wit.weights)
+        tr = ew.run_game(cfg, ew.honest_strategy(state), wit.weights, keep_records=True)
         cells = np.ravel_multi_index(tr.labels.T, cfg.pi.shape)
         parity = tr.answers.prod(axis=1, dtype=np.int64)
         assert np.array_equal(tr.counts, np.bincount(cells, minlength=4 ** n))
@@ -703,7 +710,7 @@ class TestTranscriptCsv:
     def test_round_trip(self, tmp_path):
         cfg = ew.GameConfig.uniform(200, seed=4)
         w = ew.werner_witness().weights
-        tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(0.9)), w)
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(0.9)), w, keep_records=True)
         path = tmp_path / "rounds.csv"
         tr.to_csv(path)
         lines = path.read_text().strip().split("\n")

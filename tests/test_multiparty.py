@@ -97,7 +97,8 @@ class TestRunGame3:
 
     def test_identity_labels_all_plus(self):
         cfg = ew.GameConfig.uniform(5_000, seed=1, n_parties=3)
-        tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights)
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights,
+                         keep_records=True)
         for col in range(3):
             assert np.all(tr.answers[tr.labels[:, col] == 0, col] == 1)
 
@@ -105,8 +106,8 @@ class TestRunGame3:
         cfg = ew.GameConfig.uniform(20_000, seed=77, n_parties=3)
         strat = ew.honest_strategy(ew.ghz_state())
         w = ew.ghz_witness().weights
-        t1 = ew.run_game(cfg, strat, w)
-        t2 = ew.run_game(cfg, strat, w)
+        t1 = ew.run_game(cfg, strat, w, keep_records=True)
+        t2 = ew.run_game(cfg, strat, w, keep_records=True)
         assert t1.payoffs.tobytes() == t2.payoffs.tobytes()
         assert np.array_equal(t1.counts, t2.counts)
 
@@ -124,7 +125,8 @@ class TestRunGame3:
 
     def test_csv_has_three_party_columns(self, tmp_path):
         cfg = ew.GameConfig.uniform(50, seed=0, n_parties=3)
-        tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights)
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights,
+                         keep_records=True)
         path = tmp_path / "rounds3.csv"
         tr.to_csv(path)
         header = path.read_text().split("\n", 1)[0]

@@ -88,6 +88,15 @@ class TestWitnessSpecs:
         with pytest.raises(json.JSONDecodeError):
             serialize.parse_witness_spec(str(path))
 
+    def test_every_listed_name_parses(self):
+        names = serialize.WITNESS_NAMES.removesuffix(", or a JSON weights file").split(", ")
+        assert names == ["werner", "chsh", "chsh-strengthened", "ghz"]
+        for name in names:
+            assert isinstance(serialize.parse_witness_spec(name), ew.Witness)
+        with pytest.raises(ValueError) as err:
+            serialize.parse_witness_spec("nope")
+        assert all(name in str(err.value) for name in names)
+
     def test_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown witness spec"):
             serialize.parse_witness_spec("bogus")
@@ -200,6 +209,24 @@ class TestPiSpecs:
         path.write_text(json.dumps({"pi": pi.tolist()}))
         cfg = serialize.parse_pi_spec(str(path), w, 10, 0)
         assert np.allclose(cfg.pi, 1 / 16)
+
+    @pytest.mark.parametrize("entry", ["0.0625", True, False, None, [0.0625], {"p": 1}])
+    def test_pi_entries_must_be_numbers(self, tmp_path, entry):
+        w = ew.werner_witness().weights
+        pi = [1 / 16] * 15 + [entry]
+        path = tmp_path / "pi.json"
+        path.write_text(json.dumps(pi))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: pi must be a list of 16")):
+            serialize.parse_pi_spec(str(path), w, 10, 0)
+        with pytest.raises(ValueError, match="config field 'pi': pi must be a list of 16"):
+            serialize.parse_pi_spec(pi, w, 10, 0)
+
+    def test_inline_pi(self):
+        w = ew.ghz_witness().weights
+        flat = [1 / 64] * 64
+        for table in (flat, np.reshape(flat, (4, 4, 4)).tolist()):
+            assert np.array_equal(serialize.parse_pi_spec(table, w, 10, 0).pi,
+                                  np.full((4, 4, 4), 1 / 64))
 
     def test_unknown_pi(self):
         with pytest.raises(ValueError, match="unknown pi spec"):

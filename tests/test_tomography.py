@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,33 @@ class TestMoments:
         # radically more data: every noisy cell tightens
         noisy = small.standard_errors() > 0
         assert np.all(large.standard_errors()[noisy] < small.standard_errors()[noisy])
+
+    def test_incomplete_moments_cannot_be_built(self):
+        counts = np.full((4, 4), 10)
+        counts[0, 1] = counts[2, 3] = 0
+        with pytest.raises(ew.IncompleteTomographyError) as err:
+            tomography.Moments(counts, np.zeros((4, 4)))
+        assert err.value.missing == [(0, 1), (2, 3)]
+        assert str(err.value) == "no rounds for 2 label cells: [(0, 1), (2, 3)]"
+
+    def test_tables_are_read_only_copies(self):
+        counts, sums = np.full((4, 4), 10), np.ones((4, 4))
+        m = tomography.Moments(counts, sums)
+        counts[0, 0] = 0
+        assert m.counts[0, 0] == 10
+        for table in (m.counts, m.parity_sums):
+            with pytest.raises(ValueError):
+                table[0, 0] = 0
+
+    def test_rejects_wrong_shapes(self):
+        with pytest.raises(ValueError, match="4x4"):
+            tomography.Moments(np.ones((4, 3)), np.ones((4, 4)))
+
+    def test_reconstruct_scans_for_missing_cells_once(self, cell_scans):
+        m = ew.accumulate(honest_transcript(ew.make_werner(0.5), 20_000, seed=1))
+        ew.reconstruct(m)
+        m.estimates(), m.standard_errors()
+        assert cell_scans == [(4, 4)]
 
     def test_rejects_three_party_transcript(self):
         cfg = ew.GameConfig.uniform(1000, seed=0, n_parties=3)
@@ -132,10 +161,12 @@ class TestReconstruction:
         assert 3.0 < err4 / err6 < 33.0
 
     def test_estimate_carries_cell_errors(self):
-        est = ew.reconstruct(ew.accumulate(honest_transcript(ew.make_werner(0.5),
-                                                             20_000, seed=2)))
-        assert est.cell_errors.shape == (4, 4)
-        assert np.all(est.cell_errors >= 0)
+        # the per-cell errors live on the moments, the estimate holds the states
+        moments = ew.accumulate(honest_transcript(ew.make_werner(0.5), 20_000, seed=2))
+        est = ew.reconstruct(moments)
+        assert [f.name for f in fields(est)] == ["raw", "projected"]
+        assert moments.standard_errors().shape == (4, 4)
+        assert np.all(moments.standard_errors() >= 0)
         m = est.projected.matrix
         assert np.trace(m @ m).real <= 1.0 + 1e-12
 
