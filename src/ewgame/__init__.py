@@ -24,11 +24,11 @@ from .geometry import (
     export_figure_data,
     werner_line_intersection,
 )
-from .multiparty import ghz_state, ghz_witness
 from .qcore import (
     DensityMatrix,
     bell_psi_plus,
     from_pauli_coefficients,
+    ghz_state,
     hermitian_eigensystem,
     make_werner,
     maximally_mixed,
@@ -55,6 +55,7 @@ from .witness import (
     check_witness,
     expected_payoff,
     fixed_chsh_witness,
+    ghz_witness,
     ppt_witness,
     random_separable,
     strengthened_chsh_witness,

@@ -55,36 +55,21 @@ def cmd_payoff(args) -> int:
     return EXIT_OK if value > 0.0 else EXIT_NEGATIVE
 
 
-def _load_run_spec(args):
-    spec = {}
-    if args.config:
-        with open(args.config) as fh:
-            spec = json.load(fh)
-    state = args.state or spec.get("state")
-    wit_spec = args.witness or spec.get("witness")
-    if not state or not wit_spec:
-        raise ValueError("simulate needs --state and --witness (flags or config file)")
-    if args.rounds is not None:
-        rounds = args.rounds
-    else:
-        rounds = serialize.json_int(spec.get("rounds", 100_000), "config field 'rounds'")
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = serialize.json_int(spec.get("seed", 0), "config field 'seed'")
-    pi = args.pi or spec.get("pi", "uniform")
-    strategy_name = args.strategy or spec.get("strategy", "honest")
-    return state, wit_spec, rounds, _resolve_seed(seed), pi, strategy_name
-
-
 def cmd_simulate(args) -> int:
     want_csv = args.format == "csv"
     if want_csv and not args.out:
         raise ValueError("--format csv needs --out for the transcript file")
-    state_spec, wit_spec, rounds, seed, pi_spec, strategy_name = _load_run_spec(args)
+    # flags override the fields of the run spec, which serialize has checked
+    spec = serialize.load_run_spec(args.config) if args.config else {}
+    state_spec, wit_spec = args.state or spec.get("state"), args.witness or spec.get("witness")
+    if not state_spec or not wit_spec:
+        raise ValueError("simulate needs --state and --witness (flags or config file)")
+    rounds = args.rounds if args.rounds is not None else spec.get("rounds", 100_000)
+    seed = _resolve_seed(args.seed if args.seed is not None else spec.get("seed", 0))
+    strategy_name = args.strategy or spec.get("strategy", "honest")
     rho = serialize.parse_state_spec(state_spec)
     wit = serialize.parse_witness_spec(wit_spec)
-    config = serialize.parse_pi_spec(pi_spec, wit.weights, rounds, seed)
+    config = serialize.parse_pi_spec(args.pi or spec.get("pi", "uniform"), wit.weights, rounds, seed)
 
     if strategy_name == "honest":
         strategy = game.honest_strategy(rho)
@@ -98,18 +83,16 @@ def cmd_simulate(args) -> int:
     # keep_records never changes the moments; only the csv transcript needs records
     tr = game.run_game(config, strategy, wit.weights, keep_records=want_csv)
     mean, se = game.empirical_payoff(tr)
-    summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.seed,
-               "strategy": strategy.name}
+    line = f"mean={float17(mean)} std_error={float17(se)} rounds={tr.rounds} seed={tr.seed}\n"
     if want_csv:
         tr.to_csv(args.out)
-        print(f"mean={float17(mean)} std_error={float17(se)} "
-              f"rounds={tr.rounds} seed={tr.seed}")
+        sys.stdout.write(line)
     elif args.format == "structured":
+        summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.seed,
+                   "strategy": strategy.name}
         _emit(json.dumps(summary, indent=2) + "\n", args.out)
     else:
-        text = (f"mean={float17(mean)} std_error={float17(se)} "
-                f"rounds={tr.rounds} seed={tr.seed}\n")
-        _emit(text, args.out)
+        _emit(line, args.out)
     return EXIT_OK if mean > 0.0 else EXIT_NEGATIVE
 
 

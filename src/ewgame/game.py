@@ -59,6 +59,21 @@ def outcome_parity(n_parties: int) -> np.ndarray:
     return parity
 
 
+def count_table(counts) -> np.ndarray:
+    """Round counts as a read-only int64 copy.  Every entry must be a
+    nonnegative integer; integral floats such as 10.0 are accepted."""
+    raw = np.asarray(counts)
+    if raw.dtype.kind == "f":
+        whole = np.all((raw >= 0) & (raw < 2.0 ** 63) & (np.floor(raw) == raw))
+    else:
+        whole = raw.dtype.kind in "iu" and np.all(raw >= 0) and np.all(raw <= MAX_ROUNDS)
+    if not whole:
+        raise ValueError("counts must be nonnegative integers")
+    table = raw.astype(np.int64)
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class GameConfig:
     """Label distribution, round count and RNG seed for one game run."""
@@ -161,14 +176,13 @@ class Transcript:
     joint: np.ndarray | None = None
 
     def __post_init__(self):
-        counts = np.array(self.count_matrix, dtype=np.int64)
+        counts = count_table(self.count_matrix)
         pays = np.array(self.payments, dtype=np.float64)
         n = counts.shape[-1].bit_length() - 1 if counts.ndim == 2 else 0
         if n < 1 or counts.shape != (4 ** n, 2 ** n):
             raise ValueError(f"count matrix must have shape (4^n, 2^n), got {counts.shape}")
         if pays.shape != counts.shape:
             raise ValueError(f"payments must have shape {counts.shape}, got {pays.shape}")
-        counts.setflags(write=False)
         pays.setflags(write=False)
         object.__setattr__(self, "count_matrix", counts)
         object.__setattr__(self, "payments", pays)
@@ -200,11 +214,6 @@ class Transcript:
     def payoff_sums(self) -> np.ndarray:
         """Sum of the payments per raveled label cell."""
         return (self.count_matrix * self.payments).sum(axis=1)
-
-    @property
-    def payoff_sq_sums(self) -> np.ndarray:
-        """Sum of the squared payments per raveled label cell."""
-        return (self.count_matrix * (self.payments * self.payments)).sum(axis=1)
 
     @property
     def has_records(self) -> bool:

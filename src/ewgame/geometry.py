@@ -13,7 +13,8 @@ from itertools import combinations
 import numpy as np
 
 from . import qcore
-from .witness import Witness, expected_payoff
+from .witness import (Witness, expected_payoff, fixed_chsh_witness,
+                      strengthened_chsh_witness, werner_witness)
 
 DIAGONAL_AXES = ((1, 1), (2, 2), (3, 3))
 XZ_AXES = ((1, 1), (3, 3))
@@ -160,8 +161,6 @@ def _line_points(p: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
 
 
 def _figure_diagonal(resolution: int) -> FigureData:
-    from .witness import werner_witness
-
     fig = FigureData(figure="fig2", dimension=3)
     for p, q in _polytope_edges(TETRAHEDRON_VERTICES):
         fig.edges.append(("tetrahedron", p, q))
@@ -190,8 +189,6 @@ def _figure_diagonal(resolution: int) -> FigureData:
 
 
 def _figure_xz(resolution: int) -> FigureData:
-    from .witness import fixed_chsh_witness, strengthened_chsh_witness, werner_witness
-
     fig = FigureData(figure="fig3", dimension=2)
     for p, q in _polytope_edges(SQUARE_VERTICES):
         fig.edges.append(("black_square", p, q))

@@ -197,6 +197,13 @@ def make_werner(z: float) -> DensityMatrix:
     return DensityMatrix((1.0 - z) / 4.0 * np.eye(4) + z * bell_psi_plus().matrix)
 
 
+def ghz_state() -> DensityMatrix:
+    """(|000> + |111>) / sqrt(2) as a density matrix."""
+    vec = np.zeros(8, dtype=np.complex128)
+    vec[0] = vec[7] = 1.0 / np.sqrt(2.0)
+    return DensityMatrix(np.outer(vec, vec.conj()))
+
+
 def maximally_mixed(n_qubits: int) -> DensityMatrix:
     d = 2 ** n_qubits
     return DensityMatrix(np.eye(d, dtype=np.complex128) / d)

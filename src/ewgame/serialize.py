@@ -1,12 +1,13 @@
-"""Text formats shared by the command line and scripts: state and witness
-specs, weight files with exact symbolic constants, and structured summaries.
+"""Text formats shared by the command line and scripts: state, witness, pi
+and run specs, weight files with exact symbolic constants, and summaries.
 
 States are named constructors ("werner(0.5)", "bell_psi_plus", "ghz") or a
 path to a JSON file {"dim": d, "entries": [[re, im], ...]} listing the dense
 matrix row-major.  Witnesses are named constructors ("werner", "chsh",
 "chsh-strengthened", "ghz") or a path to a JSON file {"n": 2, "weights":
 [[s, t, w], ...]} where w is a number or a token like "1/sqrt(3)" or
-"-1/sqrt(2)", resolved to full double precision.
+"-1/sqrt(2)", resolved to full double precision.  _load reads every spec
+file; each error in one is a ValueError that starts with the file's path.
 """
 
 from __future__ import annotations
@@ -18,16 +19,18 @@ import re
 
 import numpy as np
 
-from . import multiparty, qcore, witness
+from . import qcore, witness
+from .game import GameConfig
 
 _WERNER_RE = re.compile(r"^werner\(\s*([-+0-9.eE]+)\s*\)$")
+_FLOAT_MAX = 1.7976931348623157e308
 _TOKEN_RE = re.compile(r"^([-+]?[0-9]*\.?[0-9]+(?:[eE][-+]?[0-9]+)?)\s*/\s*sqrt\(\s*([0-9]+)\s*\)$")
 
 _NAMED_WITNESSES = {
     "werner": witness.werner_witness,
     "chsh": witness.fixed_chsh_witness,
     "chsh-strengthened": witness.strengthened_chsh_witness,
-    "ghz": multiparty.ghz_witness,
+    "ghz": witness.ghz_witness,
 }
 
 STATE_NAMES = "werner(z), bell_psi_plus, ghz, maximally_mixed(n), or a JSON matrix file"
@@ -49,26 +52,43 @@ def json_int(value, what: str) -> int:
     return value
 
 
-def _json_number(value) -> float:
-    """A JSON number; bools and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"expected a number, got {value!r}")
+def _json_number(value, what: str = "an entry") -> float:
+    """A JSON number within a float's range: bools, strings, null and
+    integers too large for a float are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or abs(value) > _FLOAT_MAX:
+        raise ValueError(f"{what} must be a number within a float's range, got {value!r}")
     return float(value)
 
 
-def parse_weight_value(value) -> float:
-    """Resolve a numeric weight or a "p/sqrt(q)" token to a float."""
-    if isinstance(value, bool):
-        raise ValueError(f"weight must be a number or a 'p/sqrt(q)' token, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    text = str(value).strip()
-    m = _TOKEN_RE.match(text)
-    if m:
-        return float(m.group(1)) / math.sqrt(int(m.group(2)))
+def _load(path: str, parse):
+    """Decode the JSON file at path and return parse(document).  Every
+    failure on the way, from a bad byte to a bad field, is one ValueError
+    that names the file."""
     try:
-        return float(text)
-    except ValueError:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (ValueError, TypeError, ArithmeticError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _check_keys(data, required: tuple, optional: tuple = ()) -> None:
+    """data is a JSON object with every required key and no unknown one."""
+    keys = " and ".join(map(repr, required)) or f"keys from {list(optional)}"
+    if not isinstance(data, dict) or not set(required) <= set(data):
+        raise ValueError(f"expected a JSON object with {keys}")
+    unknown = sorted(set(data) - set(required + optional))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}; expected {list(required + optional)}")
+
+
+def parse_weight_value(value) -> float:
+    """Resolve a numeric weight or a "p/sqrt(q)" token (q >= 1) to a float."""
+    if not isinstance(value, str):
+        return _json_number(value, "weight")
+    m = _TOKEN_RE.match(value.strip())
+    try:
+        return float(m.group(1)) / math.sqrt(int(m.group(2))) if m else float(value)
+    except (ValueError, ArithmeticError):
         raise ValueError(f"cannot parse weight value {value!r}") from None
 
 
@@ -81,27 +101,25 @@ def parse_state_spec(spec: str) -> qcore.DensityMatrix:
     if text == "bell_psi_plus":
         return qcore.bell_psi_plus()
     if text == "ghz":
-        return multiparty.ghz_state()
+        return qcore.ghz_state()
     m = re.match(r"^maximally_mixed\(\s*([123])\s*\)$", text)
     if m:
         return qcore.maximally_mixed(int(m.group(1)))
     if os.path.exists(text):
-        return load_state_file(text)
+        return _load(text, _state_from_json)
     raise ValueError(f"unknown state spec {spec!r}; expected {STATE_NAMES}")
 
 
-def load_state_file(path: str) -> qcore.DensityMatrix:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "entries" not in data:
-        raise ValueError(f"{path}: expected a JSON object with 'dim' and 'entries'")
-    dim = json_int(data.get("dim", 0), f"{path}: 'dim'")
-    try:
-        entries = [complex(_json_number(re_), _json_number(im)) for re_, im in data["entries"]]
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}: 'entries' must be a list of [re, im] number pairs") from None
+def _state_from_json(data) -> qcore.DensityMatrix:
+    _check_keys(data, ("dim", "entries"))
+    dim = json_int(data["dim"], "'dim'")
+    pairs = data["entries"]
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise ValueError("'entries' must be a list of [re, im] number pairs")
+    what = "each part of the [re, im] number pairs in 'entries'"
+    entries = [complex(_json_number(re_, what), _json_number(im, what)) for re_, im in pairs]
     if dim < 1 or dim * dim != len(entries):
-        raise ValueError(f"{path}: {len(entries)} entries do not fill a {dim}x{dim} matrix")
+        raise ValueError(f"{len(entries)} entries do not fill a {dim}x{dim} matrix")
     return qcore.DensityMatrix(np.array(entries).reshape(dim, dim))
 
 
@@ -118,36 +136,31 @@ def parse_witness_spec(spec: str) -> witness.Witness:
     if text in _NAMED_WITNESSES:
         return _NAMED_WITNESSES[text]()
     if os.path.exists(text):
-        return load_witness_file(text)
+        return _load(text, _witness_from_json)
     raise ValueError(f"unknown witness spec {spec!r}; expected {WITNESS_NAMES}")
 
 
-def load_witness_file(path: str) -> witness.Witness:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "n" not in data or "weights" not in data:
-        raise ValueError(f"{path}: expected a JSON object with 'n' and 'weights'")
-    n = json_int(data["n"], f"{path}: 'n'")
+def _witness_from_json(data) -> witness.Witness:
+    _check_keys(data, ("n", "weights"), ("payoff_on_state",))  # as `witness make` writes
+    _json_number(data.get("payoff_on_state", 0.0), "'payoff_on_state'")
+    n = json_int(data["n"], "'n'")
     if n not in (2, 3):
-        raise ValueError(f"{path}: n must be 2 or 3, got {n}")
+        raise ValueError(f"n must be 2 or 3, got {n}")
     if not isinstance(data["weights"], list):
-        raise ValueError(f"{path}: 'weights' must be a list of rows")
+        raise ValueError("'weights' must be a list of rows")
     table = np.zeros((4,) * n)
     seen = set()
     for row in data["weights"]:
         if not isinstance(row, list) or len(row) != n + 1:
-            raise ValueError(f"{path}: weights row {row!r} is not {n} labels and a weight")
+            raise ValueError(f"weights row {row!r} is not {n} labels and a weight")
         *labels, value = row
-        labels = tuple(json_int(l, f"{path}: label") for l in labels)
+        labels = tuple(json_int(l, "label") for l in labels)
         if any(l not in (0, 1, 2, 3) for l in labels):
-            raise ValueError(f"{path}: bad label tuple {labels}")
+            raise ValueError(f"bad label tuple {labels}")
         if labels in seen:
-            raise ValueError(f"{path}: duplicate label tuple {labels}")
+            raise ValueError(f"duplicate label tuple {labels}")
         seen.add(labels)
-        try:
-            table[labels] = parse_weight_value(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+        table[labels] = parse_weight_value(value)
     return witness.Witness.from_weights(witness.PauliWeights(n, table))
 
 
@@ -164,34 +177,49 @@ def _json_numbers(value):
     return [_json_numbers(v) for v in value] if isinstance(value, list) else _json_number(value)
 
 
-def _pi_table(data, n: int, source: str) -> np.ndarray:
-    """Label probabilities read from JSON: 4^n numbers, flat or nested."""
+def _pi_table(data, n: int, what: str = "pi") -> np.ndarray:
+    """Label probabilities read from JSON: 4^n numbers, flat or nested, or
+    (in a file) an object holding them under "pi"."""
+    if isinstance(data, dict):
+        _check_keys(data, ("pi",))
+        data = data["pi"]
     try:
         return np.asarray(_json_numbers(data), dtype=np.float64).reshape((4,) * n)
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{source}: pi must be a list of {4 ** n} numbers: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{what} must be a list of {4 ** n} numbers: {exc}") from None
 
 
 def parse_pi_spec(spec: str | list, weights: witness.PauliWeights, rounds: int, seed: int):
     """Build a game config from "uniform", "support-only", a JSON file
     holding the label probabilities (flat or nested, or under a "pi" key),
     or such a table given inline as a run spec's "pi" field."""
-    from .game import GameConfig
-
     n = weights.n_qubits
     if not isinstance(spec, str):
-        return GameConfig(_pi_table(spec, n, "config field 'pi'"), rounds, seed)
+        return GameConfig(_pi_table(spec, n, "config field 'pi': pi"), rounds, seed)
     text = spec.strip()
     if text == "uniform":
         return GameConfig.uniform(rounds, seed, n_parties=n)
     if text == "support-only":
         return GameConfig.support_only(weights, rounds, seed)
     if os.path.exists(text):
-        with open(text) as fh:
-            data = json.load(fh)
-        if isinstance(data, dict):
-            if "pi" not in data:
-                raise ValueError(f"{text}: expected a JSON object with a 'pi' key")
-            data = data["pi"]
-        return GameConfig(_pi_table(data, n, text), rounds, seed)
+        return GameConfig(_load(text, lambda data: _pi_table(data, n)), rounds, seed)
     raise ValueError(f"unknown pi spec {spec!r}; expected uniform, support-only, or a file")
+
+
+def load_run_spec(path: str) -> dict:
+    """Read a ``simulate --config`` run spec: string state, witness and
+    strategy, integer rounds and seed, and pi a spec string or a table."""
+    return _load(path, _run_spec_from_json)
+
+
+def _run_spec_from_json(data) -> dict:
+    _check_keys(data, (), ("state", "witness", "rounds", "seed", "pi", "strategy"))
+    for key in ("state", "witness", "strategy"):
+        if not isinstance(data.get(key, ""), str):
+            raise ValueError(f"config field {key!r} must be a string, got {data[key]!r}")
+    for key in ("rounds", "seed"):
+        if key in data:
+            data[key] = json_int(data[key], f"config field {key!r}")
+    if not isinstance(data.get("pi", ""), (str, list)):
+        raise ValueError(f"config field 'pi' must be a spec string or a list, got {data['pi']!r}")
+    return data

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qcore
-from .game import Transcript
+from .game import Transcript, count_table
 
 
 class IncompleteTomographyError(ValueError):
@@ -34,14 +34,13 @@ class Moments:
     parity_sums: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.counts, dtype=np.int64)
+        c = count_table(self.counts)
         s = np.array(self.parity_sums, dtype=np.float64)
         if c.shape != (4, 4) or s.shape != (4, 4):
             raise ValueError("moments are 4x4 tables over two-qubit label cells")
         missing = np.argwhere(c == 0).tolist()
         if missing:
             raise IncompleteTomographyError(tuple(ix) for ix in missing)
-        c.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "parity_sums", s)

@@ -143,6 +143,16 @@ def strengthened_chsh_witness() -> Witness:
     return Witness.from_weights(PauliWeights(2, w))
 
 
+def ghz_witness() -> Witness:
+    """Projector witness I/2 - |GHZ><GHZ| for the three-player game.
+
+    Product states overlap the GHZ state by at most 1/2, so the witness is
+    nonnegative on every fully separable state while Tr(W GHZ) = -1/2.
+    """
+    op = 0.5 * np.eye(8, dtype=np.complex128) - qcore.ghz_state().matrix
+    return Witness.from_operator(op)
+
+
 def ppt_witness(rho: qcore.DensityMatrix) -> Witness:
     """Witness tailored to an entangled two-qubit state from the most negative
     eigenvector phi of its partial transpose: W = (|phi><phi|)^T_B.

@@ -2,11 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import ewgame as ew
-from ewgame import cli, game
+from ewgame import cli, game, serialize
 
 RT3 = np.sqrt(3.0)
 
@@ -84,7 +84,6 @@ class TestSimulate:
     def test_honest_separable_state_stays_flat(self, capsys, tmp_path):
         rho = ew.random_separable(np.random.default_rng(4), k=2)
         state = tmp_path / "sep.json"
-        from ewgame import serialize
         state.write_text(json.dumps(serialize.state_to_dict(rho)))
         code, out, _ = run_cli(capsys, "simulate", "--state", str(state),
                                "--witness", "werner", "--rounds", "200000", "--seed", "8")
@@ -248,13 +247,28 @@ class TestSimulate:
         assert err.startswith("error:") and str(state) in err
 
 
+BIG = 10 ** 400  # 401 digits, beyond a float's range
 PI_RUN = ("simulate", "--state", "werner(0.8)", "--witness", "chsh", "--rounds", "2000",
           "--seed", "5")
-# anything that is not a JSON number: strings, bools, null, and containers of them
-JUNK = st.recursive(st.text(max_size=4) | st.booleans() | st.none(),
-                    lambda inner: st.lists(inner, max_size=3)
-                    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
-                    max_leaves=4)
+
+
+def not_a_number_text(text):
+    """A string no weight parser may read as a number."""
+    try:
+        return not np.isfinite(float(text))
+    except ValueError:
+        return True
+
+
+# JSON values that are no valid number, integer or spec field: strings that
+# do not read as a number, bools, null, integers beyond a float's range, and
+# containers of them
+JUNK = st.recursive(
+    st.text(max_size=4).filter(not_a_number_text) | st.booleans() | st.none()
+    | st.sampled_from([BIG, -BIG]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
 
 
 def run_pi(capsys, tmp_path, pi, source):
@@ -436,3 +450,141 @@ class TestWitnessCommands:
                                "--witness", "chsh", "--samples", "200", "--seed", "0")
         assert code == 1
         assert "verdict=False" in out
+
+
+def spec_file(tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+    return str(path)
+
+
+def run_spec_command(kind, path):
+    """The command that reads a spec file of this kind from path."""
+    return {"state": ("payoff", "--state", path, "--witness", "werner"),
+            "witness": ("payoff", "--state", "werner(0.8)", "--witness", path),
+            "pi": PI_RUN + ("--pi", path),
+            "config": ("simulate", "--config", path)}[kind]
+
+
+# one file per way a spec file used to fail without its name, or to run
+BAD_FILES = [
+    ("state", "big_entry.json",
+     '{"dim": 1, "entries": [[%d, 0]]}' % BIG, "within a float's range"),
+    ("witness", "big_weight.json",
+     '{"n": 2, "weights": [[0, 0, %d]]}' % BIG, "within a float's range"),
+    ("witness", "big_sqrt.json",
+     {"n": 2, "weights": [[0, 0, "1/sqrt(%s)" % ("1" * 400)]]}, "cannot parse weight"),
+    ("witness", "sqrt0.json",
+     {"n": 2, "weights": [[0, 0, "1/sqrt(0)"]]}, "cannot parse weight value '1/sqrt(0)'"),
+    ("state", "truncated.json", '{"dim": 4, "entries": [[0.25, 0]\n', "Expecting"),
+    ("witness", "truncated.json", '{"n": 2, "weights": [[0, 0, 1.0]\n', "Expecting"),
+    ("pi", "truncated.json", "[0.0625, 0.0625\n", "Expecting"),
+    ("config", "truncated.json", '{"state": "werner(0.8)",\n', "Expecting"),
+    ("state", "latin1.json", b'{"dim": 1, "entries": [[1, 0]], "\xff": 0}', "utf-8"),
+    ("witness", "deep.json", "[" * 10 ** 5, "recursion"),
+    ("state", "trace.json", {"dim": 2, "entries": [[0.6, 0], [0, 0], [0, 0], [0.5, 0]]},
+     "trace is 1.1"),
+    ("witness", "inf_token.json",
+     {"n": 2, "weights": [[0, 0, "1e400"]]}, "weights must be finite"),
+    ("witness", "inf_weight.json",
+     '{"n": 2, "weights": [[0, 0, 1e400]]}', "within a float's range, got inf"),
+    ("config", "list.json", [], "expected a JSON object"),
+    ("config", "state5.json", {"state": 5, "witness": "werner"},
+     "config field 'state' must be a string, got 5"),
+    ("config", "misspelled.json",
+     {"state": "werner(0.8)", "witness": "werner", "round": 1000, "sed": 3},
+     "unknown keys ['round', 'sed']"),
+]
+
+
+class TestSpecFileErrors:
+    """Every error reading a spec file exits 2 and names the file first."""
+
+    @pytest.mark.parametrize("kind,name,content,fragment", BAD_FILES,
+                             ids=[f"{kind}-{name[:-5]}" for kind, name, *_ in BAD_FILES])
+    def test_bad_file_names_the_file(self, capsys, tmp_path, kind, name, content, fragment):
+        path = spec_file(tmp_path, name, content)
+        code, out, err = run_cli(capsys, *run_spec_command(kind, path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: ") and fragment in err
+
+    @pytest.mark.parametrize("field", ["rounds", "seed"])
+    def test_overridden_integer_fields_are_still_checked(self, capsys, tmp_path, field):
+        path = spec_file(tmp_path, "run.json",
+                         {"state": "werner(0.8)", "witness": "werner", field: 2.5})
+        code, out, err = run_cli(capsys, "simulate", "--config", path,
+                                 "--rounds", "100", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: config field {field!r} must be an integer")
+
+    @pytest.mark.parametrize("pi", [5, None, {"pi": "uniform"}])
+    def test_config_pi_is_a_string_or_a_list(self, capsys, tmp_path, pi):
+        path = spec_file(tmp_path, "run.json",
+                         {"state": "werner(0.8)", "witness": "werner", "pi": pi})
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: config field 'pi' must be a spec string")
+
+
+SPEC_STRING_FIELDS = ("state", "witness", "strategy", "pi")
+
+
+def base_doc(kind):
+    if kind == "state":
+        return serialize.state_to_dict(ew.make_werner(0.8))
+    if kind == "witness":
+        return {"n": 2, "weights": [[0, 0, "1/sqrt(3)"], [1, 1, -0.5773502691896258],
+                                    [2, 2, 0.5773502691896258], [3, 3, "-1/sqrt(3)"]]}
+    return {"state": "werner(0.8)", "witness": "chsh", "rounds": 2000, "seed": 5,
+            "pi": [1 / 16] * 16, "strategy": "honest"}
+
+
+class TestSpecFileFuzz:
+    @pytest.mark.parametrize("kind", ["state", "witness", "config"])
+    def test_base_files_run(self, capsys, tmp_path, kind):
+        path = spec_file(tmp_path, "spec.json", base_doc(kind))
+        code, out, err = run_cli(capsys, *run_spec_command(kind, path))
+        assert code in (0, 1) and out and err == ""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(["state", "witness", "config"]),
+           how=st.sampled_from(["field", "entry", "unknown key", "truncate"]),
+           junk=JUNK, data=st.data())
+    def test_malformed_spec_file_exits_2(self, capsys, tmp_path, kind, how, junk, data):
+        """One field or entry of a valid file replaced by junk, an unknown key
+        added, or the text cut short: exit 2, and the error names the file
+        (or, for an inline pi, the config field)."""
+        doc = base_doc(kind)
+        source = str(tmp_path / "spec.json")
+        if how == "field":
+            key = data.draw(st.sampled_from(sorted(doc)))
+            # a string in a spec field is a spec of its own, resolved and
+            # reported after the run spec is read; any integer is a valid
+            # seed, and the range of rounds is checked by the game
+            assume(not (kind == "config" and key in SPEC_STRING_FIELDS
+                        and isinstance(junk, str)))
+            assume(not (kind == "config" and key in ("rounds", "seed") and junk in (BIG, -BIG)))
+            doc[key] = junk
+            if kind == "config" and key == "pi" and isinstance(junk, list):
+                source = "config field 'pi'"
+        elif how == "entry":
+            rows = {"state": "entries", "witness": "weights", "config": "pi"}[kind]
+            i = data.draw(st.integers(0, len(doc[rows]) - 1))
+            if kind == "config":
+                doc["pi"][i] = junk
+                source = "config field 'pi'"
+            else:
+                doc[rows][i][data.draw(st.integers(0, len(doc[rows][i]) - 1))] = junk
+        elif how == "unknown key":
+            doc[data.draw(st.text(max_size=5).filter(lambda k: k not in doc))] = junk
+        text = json.dumps(doc)
+        if how == "truncate":
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        path = spec_file(tmp_path, "spec.json", text)
+        code, out, err = run_cli(capsys, *run_spec_command(kind, path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {source}: ")

@@ -453,15 +453,14 @@ class TestStreamedCounts:
         w = weights.table.ravel()
         pay = np.divide(-w, pi.ravel(), out=np.zeros_like(w), where=live)
         assert np.allclose(tr.payoff_sums, pay * tr.parity_sums, rtol=1e-12, atol=1e-9)
-        assert np.allclose(tr.payoff_sq_sums, pay ** 2 * tr.counts, rtol=1e-12, atol=1e-9)
 
     def test_same_seed_moments_are_byte_equal(self):
         strat = ew.honest_strategy(ew.ghz_state())
         w = ew.ghz_witness().weights
         cfg = ew.GameConfig.uniform(3_000_000, seed=77, n_parties=3)
         t1, t2 = (ew.run_game(cfg, strat, w) for _ in range(2))
-        for name in ("counts", "parity_sums", "payoff_sums", "payoff_sq_sums"):
-            assert getattr(t1, name).tobytes() == getattr(t2, name).tobytes(), name
+        # every moment is a function of the count matrix
+        assert t1.count_matrix.tobytes() == t2.count_matrix.tobytes()
         other = ew.run_game(ew.GameConfig.uniform(3_000_000, seed=78, n_parties=3), strat, w)
         assert not np.array_equal(t1.counts, other.counts)
 
@@ -505,10 +504,8 @@ class TestRecordedMoments:
         assert np.array_equal(tr.counts, np.bincount(cells, minlength=4 ** n))
         assert np.array_equal(tr.parity_sums,
                               np.bincount(cells, weights=parity, minlength=4 ** n))
-        for got, per_round in ((tr.payoff_sums, tr.payoffs),
-                               (tr.payoff_sq_sums, tr.payoffs ** 2)):
-            expect = np.bincount(cells, weights=per_round, minlength=4 ** n)
-            assert np.allclose(got, expect, rtol=1e-12, atol=1e-12)
+        expect = np.bincount(cells, weights=tr.payoffs, minlength=4 ** n)
+        assert np.allclose(tr.payoff_sums, expect, rtol=1e-12, atol=1e-12)
 
 
 class TestRecordsFromCounts:
@@ -521,8 +518,8 @@ class TestRecordsFromCounts:
         kept = ew.run_game(cfg, strat, wit.weights, keep_records=True)
         streamed = ew.run_game(cfg, strat, wit.weights, keep_records=False)
         assert kept.has_records and not streamed.has_records
-        for name in ("counts", "parity_sums", "payoff_sums", "payoff_sq_sums"):
-            assert getattr(kept, name).tobytes() == getattr(streamed, name).tobytes(), name
+        # every moment is a function of the count matrix
+        assert kept.count_matrix.tobytes() == streamed.count_matrix.tobytes()
         assert ew.empirical_payoff(kept) == ew.empirical_payoff(streamed)
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -681,6 +678,16 @@ class TestTranscript:
                              (good, np.zeros((16, 2)))):
             with pytest.raises(ValueError):
                 ew.Transcript(counts, pays, seed=0)
+
+    @pytest.mark.parametrize("count", [2.7, -1, np.inf, 2.0 ** 63, "2", 2 ** 64 - 1])
+    def test_counts_are_nonnegative_integers(self, count):
+        # 2^64 - 1 fills a uint64 table, which int64 cannot hold
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            ew.Transcript(np.full((16, 4), count), np.zeros((16, 4)), seed=0)
+
+    def test_integral_float_counts(self):
+        tr = ew.Transcript(np.full((16, 4), 2.0), np.zeros((16, 4)), seed=0)
+        assert tr.count_matrix.dtype == np.int64 and tr.rounds == 128
 
 
 def row_loop_csv(tr, path):

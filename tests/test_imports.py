@@ -1,11 +1,13 @@
-"""Every module-level import in the package is used, and so is every public
-name.
+"""Every module-level import in the package is used, every import is at
+module level, and every public name is read.
 
 No linter is installed, so this walks each module's syntax tree: a name
 bound by a top-level import must be read somewhere in the module.
 ``__init__.py`` is skipped there because its imports are the public API; each
 name it exports must be read by the package itself, the benchmark or the
-acceptance suite, so nothing is exported only for its own tests.
+acceptance suite, so nothing is exported only for its own tests.  No
+module imports inside a function or class: the package has no import cycle
+for such an import to break.
 """
 
 import ast
@@ -64,3 +66,23 @@ def test_public_names_are_read():
     read = set().union(*(read_names(p.read_text()) for p in READERS))
     exported = exported_names((PACKAGE / "__init__.py").read_text())
     assert exported and [name for name in exported if name not in read] == []
+
+
+def nested_imports(source: str) -> list[int]:
+    """Line numbers of the imports made inside a function or class."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return sorted({node.lineno for scope in ast.walk(ast.parse(source))
+                   if isinstance(scope, scopes) for node in ast.walk(scope)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_checker_finds_imports_in_functions_and_classes():
+    source = ("import os\ndef f():\n    import json\n    def g():\n"
+              "        from re import match\nclass C:\n    import math\n"
+              "async def h():\n    import sys\n")
+    assert nested_imports(source) == [3, 5, 7, 9]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_imports_are_at_module_level(path):
+    assert nested_imports(path.read_text()) == []

@@ -3,9 +3,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import ewgame as ew
 from ewgame import serialize
+
+FILE_FIXTURE = settings(max_examples=40, deadline=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestStateSpecs:
@@ -41,6 +46,31 @@ class TestStateSpecs:
         path.write_text(json.dumps({"hello": 1}))
         with pytest.raises(ValueError):
             serialize.parse_state_spec(str(path))
+
+
+class TestRoundTrips:
+    @FILE_FIXTURE
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]))
+    def test_state_file_round_trip_is_exact(self, tmp_path, seed, n):
+        rho = ew.random_density_matrix(np.random.default_rng(seed), 2 ** n)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(serialize.state_to_dict(rho)))
+        assert serialize.parse_state_spec(str(path)).matrix.tobytes() == rho.matrix.tobytes()
+
+    @FILE_FIXTURE
+    @given(data=st.data(), n=st.sampled_from([2, 3]))
+    def test_witness_file_round_trip_is_exact(self, tmp_path, data, n):
+        weight = st.floats(-1e6, 1e6) | st.just(0.0)
+        table = np.array(data.draw(st.lists(weight, min_size=4 ** n, max_size=4 ** n)))
+        table[0] = data.draw(st.floats(0.5, 2.0))  # at least one nonzero weight
+        wit = ew.Witness.from_weights(ew.PauliWeights(n, table.reshape((4,) * n)))
+        path = tmp_path / "wit.json"
+        path.write_text(json.dumps(serialize.witness_to_dict(wit)))
+        back = serialize.parse_witness_spec(str(path))
+        # the file lists the nonzero weights, so a -0.0 weight reads back as
+        # 0.0; adding 0.0 maps -0.0 to 0.0 and leaves every other value as is
+        assert (back.weights.table + 0.0).tobytes() == (wit.weights.table + 0.0).tobytes()
+        assert (back.operator + 0.0).tobytes() == (wit.operator + 0.0).tobytes()
 
 
 class TestWitnessSpecs:
@@ -85,8 +115,9 @@ class TestWitnessSpecs:
         with pytest.raises(ValueError):
             serialize.parse_witness_spec(str(path))
         path.write_text("not json {")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(ValueError) as info:
             serialize.parse_witness_spec(str(path))
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_every_listed_name_parses(self):
         names = serialize.WITNESS_NAMES.removesuffix(", or a JSON weights file").split(", ")
@@ -187,6 +218,19 @@ class TestTokens:
         for flag in (True, False):
             with pytest.raises(ValueError, match="weight must be a number"):
                 serialize.parse_weight_value(flag)
+
+    @pytest.mark.parametrize("token", [
+        "1/sqrt(0)", "1/sqrt(" + "1" * 400 + ")", "1/sqrt(" + "9" * 5000 + ")"],
+        ids=lambda token: token[:12])
+    def test_tokens_that_fail_to_evaluate(self, token):
+        with pytest.raises(ValueError, match="cannot parse weight value"):
+            serialize.parse_weight_value(token)
+
+    @pytest.mark.parametrize("value", [None, [1.0], 10 ** 400, -(10 ** 400)],
+                             ids=["null", "list", "big", "-big"])
+    def test_non_numbers_and_huge_integers(self, value):
+        with pytest.raises(ValueError, match="weight must be a number"):
+            serialize.parse_weight_value(value)
 
     def test_float17_is_lossless(self, rng):
         for _ in range(200):

@@ -65,6 +65,15 @@ class TestMoments:
             with pytest.raises(ValueError):
                 table[0, 0] = 0
 
+    @pytest.mark.parametrize("count", [10.5, -3, np.nan, True])
+    def test_counts_are_nonnegative_integers(self, count):
+        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
+            tomography.Moments(np.full((4, 4), count), np.full((4, 4), 6.0))
+
+    def test_integral_float_counts(self):
+        m = tomography.Moments(np.full((4, 4), 10.0), np.ones((4, 4)))
+        assert m.counts.dtype == np.int64 and np.all(m.counts == 10)
+
     def test_rejects_wrong_shapes(self):
         with pytest.raises(ValueError, match="4x4"):
             tomography.Moments(np.ones((4, 3)), np.ones((4, 4)))
