@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,30 +56,62 @@ def cmd_payoff(args) -> int:
     return EXIT_OK if value > 0.0 else EXIT_NEGATIVE
 
 
+@contextmanager
+def _naming(source: str | None):
+    """Prefix a ValueError raised inside with source, the run-spec file the
+    value at fault came from; None (a flag or a default) adds nothing."""
+    try:
+        yield
+    except ValueError as exc:
+        if source is None:
+            raise
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def cmd_simulate(args) -> int:
     want_csv = args.format == "csv"
     if want_csv and not args.out:
         raise ValueError("--format csv needs --out for the transcript file")
     # flags override the fields of the run spec, which serialize has checked
     spec = serialize.load_run_spec(args.config) if args.config else {}
-    state_spec, wit_spec = args.state or spec.get("state"), args.witness or spec.get("witness")
-    if not state_spec or not wit_spec:
+
+    def pick(key, default=None):
+        """The flag, else the run spec's field, else the default, with the
+        file to name when the value is bad."""
+        flag = getattr(args, key)
+        if flag or key not in spec:
+            return flag or default, None
+        return spec[key], args.config
+
+    (state_spec, state_src), (wit_spec, wit_src) = pick("state"), pick("witness")
+    if state_spec is None or wit_spec is None:
         raise ValueError("simulate needs --state and --witness (flags or config file)")
+    rounds_src = args.config if args.rounds is None and "rounds" in spec else None
     rounds = args.rounds if args.rounds is not None else spec.get("rounds", 100_000)
     seed = _resolve_seed(args.seed if args.seed is not None else spec.get("seed", 0))
-    strategy_name = args.strategy or spec.get("strategy", "honest")
-    rho = serialize.parse_state_spec(state_spec)
-    wit = serialize.parse_witness_spec(wit_spec)
-    config = serialize.parse_pi_spec(args.pi or spec.get("pi", "uniform"), wit.weights, rounds, seed)
+    pi_spec, pi_src = pick("pi", "uniform")
+    strategy_name, strategy_src = pick("strategy", "honest")
+    with _naming(state_src):
+        rho = serialize.parse_state_spec(state_spec)
+    with _naming(wit_src):
+        wit = serialize.parse_witness_spec(wit_spec)
+    # pi with a placeholder round count, then the config with the real one,
+    # so that an error in either names its own source; an inline pi list
+    # names its config field instead
+    with _naming(pi_src if isinstance(pi_spec, str) else None):
+        pi = serialize.parse_pi_spec(pi_spec, wit.weights, 1, seed).pi
+    with _naming(rounds_src):
+        config = game.GameConfig(pi, rounds, seed)
+    with _naming(strategy_src):
+        if strategy_name not in ("honest", "cheat"):
+            raise ValueError(f"unknown strategy {strategy_name!r}; use honest or cheat")
 
     if strategy_name == "honest":
         strategy = game.honest_strategy(rho)
-    elif strategy_name == "cheat":
+    else:
         if wit.n_qubits != 2:
             raise ValueError("the cheating strategy is defined for the two-party game")
         strategy = game.classical_cheat_strategy()
-    else:
-        raise ValueError(f"unknown strategy {strategy_name!r}; use honest or cheat")
 
     # keep_records never changes the moments; only the csv transcript needs records
     tr = game.run_game(config, strategy, wit.weights, keep_records=want_csv)

@@ -298,19 +298,30 @@ def _projector_coefficients() -> np.ndarray:
 _PROJECTOR_COEFFS = _projector_coefficients()
 
 
-def outcome_table(rho: qcore.DensityMatrix) -> np.ndarray:
-    """Joint answer distribution for every label cell, shape (4,)*n + (2^n,).
-
-    The Born rule Tr(rho P_1 (x) ... (x) P_n) in Pauli coordinates: one
-    projector-coefficient factor per party contracted with the correlation
-    table r[k] = Tr(rho sigma_k).
-    """
-    n = rho.n_qubits
+@lru_cache(maxsize=4)
+def _outcome_map(n_parties: int) -> np.ndarray:
+    """The Born rule in Pauli coordinates as one (8^n, 4^n) matrix: row
+    (labels, outcome) holds the Pauli coefficients of the n-party product of
+    answer projectors, one projector-coefficient factor per party.  The
+    array is shared and read-only."""
+    n = n_parties
     operands = []
     for j in range(n):
         operands += [_PROJECTOR_COEFFS, [j, n + j, 2 * n + j]]
-    operands += [qcore.pauli_traces(rho.matrix), list(range(2 * n, 3 * n))]
-    table = np.einsum(*operands, list(range(2 * n)))
+    born = np.einsum(*operands, list(range(3 * n))).reshape(8 ** n, 4 ** n)
+    born.setflags(write=False)
+    return born
+
+
+def outcome_table(rho: qcore.DensityMatrix) -> np.ndarray:
+    """Joint answer distribution for every label cell, shape (4,)*n + (2^n,).
+
+    The Born rule Tr(rho P_1 (x) ... (x) P_n) in Pauli coordinates: the
+    projector-coefficient map applied to the correlation table
+    r[k] = Tr(rho sigma_k).  The table is a fresh, writable array.
+    """
+    n = rho.n_qubits
+    table = _outcome_map(n) @ qcore.pauli_traces(rho.matrix).ravel()
     return table.reshape((4,) * n + (2 ** n,))
 
 
@@ -353,11 +364,13 @@ def cheat_outcome_table() -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=1)
 def classical_cheat_strategy() -> Strategy:
     """Answer from three fresh shared random bits per round: both parties use
     bit 1 for label 1 and bit 3 for label 3, while on label 2 Bob flips
     bit 2.  This reproduces the (+1, -1, +1) diagonal correlations of the
-    maximally entangled state without any shared entanglement."""
+    maximally entangled state without any shared entanglement.  Built once
+    and shared: the strategy is frozen and its table read-only."""
     return Strategy(name="cheat", outcome_table=cheat_outcome_table())
 
 

@@ -134,7 +134,8 @@ def pauli_traces(matrix) -> np.ndarray:
     """
     m = np.asarray(matrix, dtype=np.complex128)
     n_qubits = m.shape[0].bit_length() - 1
-    traces = np.einsum("kij,ji->k", pauli_basis(n_qubits), m)
+    # row k of the basis, raveled, dotted with M^T raveled is Tr(sigma_k M)
+    traces = pauli_basis(n_qubits).reshape(4 ** n_qubits, -1) @ m.T.ravel()
     resid = np.max(np.abs(traces.imag))
     if resid > HERMITICITY_TOL:
         raise ValueError(f"imaginary residue {resid:.3e} in Pauli traces; input not Hermitian")
@@ -147,7 +148,8 @@ def from_pauli_coefficients(table) -> np.ndarray:
     n = values.ndim
     if values.shape != (4,) * n:
         raise ValueError(f"coefficient table must have shape (4,)*n, got {values.shape}")
-    return np.einsum("k,kij->ij", values.ravel(), pauli_basis(n)) / (2.0 ** n)
+    op = values.ravel() @ pauli_basis(n).reshape(4 ** n, -1)
+    return op.reshape(2 ** n, 2 ** n) / (2.0 ** n)
 
 
 def partial_transpose(state) -> np.ndarray:
@@ -179,7 +181,10 @@ def trace_distance(a, b) -> float:
 # ---------------------------------------------------------------------------
 # Named states and random ensembles
 # ---------------------------------------------------------------------------
+# bell_psi_plus and ghz_state are built once per process, and the one frozen,
+# read-only instance is shared.
 
+@lru_cache(maxsize=1)
 def bell_psi_plus() -> DensityMatrix:
     """The maximally entangled two-qubit state (|00> + |11>) / sqrt(2)."""
     vec = np.array([1, 0, 0, 1], dtype=np.complex128) / np.sqrt(2.0)
@@ -197,6 +202,7 @@ def make_werner(z: float) -> DensityMatrix:
     return DensityMatrix((1.0 - z) / 4.0 * np.eye(4) + z * bell_psi_plus().matrix)
 
 
+@lru_cache(maxsize=1)
 def ghz_state() -> DensityMatrix:
     """(|000> + |111>) / sqrt(2) as a density matrix."""
     vec = np.zeros(8, dtype=np.complex128)

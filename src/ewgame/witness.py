@@ -10,6 +10,7 @@ dictate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,7 +50,9 @@ class PauliWeights:
         return float(self.table[labels])
 
     def to_operator(self) -> np.ndarray:
-        return np.einsum("k,kij->ij", self.table.ravel(), qcore.pauli_basis(self.n_qubits))
+        n = self.n_qubits
+        op = self.table.ravel() @ qcore.pauli_basis(n).reshape(4 ** n, -1)
+        return op.reshape(2 ** n, 2 ** n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +102,10 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # Built-in witnesses
 # ---------------------------------------------------------------------------
+# Each named witness is built once per process and the one frozen, read-only
+# instance is shared.
 
+@lru_cache(maxsize=1)
 def werner_witness() -> Witness:
     """(1/sqrt(3)) (I - xx + yy - zz); detects Werner states with z > 1/3.
 
@@ -123,6 +129,7 @@ def xz_chsh_observables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return sx, sz, -(sx + sz) / rt2, (sz - sx) / rt2
 
 
+@lru_cache(maxsize=1)
 def fixed_chsh_witness() -> Witness:
     """I - (xx + zz)/sqrt(2): half the CHSH witness of the x/z observables."""
     w = np.zeros((4, 4))
@@ -132,6 +139,7 @@ def fixed_chsh_witness() -> Witness:
     return Witness.from_weights(PauliWeights(2, w))
 
 
+@lru_cache(maxsize=1)
 def strengthened_chsh_witness() -> Witness:
     """(1/sqrt(2)) (I - xx - zz): tightens the x/z CHSH bound from 2 to sqrt(2),
     lowering the Werner detection threshold from sqrt(2)/2 to 1/2."""
@@ -143,6 +151,7 @@ def strengthened_chsh_witness() -> Witness:
     return Witness.from_weights(PauliWeights(2, w))
 
 
+@lru_cache(maxsize=1)
 def ghz_witness() -> Witness:
     """Projector witness I/2 - |GHZ><GHZ| for the three-player game.
 

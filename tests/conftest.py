@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ewgame as ew
-from ewgame import tomography
+from ewgame import game, qcore, tomography, witness
 
 
 @pytest.fixture
@@ -26,6 +26,28 @@ def cell_scans(monkeypatch):
 
     monkeypatch.setattr(tomography, "np", CountingNumpy())
     return scans
+
+
+@pytest.fixture
+def einsum_calls(monkeypatch):
+    """Records the module of each np.einsum call made in ewgame.game,
+    ewgame.qcore and ewgame.witness, and returns the list of them."""
+    calls = []
+
+    class CountingNumpy:
+        def __init__(self, module):
+            self.module = module
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def einsum(self, *operands, **kwargs):
+            calls.append(self.module)
+            return np.einsum(*operands, **kwargs)
+
+    for module in (game, qcore, witness):
+        monkeypatch.setattr(module, "np", CountingNumpy(module.__name__.rsplit(".")[-1]))
+    return calls
 
 
 def builtin_witnesses():

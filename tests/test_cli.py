@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -520,6 +521,35 @@ class TestSpecFileErrors:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}: config field {field!r} must be an integer")
 
+    @pytest.mark.parametrize("field,value,fragment", [
+        ("state", "ab", "unknown state spec 'ab'"),
+        ("state", "", "unknown state spec ''"),
+        ("witness", "ab", "unknown witness spec 'ab'"),
+        ("pi", "ab", "unknown pi spec 'ab'"),
+        ("strategy", "ab", "unknown strategy 'ab'"),
+        ("rounds", 0, "rounds must be positive"),
+    ])
+    def test_bad_config_value_names_the_file(self, capsys, tmp_path, field, value, fragment):
+        doc = {"state": "werner(0.8)", "witness": "werner", "pi": "uniform"}
+        path = spec_file(tmp_path, "run.json", {**doc, field: value})
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {path}: {fragment}")
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--state", "ab", "unknown state spec 'ab'"),
+        ("--witness", "ab", "unknown witness spec 'ab'"),
+        ("--pi", "ab", "unknown pi spec 'ab'"),
+        ("--rounds", "0", "rounds must be positive"),
+    ])
+    def test_bad_flag_over_a_config_keeps_its_message(self, capsys, tmp_path, flag, value,
+                                                      message):
+        path = spec_file(tmp_path, "run.json", {"state": "werner(0.8)", "witness": "werner",
+                                                "rounds": 1000, "pi": "uniform"})
+        code, out, err = run_cli(capsys, "simulate", "--config", path, flag, value)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("pi", [5, None, {"pi": "uniform"}])
     def test_config_pi_is_a_string_or_a_list(self, capsys, tmp_path, pi):
         path = spec_file(tmp_path, "run.json",
@@ -530,6 +560,21 @@ class TestSpecFileErrors:
 
 
 SPEC_STRING_FIELDS = ("state", "witness", "strategy", "pi")
+
+
+def valid_spec_string(key, text):
+    """Whether text resolves as the run-spec field key, or names a path."""
+    if os.path.exists(text.strip()):
+        return True
+    if key == "strategy":
+        return text in ("honest", "cheat")
+    if key == "pi":
+        return text.strip() in ("uniform", "support-only")
+    try:
+        {"state": serialize.parse_state_spec, "witness": serialize.parse_witness_spec}[key](text)
+    except ValueError:
+        return False
+    return True
 
 
 def base_doc(kind):
@@ -562,12 +607,11 @@ class TestSpecFileFuzz:
         source = str(tmp_path / "spec.json")
         if how == "field":
             key = data.draw(st.sampled_from(sorted(doc)))
-            # a string in a spec field is a spec of its own, resolved and
-            # reported after the run spec is read; any integer is a valid
-            # seed, and the range of rounds is checked by the game
+            # a valid spec or an existing path in a spec field is no junk,
+            # and any integer is a valid seed
             assume(not (kind == "config" and key in SPEC_STRING_FIELDS
-                        and isinstance(junk, str)))
-            assume(not (kind == "config" and key in ("rounds", "seed") and junk in (BIG, -BIG)))
+                        and isinstance(junk, str) and valid_spec_string(key, junk)))
+            assume(not (kind == "config" and key == "seed" and junk in (BIG, -BIG)))
             doc[key] = junk
             if kind == "config" and key == "pi" and isinstance(junk, list):
                 source = "config field 'pi'"
