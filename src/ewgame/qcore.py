@@ -95,9 +95,17 @@ def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
     off = np.abs(tr - 1.0)
     if np.max(off) > TRACE_TOL:
         raise ValueError(f"density matrix trace is {tr.flat[np.argmax(off)]:.12g}, expected 1")
-    low = np.min(np.linalg.eigvalsh((m + _adjoint(m)) / 2.0)[..., 0])
-    if low < -PSD_TOL:
-        raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+    # h + PSD_TOL*I has a Cholesky factor exactly when no eigenvalue of h is
+    # below -PSD_TOL, up to rounding of about d*eps; the eigenvalues are
+    # computed only to decide and word a rejection.  Cholesky reads only the
+    # lower triangle, hence the Hermitian part first.
+    h = (m + _adjoint(m)) / 2.0
+    try:
+        np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[-1]))
+    except np.linalg.LinAlgError:
+        low = np.min(np.linalg.eigvalsh(h)[..., 0])
+        if low < -PSD_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}") from None
     return m
 
 
@@ -129,15 +137,20 @@ def pauli_traces(matrix) -> np.ndarray:
     """Raw trace table Tr(M * sigma_t) for every Pauli string, shape (4,)*n
     for a 2^n x 2^n matrix.
 
-    The imaginary residue must stay below 1e-10 (a larger one means the input
-    was not Hermitian); it is discarded after the check.
+    The imaginary residue must stay within 2^(n-1) * HERMITICITY_TOL (a
+    larger one means the input was not Hermitian); it is discarded after the
+    check.
     """
     m = np.asarray(matrix, dtype=np.complex128)
     n_qubits = m.shape[0].bit_length() - 1
     # row k of the basis, raveled, dotted with M^T raveled is Tr(sigma_k M)
     traces = pauli_basis(n_qubits).reshape(4 ** n_qubits, -1) @ m.T.ravel()
+    # Only the anti-Hermitian part A = (M - M^dag)/2 adds an imaginary part,
+    # Tr(sigma A).  Each entry of A is at most HERMITICITY_TOL/2 on a matrix
+    # _check_hermitian accepts, and sigma has 2^n unit entries, so the
+    # residue of an accepted matrix is at most 2^(n-1) * HERMITICITY_TOL.
     resid = np.max(np.abs(traces.imag))
-    if resid > HERMITICITY_TOL:
+    if resid > 2 ** (n_qubits - 1) * HERMITICITY_TOL:
         raise ValueError(f"imaginary residue {resid:.3e} in Pauli traces; input not Hermitian")
     return traces.real.reshape((4,) * n_qubits)
 

@@ -166,9 +166,11 @@ def _witness_from_json(data) -> witness.Witness:
 
 def witness_to_dict(w: witness.Witness) -> dict:
     rows = []
-    for ix in np.argwhere(w.weights.table != 0.0):
+    # a -0.0 weight is written too, so that a round trip is bit-exact
+    table = w.weights.table
+    for ix in np.argwhere((table != 0.0) | np.signbit(table)):
         labels = tuple(int(l) for l in ix)
-        rows.append(list(labels) + [float(w.weights.table[labels])])
+        rows.append(list(labels) + [float(table[labels])])
     return {"n": w.n_qubits, "weights": rows}
 
 
@@ -177,16 +179,18 @@ def _json_numbers(value):
     return [_json_numbers(v) for v in value] if isinstance(value, list) else _json_number(value)
 
 
-def _pi_table(data, n: int, what: str = "pi") -> np.ndarray:
+def _pi_table(data, n: int) -> np.ndarray:
     """Label probabilities read from JSON: 4^n numbers, flat or nested, or
-    (in a file) an object holding them under "pi"."""
+    (in a file) an object holding them under "pi", checked against the rules
+    of GameConfig."""
     if isinstance(data, dict):
         _check_keys(data, ("pi",))
         data = data["pi"]
     try:
-        return np.asarray(_json_numbers(data), dtype=np.float64).reshape((4,) * n)
+        table = np.asarray(_json_numbers(data), dtype=np.float64).reshape((4,) * n)
     except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{what} must be a list of {4 ** n} numbers: {exc}") from None
+        raise ValueError(f"pi must be a list of {4 ** n} numbers: {exc}") from None
+    return GameConfig(table, 1, 0).pi  # a placeholder round count and seed
 
 
 def parse_pi_spec(spec: str | list, weights: witness.PauliWeights, rounds: int, seed: int):
@@ -194,16 +198,23 @@ def parse_pi_spec(spec: str | list, weights: witness.PauliWeights, rounds: int, 
     holding the label probabilities (flat or nested, or under a "pi" key),
     or such a table given inline as a run spec's "pi" field."""
     n = weights.n_qubits
-    if not isinstance(spec, str):
-        return GameConfig(_pi_table(spec, n, "config field 'pi': pi"), rounds, seed)
-    text = spec.strip()
+    text = spec.strip() if isinstance(spec, str) else None
     if text == "uniform":
         return GameConfig.uniform(rounds, seed, n_parties=n)
     if text == "support-only":
         return GameConfig.support_only(weights, rounds, seed)
-    if os.path.exists(text):
-        return GameConfig(_load(text, lambda data: _pi_table(data, n)), rounds, seed)
-    raise ValueError(f"unknown pi spec {spec!r}; expected uniform, support-only, or a file")
+    # a table is checked where it is read, so that an error in it names its
+    # file or field; rounds and seed are checked after, so that theirs do not
+    if text is None:
+        try:
+            pi = _pi_table(spec, n)
+        except ValueError as exc:
+            raise ValueError(f"config field 'pi': {exc}") from None
+    elif os.path.exists(text):
+        pi = _load(text, lambda data: _pi_table(data, n))
+    else:
+        raise ValueError(f"unknown pi spec {spec!r}; expected uniform, support-only, or a file")
+    return GameConfig(pi, rounds, seed)
 
 
 def load_run_spec(path: str) -> dict:

@@ -50,6 +50,21 @@ def einsum_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    """Records the shape of the argument of each np.linalg.eigvalsh call,
+    from any module, and returns the list of them."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
 def builtin_witnesses():
     return [
         ("werner", ew.werner_witness()),

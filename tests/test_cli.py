@@ -301,6 +301,23 @@ class TestPiInput:
         assert runs[0][0] in (0, 1) and runs[0][1].startswith("mean=")
         assert all(run == runs[0] for run in runs)
 
+    @pytest.mark.parametrize("source", ["file", "object", "config"])
+    @pytest.mark.parametrize("pi,message", [
+        ([0.07] * 16, "pi must sum to 1, got 1.12"),
+        ([-0.0625] + [1.0625 / 15] * 15, "pi entries must be nonnegative"),
+    ], ids=["sum", "negative"])
+    def test_pi_rule_errors_name_their_source(self, capsys, tmp_path, source, pi, message):
+        code, out, err, name = run_pi(capsys, tmp_path, pi, source)
+        assert (code, out, err) == (2, "", f"error: {name}: {message}\n")
+
+    @pytest.mark.parametrize("command", [PI_RUN[:5], ("tomography", "--state", "werner(0.8)")],
+                             ids=["simulate", "tomography"])
+    def test_bad_rounds_does_not_name_the_pi_file(self, capsys, tmp_path, command):
+        path = tmp_path / "pi.json"
+        path.write_text(json.dumps([1 / 16] * 16))
+        code, out, err = run_cli(capsys, *command, "--rounds", "0", "--pi", str(path))
+        assert (code, out, err) == (2, "", "error: rounds must be positive\n")
+
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(junk=JUNK, at=st.integers(0, 15), nested=st.booleans(),

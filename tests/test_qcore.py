@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ewgame as ew
 from ewgame import qcore
@@ -121,10 +123,68 @@ class TestDensityMatrixValidation:
                 qcore.validate_density_matrices(stack.reshape(1, 5, 4, 4))
             assert str(batched.value) == str(single.value)
 
+    @settings(max_examples=200, deadline=None)
+    @given(dim=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2 ** 32 - 1),
+           deltas=st.lists(st.floats(1e-13, 1e-11) | st.floats(-1e-11, -1e-13),
+                           min_size=1, max_size=4),
+           stack=st.booleans())
+    def test_positivity_at_the_tolerance_matches_the_eigenvalues(self, dim, seed, deltas, stack):
+        # each matrix has lowest eigenvalue -PSD_TOL + delta in a random
+        # eigenbasis; the oracle is the lowest eigenvalue of the Hermitian part
+        gen = np.random.default_rng(seed)
+        matrices = []
+        for delta in deltas if stack else deltas[:1]:
+            g = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+            u, _ = np.linalg.qr(g)
+            low = -qcore.PSD_TOL + delta
+            spectrum = np.concatenate([[low], gen.dirichlet(np.ones(dim - 1)) * (1.0 - low)])
+            matrices.append((u * spectrum) @ u.conj().T)
+        m = np.stack(matrices) if stack else matrices[0]
+        h = (m + m.conj().swapaxes(-1, -2)) / 2
+        if np.min(np.linalg.eigvalsh(h)[..., 0]) >= -qcore.PSD_TOL:
+            assert qcore.validate_density_matrices(m, stack).tobytes() == m.tobytes()
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                qcore.validate_density_matrices(m, stack)
+
     def test_matrix_is_frozen(self):
         rho = ew.make_werner(0.5)
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 0.3
+
+
+# ---------------------------------------------------------------------------
+# No eigensolve to accept a state
+# ---------------------------------------------------------------------------
+
+WARM_VALIDATIONS = {
+    "check_witness 2q": lambda: ew.check_witness(
+        ew.ppt_witness(ew.make_werner(0.9)), ew.make_werner(0.9), 300,
+        np.random.default_rng(1)),
+    "check_witness 3q": lambda: ew.check_witness(
+        ew.ghz_witness(), ew.ghz_state(), 60, np.random.default_rng(2)),
+    **{f"DensityMatrix {name}": (lambda make=make: ew.DensityMatrix(make().matrix))
+       for name, make in [("bell_psi_plus", ew.bell_psi_plus), ("ghz", ew.ghz_state),
+                          ("werner(0.3)", lambda: ew.make_werner(0.3)),
+                          ("maximally_mixed(3)", lambda: ew.maximally_mixed(3))]},
+}
+
+
+@pytest.mark.parametrize("call", WARM_VALIDATIONS.values(), ids=WARM_VALIDATIONS.keys())
+def test_warm_validation_makes_no_eigensolve(eigvalsh_calls, call):
+    call()
+    eigvalsh_calls.clear()
+    call()
+    assert eigvalsh_calls == []
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_rejection_makes_one_eigensolve(eigvalsh_calls, stack):
+    bad = np.diag([1.1, 0.0, 0.0, -0.1]).astype(complex)
+    m = np.stack([np.eye(4, dtype=complex) / 4, bad]) if stack else bad
+    with pytest.raises(ValueError, match="negative eigenvalue -1.000e-01"):
+        qcore.validate_density_matrices(m, stack)
+    assert eigvalsh_calls == [m.shape]
 
 
 class TestPauliCoefficients:
@@ -160,6 +220,24 @@ class TestPauliCoefficients:
             rho = ew.random_density_matrix(rng, 4)
             back = ew.from_pauli_coefficients(qcore.pauli_traces(rho.matrix))
             assert np.max(np.abs(back - rho.matrix)) < 1e-12
+
+    def test_residue_bound_covers_every_accepted_state(self):
+        # each entry is within HERMITICITY_TOL of its adjoint's, yet the
+        # residues of the 2^3 entries of e.g. I (x) I (x) sigma_x add up
+        m = np.eye(8, dtype=complex) / 8
+        for a in range(4):
+            m[2 * a, 2 * a + 1] += 0.45e-10j
+            m[2 * a + 1, 2 * a] += 0.45e-10j
+        rho = ew.DensityMatrix(m)
+        r = qcore.pauli_traces(rho.matrix)
+        assert r[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+        ew.honest_strategy(rho)
+
+    def test_rejects_clearly_non_hermitian(self):
+        m = np.eye(4, dtype=complex) / 4
+        m[0, 1] = 1e-6j
+        with pytest.raises(ValueError, match="imaginary residue"):
+            qcore.pauli_traces(m)
 
     def test_from_identity_coefficient_only(self):
         table = np.zeros((4, 4))

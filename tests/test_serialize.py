@@ -60,17 +60,24 @@ class TestRoundTrips:
     @FILE_FIXTURE
     @given(data=st.data(), n=st.sampled_from([2, 3]))
     def test_witness_file_round_trip_is_exact(self, tmp_path, data, n):
-        weight = st.floats(-1e6, 1e6) | st.just(0.0)
+        weight = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
         table = np.array(data.draw(st.lists(weight, min_size=4 ** n, max_size=4 ** n)))
         table[0] = data.draw(st.floats(0.5, 2.0))  # at least one nonzero weight
         wit = ew.Witness.from_weights(ew.PauliWeights(n, table.reshape((4,) * n)))
         path = tmp_path / "wit.json"
         path.write_text(json.dumps(serialize.witness_to_dict(wit)))
         back = serialize.parse_witness_spec(str(path))
-        # the file lists the nonzero weights, so a -0.0 weight reads back as
-        # 0.0; adding 0.0 maps -0.0 to 0.0 and leaves every other value as is
-        assert (back.weights.table + 0.0).tobytes() == (wit.weights.table + 0.0).tobytes()
-        assert (back.operator + 0.0).tobytes() == (wit.operator + 0.0).tobytes()
+        # bit for bit, so that a -0.0 weight must come back as -0.0
+        assert np.array_equal(back.weights.table.view(np.uint64),
+                              wit.weights.table.view(np.uint64))
+        assert np.array_equal(back.operator.view(np.uint64), wit.operator.view(np.uint64))
+
+    def test_negative_zero_weight_is_written(self):
+        table = np.zeros((4, 4))
+        table[0, 0], table[1, 1] = 1.0, -0.0
+        wit = ew.Witness.from_weights(ew.PauliWeights(2, table))
+        rows = json.dumps(serialize.witness_to_dict(wit)["weights"])
+        assert rows == "[[0, 0, 1.0], [1, 1, -0.0]]"
 
 
 class TestWitnessSpecs:
