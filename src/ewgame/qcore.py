@@ -72,15 +72,19 @@ def _as_operator(matrix, name: str = "operator", stack: bool = False) -> np.ndar
     return m
 
 
-def _adjoint(m: np.ndarray) -> np.ndarray:
-    return m.conj().swapaxes(-1, -2)
-
-
 def _check_hermitian(m: np.ndarray, name: str = "operator") -> np.ndarray:
-    dev = np.max(np.abs(m - _adjoint(m)))
+    """Raise unless m is Hermitian within HERMITICITY_TOL; return the adjoint
+    of m as a fresh C-ordered array the caller may overwrite.
+
+    C order keeps m - adj and the caller's in-place updates on matching
+    layouts; on the transposed view of m.conj() each of them would be a
+    strided pass.
+    """
+    adj = np.conjugate(m.swapaxes(-1, -2), order="C")
+    dev = np.max(np.abs(m - adj))
     if dev > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
-    return m
+    return adj
 
 
 def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
@@ -88,9 +92,14 @@ def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
     stack=False) and return it as complex128: finite, Hermitian, unit trace,
     and no eigenvalue below -PSD_TOL.  The first failing check raises
     ValueError; for a stack it reports the worst offending matrix.
+
+    The adjoint is computed once: the Hermiticity check returns it, and the
+    Hermitian part h = (m + m^dag)/2 is built in its buffer.  Positivity is
+    one batched Cholesky factorisation of a copy of h with PSD_TOL added to
+    its diagonal.
     """
     m = _as_operator(matrices, "density matrix", stack)
-    _check_hermitian(m, "density matrix")
+    h = _check_hermitian(m, "density matrix")
     tr = np.trace(m, axis1=-2, axis2=-1)
     off = np.abs(tr - 1.0)
     if np.max(off) > TRACE_TOL:
@@ -99,9 +108,14 @@ def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
     # below -PSD_TOL, up to rounding of about d*eps; the eigenvalues are
     # computed only to decide and word a rejection.  Cholesky reads only the
     # lower triangle, hence the Hermitian part first.
-    h = (m + _adjoint(m)) / 2.0
+    h += m
+    h /= 2.0
+    d = m.shape[-1]
+    shifted = h.copy()
+    # every (d + 1)-th entry of a C-ordered d x d matrix is on its diagonal
+    shifted.reshape(-1, d * d)[:, ::d + 1] += PSD_TOL
     try:
-        np.linalg.cholesky(h + PSD_TOL * np.eye(m.shape[-1]))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         low = np.min(np.linalg.eigvalsh(h)[..., 0])
         if low < -PSD_TOL:
@@ -177,8 +191,10 @@ def hermitian_eigensystem(op) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
     Hermitian operator (LAPACK via np.linalg.eigh)."""
     m = _as_operator(op)
-    _check_hermitian(m)
-    return np.linalg.eigh((m + _adjoint(m)) / 2.0)
+    h = _check_hermitian(m)
+    h += m
+    h /= 2.0
+    return np.linalg.eigh(h)
 
 
 def trace_distance(a, b) -> float:

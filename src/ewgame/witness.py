@@ -214,6 +214,14 @@ def _product_mixtures(rng: np.random.Generator, ks, n_qubits: int) -> np.ndarray
     its imaginary parts.  For one state this is the stream of
     ``rng.dirichlet(np.ones(k))`` followed by k * n_qubits draws of
     ``normal(size=2) + 1j * normal(size=2)``.
+
+    The mixtures are one Gram product.  Each product vector psi_j is left
+    unnormalised; its squared norm, the product of its qubits' squared
+    norms, is folded into its weight w_j.  Row j of state i's block of a
+    zero-padded (len(ks), max(ks), d) array A is sqrt(w_j) psi_j / |psi_j|,
+    so state i is A[i]^T conj(A[i]), and one batched matmul builds the
+    stack.  The vectors are built component-last, so every elementwise step
+    runs over all components at once rather than over pairs of amplitudes.
     """
     if (isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer))
             or not 1 <= n_qubits <= 3):
@@ -222,15 +230,17 @@ def _product_mixtures(rng: np.random.Generator, ks, n_qubits: int) -> np.ndarray
     total = int(ks.sum())
     starts = np.cumsum(ks) - ks
     e = rng.standard_exponential(total)
-    weights = e / np.repeat(np.add.reduceat(e, starts), ks)
-    g = rng.normal(size=(total, n_qubits, 2, 2))
-    qubits = g[:, :, 0] + 1j * g[:, :, 1]
-    qubits /= np.linalg.norm(qubits, axis=-1, keepdims=True)
-    psi = qubits[:, 0]
+    # g[j, 0, :, t] and g[j, 1, :, t]: real and imaginary parts of qubit j
+    # of component t
+    g = np.ascontiguousarray(rng.normal(size=(total, n_qubits, 2, 2)).transpose(1, 2, 3, 0))
+    norms2 = np.prod(np.sum(g * g, axis=(1, 2)), axis=0)
+    scale = np.sqrt(e / (np.repeat(np.add.reduceat(e, starts), ks) * norms2))
+    psi = scale * (g[0, 0] + 1j * g[0, 1])
     for j in range(1, n_qubits):
-        psi = (psi[:, :, None] * qubits[:, j, None, :]).reshape(total, -1)
-    outers = psi[:, :, None] * psi.conj()[:, None, :]
-    return np.add.reduceat(weights[:, None, None] * outers, starts, axis=0)
+        psi = (psi[:, None] * (g[j, 0] + 1j * g[j, 1])).reshape(-1, total)
+    a = np.zeros((len(ks), int(ks.max()), psi.shape[0]), dtype=np.complex128)
+    a[np.repeat(np.arange(len(ks)), ks), np.arange(total) - np.repeat(starts, ks)] = psi.T
+    return np.matmul(a.swapaxes(1, 2), a.conj())
 
 
 def random_separable(rng: np.random.Generator, k: int, n_qubits: int = 2

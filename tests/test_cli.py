@@ -470,6 +470,35 @@ class TestWitnessCommands:
         assert "verdict=False" in out
 
 
+# `witness check --samples 2000 --seed 7 --format structured` (two chunks, the
+# second ragged): state, witness, exit code, verdict, min_separable_value.
+# "made" is the file `witness make --state 'werner(0.9)'` writes.  The values
+# are those of the outer-product sampler that preceded the Gram product,
+# which moved them by at most 5.6e-17.
+WITNESS_CHECK_TABLE = [
+    ("werner(0.9)", "werner", 0, True, 0.001416904137504893),
+    ("werner(0.2)", "werner", 1, False, 0.001416904137504893),
+    ("werner(0.9)", "chsh", 0, True, 0.30313186749702375),
+    ("werner(0.6)", "chsh", 1, False, 0.30313186749702375),
+    ("werner(0.6)", "chsh-strengthened", 0, True, 0.010238648683571251),
+    ("ghz", "ghz", 0, True, 0.03979858963682294),
+    ("werner(0.9)", "made", 0, True, 0.0006135374889032624),
+]
+
+
+@pytest.mark.parametrize("state,wit,code,verdict,min_value", WITNESS_CHECK_TABLE,
+                         ids=[f"{w}-{s}" for s, w, *_ in WITNESS_CHECK_TABLE])
+def test_witness_check_table(capsys, tmp_path, state, wit, code, verdict, min_value):
+    if wit == "made":
+        wit = str(tmp_path / "wit.json")
+        assert run_cli(capsys, "witness", "make", "--state", "werner(0.9)", "--out", wit)[0] == 0
+    got, out, err = run_cli(capsys, "witness", "check", "--state", state, "--witness", wit,
+                            "--samples", "2000", "--seed", "7", "--format", "structured")
+    report = json.loads(out)
+    assert (got, report["verdict"], report["n_samples"], err) == (code, verdict, 2000, "")
+    assert report["min_separable_value"] == pytest.approx(min_value, abs=1e-14)
+
+
 def spec_file(tmp_path, name, content):
     path = tmp_path / name
     if isinstance(content, bytes):

@@ -8,9 +8,16 @@ name it exports must be read by the package itself, the benchmark or the
 acceptance suite, so nothing is exported only for its own tests.  No
 module imports inside a function or class: the package has no import cycle
 for such an import to break.
+
+numpy is the only declared dependency, and pytest and hypothesis the only
+test dependencies, so the package imports nothing but the standard library
+and numpy, and the tests nothing more than those and pytest and hypothesis.
+scipy is installed in some environments, so nothing else would catch a
+test that imports it.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +27,7 @@ PACKAGE = ROOT / "src" / "ewgame"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 READERS = (MODULES + sorted((ROOT / "ewbench").glob("*.py"))
            + [ROOT / "tests" / "test_acceptance.py"])
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -86,3 +94,41 @@ def test_checker_finds_imports_in_functions_and_classes():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_imports_are_at_module_level(path):
     assert nested_imports(path.read_text()) == []
+
+
+# ---------------------------------------------------------------------------
+# Declared dependencies only
+# ---------------------------------------------------------------------------
+
+STDLIB = frozenset(sys.stdlib_module_names)
+PACKAGE_ALLOWED = STDLIB | {"numpy"}
+TEST_ALLOWED = PACKAGE_ALLOWED | {"pytest", "hypothesis", "ewgame"} | {p.stem for p in TESTS}
+
+
+def imported_roots(source: str) -> set[str]:
+    """Top-level names of the absolute imports anywhere in source; relative
+    imports (``from . import x``) stay inside the package and are left out."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_checker_sees_every_absolute_import():
+    source = ("import os.path\nfrom . import qcore\nfrom .game import run_game\n"
+              "def f():\n    import scipy.linalg\n    from numpy import linalg\n")
+    assert imported_roots(source) == {"os", "scipy", "numpy"}
+    assert imported_roots(source) - PACKAGE_ALLOWED == {"scipy"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    assert sorted(imported_roots(path.read_text()) - PACKAGE_ALLOWED) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_tests_import_only_declared_dependencies(path):
+    assert sorted(imported_roots(path.read_text()) - TEST_ALLOWED) == []

@@ -187,6 +187,24 @@ def test_rejection_makes_one_eigensolve(eigvalsh_calls, stack):
     assert eigvalsh_calls == [m.shape]
 
 
+HERMITIAN_PART_USERS = {
+    "validate one": lambda m: qcore.validate_density_matrices(m[0], stack=False),
+    "validate stack": qcore.validate_density_matrices,
+    "hermitian_eigensystem": lambda m: ew.hermitian_eigensystem(m[0]),
+}
+
+
+@pytest.mark.parametrize("call", HERMITIAN_PART_USERS.values(), ids=HERMITIAN_PART_USERS.keys())
+def test_hermitian_part_leaves_the_input_untouched(rng, call):
+    # the Hermitian part is built in place, in the buffer of the adjoint, from
+    # an input that is Hermitian only within HERMITICITY_TOL
+    m = np.stack([ew.random_density_matrix(rng, 4).matrix for _ in range(3)])
+    m[:, 0, 1] += 1e-12j
+    before = m.copy()
+    call(m)
+    assert m.tobytes() == before.tobytes()
+
+
 class TestPauliCoefficients:
     def test_maximally_mixed(self):
         r = qcore.pauli_traces(ew.maximally_mixed(2).matrix)

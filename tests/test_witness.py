@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ewgame as ew
-from ewgame import qcore
+from ewgame import qcore, witness
 from ewgame.witness import SAMPLE_CHUNK, SEPARABLE_FLOOR
 
 from conftest import builtin_witnesses
@@ -26,6 +26,25 @@ def kron_loop_separable(rng, k, n_qubits):
             vec = np.kron(vec, v / np.linalg.norm(v))
         m += w * np.outer(vec, vec.conj())
     return m
+
+
+def reduceat_mixtures(rng, ks, n_qubits):
+    """The stacked separable sampler before the Gram product, with the same
+    draws: normalised product vectors, their outer products weighted by the
+    Dirichlet weights, then summed per state with np.add.reduceat."""
+    ks = np.asarray(ks, dtype=np.int64)
+    total = int(ks.sum())
+    starts = np.cumsum(ks) - ks
+    e = rng.standard_exponential(total)
+    weights = e / np.repeat(np.add.reduceat(e, starts), ks)
+    g = rng.normal(size=(total, n_qubits, 2, 2))
+    qubits = g[:, :, 0] + 1j * g[:, :, 1]
+    qubits /= np.linalg.norm(qubits, axis=-1, keepdims=True)
+    psi = qubits[:, 0]
+    for j in range(1, n_qubits):
+        psi = (psi[:, :, None] * qubits[:, j, None, :]).reshape(total, -1)
+    outers = psi[:, :, None] * psi.conj()[:, None, :]
+    return np.add.reduceat(weights[:, None, None] * outers, starts, axis=0)
 
 
 def rebuild_from_weights(wit):
@@ -224,6 +243,21 @@ class TestRandomSeparable:
             old, new = np.random.default_rng(seed), np.random.default_rng(seed)
             expect = kron_loop_separable(old, k, n)
             got = ew.random_separable(new, k, n).matrix
+            assert np.max(np.abs(got - expect)) <= 1e-14
+            assert new.random() == old.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("ks", [[1, 6, 2, 4, 1], [3, 1, 1, 1, 1, 1, 9], [4, 4, 4]],
+                             ids=["1-6-2-4-1", "3-1-1-1-1-1-9", "4-4-4"])
+    def test_ragged_chunks_match_reduceat_oracle(self, n, ks):
+        # check_witness draws counts of 1 to 4 and random_separable one
+        # count, so only here do samples of mixed counts above 4 share a
+        # chunk, padded to the largest
+        for seed in range(5):
+            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            expect = reduceat_mixtures(old, ks, n)
+            got = witness._product_mixtures(new, ks, n)
+            assert got.shape == expect.shape == (len(ks), 2 ** n, 2 ** n)
             assert np.max(np.abs(got - expect)) <= 1e-14
             assert new.random() == old.random()
 
