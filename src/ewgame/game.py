@@ -12,6 +12,7 @@ seed) tuple always yields the same transcript.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -59,14 +60,28 @@ def outcome_parity(n_parties: int) -> np.ndarray:
     return parity
 
 
+def _check_finite(values: np.ndarray, message: str) -> None:
+    """Raise ValueError(message) if any entry is NaN or infinite: the
+    wording step of a check whose reduction has already failed."""
+    if not np.isfinite(values).all():
+        raise ValueError(message)
+
+
 def count_table(counts) -> np.ndarray:
     """Round counts as a read-only int64 copy.  Every entry must be a
     nonnegative integer; integral floats such as 10.0 are accepted."""
     raw = np.asarray(counts)
-    if raw.dtype.kind == "f":
-        whole = np.all((raw >= 0) & (raw < 2.0 ** 63) & (np.floor(raw) == raw))
+    kind = raw.dtype.kind
+    if kind == "f":
+        whole = ((raw >= 0) & (raw < 2.0 ** 63) & (np.floor(raw) == raw)).all()
+    elif raw.size == 0:
+        whole = kind in "iu"  # no entry to reject; min and max would raise
+    elif kind == "i":
+        whole = raw.min() >= 0  # no signed integer exceeds MAX_ROUNDS
+    elif kind == "u":
+        whole = raw.max() <= MAX_ROUNDS
     else:
-        whole = raw.dtype.kind in "iu" and np.all(raw >= 0) and np.all(raw <= MAX_ROUNDS)
+        whole = False
     if not whole:
         raise ValueError("counts must be nonnegative integers")
     table = raw.astype(np.int64)
@@ -83,23 +98,25 @@ class GameConfig:
     seed: int
 
     def __post_init__(self):
-        p = np.asarray(self.pi, dtype=np.float64)
+        p = np.array(self.pi, dtype=np.float64)
         n = p.ndim
         if p.shape != (4,) * n or n not in (2, 3):
             raise ValueError(f"pi must have shape (4, 4) or (4, 4, 4), got {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("pi entries must be finite")
-        if np.any(p < 0):
+        # NaN and -inf fail the minimum, +inf the sum; only then is the
+        # cause looked up, so that non-finite entries are named first
+        if not p.min() >= 0.0:
+            _check_finite(p, "pi entries must be finite")
             raise ValueError("pi entries must be nonnegative")
-        if abs(p.sum() - 1.0) > PI_SUM_TOL:
-            raise ValueError(f"pi must sum to 1, got {p.sum():.15g}")
+        total = p.sum()
+        if not abs(total - 1.0) <= PI_SUM_TOL:
+            _check_finite(p, "pi entries must be finite")
+            raise ValueError(f"pi must sum to 1, got {total:.15g}")
         if isinstance(self.rounds, bool) or not isinstance(self.rounds, (int, np.integer)):
             raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be positive")
         if self.rounds > MAX_ROUNDS:
             raise ValueError(f"rounds must be at most 2**63 - 1, got {self.rounds}")
-        p = p.copy()
         p.setflags(write=False)
         object.__setattr__(self, "pi", p)
 
@@ -123,7 +140,7 @@ class GameConfig:
         if self.pi.shape != weights.table.shape:
             raise ValueError("pi and weights must have matching shapes")
         bad = (weights.table != 0.0) & (self.pi == 0.0)
-        if np.any(bad):
+        if bad.any():
             cells = [tuple(ix) for ix in np.argwhere(bad).tolist()]
             raise ValueError(f"pi is zero on cells with nonzero weight: {cells}")
 
@@ -139,17 +156,18 @@ class Strategy:
     outcome_table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.outcome_table, dtype=np.float64)
+        t = np.array(self.outcome_table, dtype=np.float64)
         n = t.ndim - 1
         if n < 1 or t.shape != (4,) * n + (2 ** n,):
             raise ValueError(f"outcome table must have shape (4,)*n + (2^n,), got {t.shape}")
-        if not np.all(np.isfinite(t)):
-            raise ValueError("outcome probabilities must be finite")
-        if np.min(t) < -OUTCOME_TOL:
-            raise ValueError(f"negative outcome probability {np.min(t):.3e}")
-        if np.max(np.abs(t.sum(axis=-1) - 1.0)) > OUTCOME_TOL:
+        # NaN and -inf fail the minimum, +inf the row sums
+        low = t.min()
+        if not low >= -OUTCOME_TOL:
+            _check_finite(t, "outcome probabilities must be finite")
+            raise ValueError(f"negative outcome probability {low:.3e}")
+        if not abs(t.sum(axis=-1) - 1.0).max() <= OUTCOME_TOL:
+            _check_finite(t, "outcome probabilities must be finite")
             raise ValueError("outcome probabilities must sum to 1 in every label cell")
-        t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "outcome_table", t)
 
@@ -274,7 +292,7 @@ def empirical_payoff(tr: Transcript) -> tuple[float, float]:
     mean = tr.payoff_sums.sum() / n
     dev = tr.payments - mean
     var = (tr.count_matrix * (dev * dev)).sum() / (n - 1)
-    return float(mean), float(np.sqrt(var / n))
+    return float(mean), math.sqrt(var / n)
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +339,14 @@ def outcome_table(rho: qcore.DensityMatrix) -> np.ndarray:
     r[k] = Tr(rho sigma_k).  The table is a fresh, writable array.
     """
     n = rho.n_qubits
-    table = _outcome_map(n) @ qcore.pauli_traces(rho.matrix).ravel()
+    table = _outcome_map(n) @ qcore.pauli_traces(rho).ravel()
     return table.reshape((4,) * n + (2 ** n,))
 
 
 def _table_rows(table: np.ndarray) -> np.ndarray:
     """Outcome table as one probability row per raveled label cell, clipped
     at 0 and renormalised."""
-    flat = np.clip(table.reshape(-1, table.shape[-1]), 0.0, None)
+    flat = np.maximum(table.reshape(-1, table.shape[-1]), 0.0)
     return flat / flat.sum(axis=1, keepdims=True)
 
 
@@ -342,10 +360,10 @@ def honest_strategy(rho: qcore.DensityMatrix) -> Strategy:
     Anything more negative is left for Strategy to reject.
     """
     table = outcome_table(rho)
-    noise = (table < 0.0) & (table >= -(2 ** rho.n_qubits) * qcore.PSD_TOL)
-    if np.any(noise):
+    if table.min() < 0.0:
+        noise = (table < 0.0) & (table >= -(2 ** rho.n_qubits) * qcore.PSD_TOL)
         table[noise] = 0.0
-        rows = np.any(noise, axis=-1)
+        rows = noise.any(axis=-1)
         table[rows] /= table[rows].sum(axis=-1, keepdims=True)
     return Strategy(name="honest", outcome_table=table)
 
@@ -382,12 +400,10 @@ def payoff_table(pi: np.ndarray, weights: PauliWeights) -> np.ndarray:
     """Per-cell, per-outcome payment -w[cell] * parity(outcome) / pi[cell],
     zero on cells that pi never draws."""
     parity = outcome_parity(pi.ndim)
-    flat_pi = pi.ravel()
-    w = weights.table.ravel()
-    out = np.zeros((flat_pi.size, parity.size), dtype=np.float64)
-    live = flat_pi > 0.0
-    out[live] = -w[live, None] * parity[None, :] / flat_pi[live, None]
-    return out
+    flat_pi = pi.ravel()[:, None]
+    # one masked division; the cells it skips keep the +0.0 of out
+    return np.divide(-weights.table.ravel()[:, None] * parity, flat_pi,
+                     out=np.zeros((flat_pi.size, parity.size)), where=flat_pi > 0.0)
 
 
 def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
@@ -462,7 +478,7 @@ def chsh_value(rho: qcore.DensityMatrix, a, a2, b, b2) -> ChshReport:
            ((a, "A"), (a2, "A'"), (b, "B"), (b2, "B'"))]
     a, a2, b, b2 = obs
     bell = np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
-    val = np.trace(rho.matrix @ bell)
+    val = (rho.matrix @ bell).trace()
     if abs(val.imag) > 1e-10:
         raise ValueError(f"CHSH value has imaginary residue {val.imag:.3e}")
     s = float(val.real)

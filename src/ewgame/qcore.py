@@ -61,13 +61,15 @@ def pauli_basis(n_qubits: int) -> np.ndarray:
 
 def _as_operator(matrix, name: str = "operator", stack: bool = False) -> np.ndarray:
     """Finite complex square matrix of dimension 2, 4 or 8, or with
-    stack=True a (..., d, d) stack of them."""
+    stack=True a nonempty (..., d, d) stack of them."""
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
     if m.shape[-1] not in (2, 4, 8):
         raise ValueError(f"{name} dimension must be 2, 4 or 8, got {m.shape[-1]}")
-    if not np.all(np.isfinite(m)):
+    if m.size == 0:
+        raise ValueError(f"{name} stack is empty")
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -81,8 +83,8 @@ def _check_hermitian(m: np.ndarray, name: str = "operator") -> np.ndarray:
     strided pass.
     """
     adj = np.conjugate(m.swapaxes(-1, -2), order="C")
-    dev = np.max(np.abs(m - adj))
-    if dev > HERMITICITY_TOL:
+    dev = abs(m - adj).max()
+    if not dev <= HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
     return adj
 
@@ -100,9 +102,9 @@ def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
     """
     m = _as_operator(matrices, "density matrix", stack)
     h = _check_hermitian(m, "density matrix")
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    off = np.abs(tr - 1.0)
-    if np.max(off) > TRACE_TOL:
+    tr = m.trace(axis1=-2, axis2=-1)
+    off = abs(tr - 1.0)
+    if not off.max() <= TRACE_TOL:
         raise ValueError(f"density matrix trace is {tr.flat[np.argmax(off)]:.12g}, expected 1")
     # h + PSD_TOL*I has a Cholesky factor exactly when no eigenvalue of h is
     # below -PSD_TOL, up to rounding of about d*eps; the eigenvalues are
@@ -117,7 +119,7 @@ def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        low = np.min(np.linalg.eigvalsh(h)[..., 0])
+        low = np.linalg.eigvalsh(h)[..., 0].min()
         if low < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {low:.3e}") from None
     return m
@@ -149,13 +151,16 @@ class DensityMatrix:
 
 def pauli_traces(matrix) -> np.ndarray:
     """Raw trace table Tr(M * sigma_t) for every Pauli string, shape (4,)*n
-    for a 2^n x 2^n matrix.
+    for a 2^n x 2^n matrix or DensityMatrix.
 
-    The imaginary residue must stay within 2^(n-1) * HERMITICITY_TOL (a
-    larger one means the input was not Hermitian); it is discarded after the
-    check.
+    The matrix must be finite (a DensityMatrix already is), and the
+    imaginary residue must stay within 2^(n-1) * HERMITICITY_TOL (a larger
+    one means the input was not Hermitian); it is discarded after the check.
     """
-    m = np.asarray(matrix, dtype=np.complex128)
+    if isinstance(matrix, DensityMatrix):
+        m = matrix.matrix
+    else:
+        m = _as_operator(matrix, "matrix")
     n_qubits = m.shape[0].bit_length() - 1
     # row k of the basis, raveled, dotted with M^T raveled is Tr(sigma_k M)
     traces = pauli_basis(n_qubits).reshape(4 ** n_qubits, -1) @ m.T.ravel()
@@ -163,8 +168,8 @@ def pauli_traces(matrix) -> np.ndarray:
     # Tr(sigma A).  Each entry of A is at most HERMITICITY_TOL/2 on a matrix
     # _check_hermitian accepts, and sigma has 2^n unit entries, so the
     # residue of an accepted matrix is at most 2^(n-1) * HERMITICITY_TOL.
-    resid = np.max(np.abs(traces.imag))
-    if resid > 2 ** (n_qubits - 1) * HERMITICITY_TOL:
+    resid = abs(traces.imag).max()
+    if not resid <= 2 ** (n_qubits - 1) * HERMITICITY_TOL:
         raise ValueError(f"imaginary residue {resid:.3e} in Pauli traces; input not Hermitian")
     return traces.real.reshape((4,) * n_qubits)
 
@@ -204,7 +209,7 @@ def trace_distance(a, b) -> float:
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     vals, _ = hermitian_eigensystem(ma - mb)
-    return float(0.5 * np.sum(np.abs(vals)))
+    return float(0.5 * abs(vals).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +233,10 @@ def make_werner(z: float) -> DensityMatrix:
     z = float(z)
     if not 0.0 <= z <= 1.0:
         raise ValueError(f"werner parameter must be in [0, 1], got {z}")
-    return DensityMatrix((1.0 - z) / 4.0 * np.eye(4) + z * bell_psi_plus().matrix)
+    m = z * bell_psi_plus().matrix
+    # (1-z)/4 * I added on the diagonal, in place: the same bits as the sum
+    m.reshape(16)[::5] += (1.0 - z) / 4.0
+    return DensityMatrix(m)
 
 
 @lru_cache(maxsize=1)
@@ -256,9 +264,11 @@ def validate_spin_observable(op, name: str = "observable") -> np.ndarray:
     m = np.asarray(op, dtype=np.complex128)
     if m.shape != (2, 2):
         raise ValueError(f"{name} must be 2x2, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError(f"{name} contains non-finite entries")
     _check_hermitian(m, name)
-    if np.max(np.abs(m @ m - np.eye(2))) > 1e-9:
+    if not abs(m @ m - np.eye(2)).max() <= 1e-9:
         raise ValueError(f"{name} must square to the identity")
-    if abs(m.trace()) > 1e-9:
+    if not abs(m.trace()) <= 1e-9:
         raise ValueError(f"{name} must be traceless (eigenvalues -1 and +1)")
     return m

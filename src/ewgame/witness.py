@@ -35,14 +35,15 @@ class PauliWeights:
     table: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.table, dtype=np.float64)
+        t = np.array(self.table, dtype=np.float64)
         if t.shape != (4,) * self.n_qubits:
             raise ValueError(f"expected shape {(4,) * self.n_qubits}, got {t.shape}")
-        if not np.all(np.isfinite(t)):
+        # one reduction decides both checks: NaN and inf make it non-finite
+        top = abs(t).max()
+        if not top < np.inf:
             raise ValueError("weights must be finite")
-        if not np.any(t):
+        if top == 0.0:
             raise ValueError("weights must have at least one nonzero entry")
-        t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "table", t)
 
@@ -63,12 +64,13 @@ class Witness:
     weights: PauliWeights
 
     def __post_init__(self):
-        op = np.asarray(self.operator, dtype=np.complex128)
+        op = np.array(self.operator, dtype=np.complex128)
         rebuilt = self.weights.to_operator()
-        dev = np.max(np.abs(op - rebuilt))
-        if dev > WEIGHT_CONSISTENCY_TOL:
+        if op.shape != rebuilt.shape:
+            raise ValueError(f"operator must have shape {rebuilt.shape}, got {op.shape}")
+        dev = abs(op - rebuilt).max()
+        if not dev <= WEIGHT_CONSISTENCY_TOL:
             raise ValueError(f"operator and weights disagree (max deviation {dev:.3e})")
-        op = op.copy()
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)
 
@@ -83,9 +85,9 @@ class Witness:
     @classmethod
     def from_operator(cls, op) -> "Witness":
         op = np.asarray(op, dtype=np.complex128)
-        n = op.shape[0].bit_length() - 1
-        table = qcore.pauli_traces(op) / (2.0 ** n)
-        return cls(op, PauliWeights(n, table))
+        traces = qcore.pauli_traces(op)
+        n = traces.ndim
+        return cls(op, PauliWeights(n, traces / (2.0 ** n)))
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def expected_payoff(rho: qcore.DensityMatrix, witness: Witness) -> float:
         raise ValueError(
             f"dimension mismatch: state {rho.dim}, witness {witness.operator.shape[0]}"
         )
-    val = -np.trace(rho.matrix @ witness.operator)
+    val = -(rho.matrix @ witness.operator).trace()
     if abs(val.imag) > 1e-10:
         raise ValueError(f"payoff has imaginary residue {val.imag:.3e}")
     return float(val.real)
@@ -272,7 +274,8 @@ def check_witness(witness: Witness, rho: qcore.DensityMatrix, n_samples: int,
         ks = rng.integers(1, 5, min(SAMPLE_CHUNK, n_samples - start))
         sigmas = qcore.validate_density_matrices(
             _product_mixtures(rng, ks, witness.n_qubits))
-        values = np.einsum("nij,ji->n", sigmas, witness.operator).real
+        # Tr(sigma W) = sum_ij sigma_ij W_ji: each raveled sigma dotted with W^T raveled
+        values = (sigmas.reshape(len(sigmas), -1) @ witness.operator.T.ravel()).real
         min_val = min(min_val, float(values.min()))
     return CheckReport(
         payoff_on_target=payoff,

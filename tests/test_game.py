@@ -118,6 +118,24 @@ def test_outcome_parity_is_product_of_answers(n):
     assert not parity.flags.writeable
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]), dead=st.integers(0, 6))
+def test_payoff_table_matches_the_cell_formula_bit_for_bit(seed, n, dead):
+    # -w * parity / pi one cell and outcome at a time, +0.0 where pi is 0;
+    # zero weights of both signs included
+    gen = np.random.default_rng(seed)
+    pi = gen.dirichlet(np.ones(4 ** n))
+    pi[gen.choice(4 ** n, size=dead, replace=False)] = 0.0
+    w = gen.normal(size=4 ** n)
+    w[gen.choice(4 ** n, size=4, replace=False)] = [0.0, -0.0, 0.0, -0.0]
+    expect = np.zeros((4 ** n, 2 ** n))
+    for cell, k in product(range(4 ** n), range(2 ** n)):
+        if pi[cell] > 0.0:
+            expect[cell, k] = -w[cell] * game.outcome_parity(n)[k] / pi[cell]
+    table = game.payoff_table(pi.reshape((4,) * n), ew.PauliWeights(n, w.reshape((4,) * n)))
+    assert table.tobytes() == expect.tobytes()
+
+
 class TestGameConfig:
     def test_uniform_sums_to_one(self):
         cfg = ew.GameConfig.uniform(10, seed=0)

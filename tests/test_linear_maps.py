@@ -162,6 +162,8 @@ WARM_CALLS = {
     **{f"parse_witness_spec {name}": (lambda name=name: serialize.parse_witness_spec(name))
        for name in ("werner", "chsh", "chsh-strengthened", "ghz")},
     "classical_cheat_strategy": ew.classical_cheat_strategy,
+    "check_witness": lambda: ew.check_witness(ew.werner_witness(), ew.make_werner(0.9), 10,
+                                              np.random.default_rng(0)),
 }
 
 
@@ -174,5 +176,7 @@ def test_warm_calls_make_no_einsum(einsum_calls, call):
 
 
 def test_einsum_calls_sees_the_einsums(einsum_calls):
-    ew.check_witness(ew.werner_witness(), ew.make_werner(0.9), 10, np.random.default_rng(0))
-    assert einsum_calls == ["witness"]
+    table = ew.honest_strategy(ew.make_werner(0.9)).outcome_table
+    einsum_calls.clear()
+    ew.exact_average_payoff(np.full((4, 4), 1 / 16), table, ew.werner_witness().weights)
+    assert einsum_calls == ["game"]
