@@ -171,10 +171,6 @@ class Strategy:
         t.setflags(write=False)
         object.__setattr__(self, "outcome_table", t)
 
-    @property
-    def n_parties(self) -> int:
-        return self.outcome_table.ndim - 1
-
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
@@ -233,36 +229,10 @@ class Transcript:
         """Sum of the payments per raveled label cell."""
         return (self.count_matrix * self.payments).sum(axis=1)
 
-    @property
-    def has_records(self) -> bool:
-        return self.joint is not None
-
-    @property
-    def labels(self) -> np.ndarray | None:
-        """Each round's labels, shape (rounds, n), int8."""
-        if self.joint is None:
-            return None
-        return np.take(_label_table(self.n_parties), self.joint >> self.n_parties, axis=0)
-
-    @property
-    def answers(self) -> np.ndarray | None:
-        """Each round's +/-1 answers, shape (rounds, n), int8."""
-        if self.joint is None:
-            return None
-        n_out = self.count_matrix.shape[1]
-        return np.take(_answer_table(self.n_parties), self.joint & (n_out - 1), axis=0)
-
-    @property
-    def payoffs(self) -> np.ndarray | None:
-        """Each round's payment, shape (rounds,)."""
-        if self.joint is None:
-            return None
-        return np.take(self.payments.ravel(), self.joint)
-
     def to_csv(self, path) -> None:
         """Write one row per round; columns s,t,a,b,payoff (plus c for three
         parties, with labels i,j,k)."""
-        if not self.has_records:
+        if self.joint is None:
             raise ValueError("transcript was streamed; per-round records were discarded")
         n = self.n_parties
         label_cols = ["s", "t"] if n == 2 else ["i", "j", "k"]

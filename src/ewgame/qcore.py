@@ -204,8 +204,9 @@ def hermitian_eigensystem(op) -> tuple[np.ndarray, np.ndarray]:
 
 def trace_distance(a, b) -> float:
     """Half the sum of absolute eigenvalues of (a - b)."""
-    ma = a.matrix if isinstance(a, DensityMatrix) else np.asarray(a, dtype=np.complex128)
-    mb = b.matrix if isinstance(b, DensityMatrix) else np.asarray(b, dtype=np.complex128)
+    # each operand is checked before the subtraction, which would warn on inf
+    ma = a.matrix if isinstance(a, DensityMatrix) else _as_operator(a)
+    mb = b.matrix if isinstance(b, DensityMatrix) else _as_operator(b)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     vals, _ = hermitian_eigensystem(ma - mb)

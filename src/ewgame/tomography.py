@@ -28,7 +28,8 @@ class IncompleteTomographyError(ValueError):
 class Moments:
     """Per-cell round counts and answer-product sums with the derived
     correlation estimates r_hat = sum(ab) / n.  Both tables are 4x4 and
-    read-only, and every cell was played: construction checks that once."""
+    read-only, the sums are finite and every cell was played: construction
+    checks that once."""
 
     counts: np.ndarray
     parity_sums: np.ndarray
@@ -38,6 +39,8 @@ class Moments:
         s = np.array(self.parity_sums, dtype=np.float64)
         if c.shape != (4, 4) or s.shape != (4, 4):
             raise ValueError("moments are 4x4 tables over two-qubit label cells")
+        if not np.isfinite(s).all():
+            raise ValueError("parity sums must be finite")
         missing = np.argwhere(c == 0).tolist()
         if missing:
             raise IncompleteTomographyError(tuple(ix) for ix in missing)

@@ -65,6 +65,19 @@ def eigvalsh_calls(monkeypatch):
     return calls
 
 
+def decode_rounds(tr):
+    """Each recorded round's labels (rounds, n), +/-1 answers (rounds, n)
+    and payment (rounds,), decoded from ``tr.joint`` alone: the label cell
+    is joint >> n, raveled over (4,)*n; the outcome is joint & (2^n - 1),
+    and party j's answer its j-th bit from the left, 0 meaning +1.  Built
+    without the package's lookup tables, so it can serve as an oracle for
+    ``to_csv``."""
+    n = tr.n_parties
+    labels = np.stack(np.unravel_index(tr.joint >> n, (4,) * n), axis=1)
+    bits = ((tr.joint & (2 ** n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    return labels, 1 - 2 * bits, tr.payments.ravel()[tr.joint]
+
+
 def builtin_witnesses():
     return [
         ("werner", ew.werner_witness()),

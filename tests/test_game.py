@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewgame as ew
+from conftest import decode_rounds
 from ewgame import game, qcore
 
 RT2 = np.sqrt(2.0)
@@ -194,8 +195,9 @@ class TestHonestStrategy:
         strat = ew.honest_strategy(ew.bell_psi_plus())
         cfg = ew.GameConfig.uniform(20_000, seed=3)
         tr = ew.run_game(cfg, strat, ew.werner_witness().weights, keep_records=True)
-        a_vals = tr.answers[tr.labels[:, 0] == 0, 0]
-        b_vals = tr.answers[tr.labels[:, 1] == 0, 1]
+        labels, answers, _ = decode_rounds(tr)
+        a_vals = answers[labels[:, 0] == 0, 0]
+        b_vals = answers[labels[:, 1] == 0, 1]
         assert np.all(a_vals == 1)
         assert np.all(b_vals == 1)
 
@@ -298,9 +300,9 @@ class TestRunGame:
         w = ew.werner_witness().weights
         t1 = ew.run_game(cfg, strat, w, keep_records=True)
         t2 = ew.run_game(cfg, strat, w, keep_records=True)
-        assert t1.labels.tobytes() == t2.labels.tobytes()
-        assert t1.answers.tobytes() == t2.answers.tobytes()
-        assert t1.payoffs.tobytes() == t2.payoffs.tobytes()
+        # a round's labels, answers and payment follow from joint and payments
+        assert t1.joint.tobytes() == t2.joint.tobytes()
+        assert t1.payments.tobytes() == t2.payments.tobytes()
         assert np.array_equal(t1.counts, t2.counts)
         assert np.array_equal(t1.payoff_sums, t2.payoff_sums)
 
@@ -309,7 +311,7 @@ class TestRunGame:
         w = ew.werner_witness().weights
         t1 = ew.run_game(ew.GameConfig.uniform(10_000, seed=0), strat, w, keep_records=True)
         t2 = ew.run_game(ew.GameConfig.uniform(10_000, seed=1), strat, w, keep_records=True)
-        assert not np.array_equal(t1.payoffs, t2.payoffs)
+        assert not np.array_equal(t1.joint, t2.joint)
 
     def test_unbiasedness_identity(self, rng):
         # exhaustive enumeration over cells and outcomes for 100 random pairs
@@ -347,21 +349,21 @@ class TestRunGame:
         cfg = ew.GameConfig.uniform(5_000, seed=17)
         w = ew.werner_witness().weights
         tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(1.0)), w, keep_records=True)
-        for (s, t), (a, b), payoff in zip(tr.labels.tolist(), tr.answers.tolist(),
-                                          tr.payoffs.tolist()):
+        labels, answers, payoffs = decode_rounds(tr)
+        for (s, t), (a, b), payoff in zip(labels.tolist(), answers.tolist(), payoffs.tolist()):
             assert payoff == -w.table[s, t] * a * b / cfg.pi[s, t]
 
-    def test_streaming_discards_records(self):
-        # records are opt-in at any round count
+    def test_streaming_discards_records(self, tmp_path):
+        # records are opt-in at any round count, and to_csv needs them
         strat = ew.honest_strategy(ew.make_werner(0.5))
         w = ew.werner_witness().weights
         streamed = ew.run_game(ew.GameConfig.uniform(100, seed=0), strat, w)
-        assert not streamed.has_records
-        assert streamed.labels is None and streamed.answers is None
-        assert streamed.payoffs is None
+        assert streamed.joint is None
+        with pytest.raises(ValueError, match="streamed"):
+            streamed.to_csv(tmp_path / "rounds.csv")
         kept = ew.run_game(ew.GameConfig.uniform(100_001, seed=0), strat, w,
                            keep_records=True)
-        assert kept.has_records and kept.payoffs.size == 100_001
+        assert kept.joint.size == 100_001
 
     @pytest.mark.parametrize("flag", [None, 0, 1, "yes", np.True_])
     def test_keep_records_is_true_or_false(self, flag):
@@ -454,7 +456,7 @@ class TestStreamedCounts:
         rounds = 2_000_000
         tr = ew.run_game(ew.GameConfig(pi, rounds, seed=n), strat, weights,
                          keep_records=False)
-        assert not tr.has_records
+        assert tr.joint is None
         live = pi.ravel() > 0
         assert np.all(tr.counts[~live] == 0)
         assert tr.counts.sum() == rounds
@@ -517,12 +519,13 @@ class TestRecordedMoments:
     def test_moments_equal_sums_over_records(self, state, wit, n):
         cfg = ew.GameConfig.uniform(20_000, seed=2024, n_parties=n)
         tr = ew.run_game(cfg, ew.honest_strategy(state), wit.weights, keep_records=True)
-        cells = np.ravel_multi_index(tr.labels.T, cfg.pi.shape)
-        parity = tr.answers.prod(axis=1, dtype=np.int64)
+        labels, answers, payoffs = decode_rounds(tr)
+        cells = np.ravel_multi_index(labels.T, cfg.pi.shape)
+        parity = answers.prod(axis=1, dtype=np.int64)
         assert np.array_equal(tr.counts, np.bincount(cells, minlength=4 ** n))
         assert np.array_equal(tr.parity_sums,
                               np.bincount(cells, weights=parity, minlength=4 ** n))
-        expect = np.bincount(cells, weights=tr.payoffs, minlength=4 ** n)
+        expect = np.bincount(cells, weights=payoffs, minlength=4 ** n)
         assert np.allclose(tr.payoff_sums, expect, rtol=1e-12, atol=1e-12)
 
 
@@ -535,7 +538,7 @@ class TestRecordsFromCounts:
         strat = ew.honest_strategy(state)
         kept = ew.run_game(cfg, strat, wit.weights, keep_records=True)
         streamed = ew.run_game(cfg, strat, wit.weights, keep_records=False)
-        assert kept.has_records and not streamed.has_records
+        assert kept.joint is not None and streamed.joint is None
         # every moment is a function of the count matrix
         assert kept.count_matrix.tobytes() == streamed.count_matrix.tobytes()
         assert ew.empirical_payoff(kept) == ew.empirical_payoff(streamed)
@@ -543,7 +546,7 @@ class TestRecordsFromCounts:
     @pytest.mark.parametrize("n", [2, 3])
     def test_records_are_a_permutation_of_the_count_matrix(self, n):
         # the scheme written out: counts-v1's N, then one rng.permutation of
-        # the rounds it holds; labels and answers decoded one by one
+        # the rounds it holds; the decoder checked one round at a time
         gen = np.random.default_rng(60 + n)
         pi, weights, strat = parity_pair_game(gen, n, dead=3)
         cfg = ew.GameConfig(pi, 5_000, seed=9)
@@ -552,12 +555,13 @@ class TestRecordsFromCounts:
         rows = strat.outcome_table.reshape(4 ** n, -1)
         counts = rng.multinomial(rng.multinomial(5_000, pi.ravel() / pi.sum()), rows)
         joint = rng.permutation(np.repeat(np.arange(counts.size), counts.ravel()))
+        assert tr.joint.tobytes() == joint.tobytes()
         cells, outcomes = np.divmod(joint, 2 ** n)
-        assert np.array_equal(tr.labels, np.stack(np.unravel_index(cells, pi.shape), axis=1))
-        assert np.array_equal(tr.answers, [decode_answers(k, n) for k in outcomes])
+        labels, answers, payoffs = decode_rounds(tr)
+        assert labels.tolist() == [list(np.unravel_index(c, pi.shape)) for c in cells]
+        assert answers.tolist() == [list(decode_answers(k, n)) for k in outcomes]
         pays = game.payoff_table(cfg.pi, weights)
-        assert tr.payoffs.tobytes() == pays[cells, outcomes].tobytes()
-        assert tr.labels.dtype == tr.answers.dtype == np.int8
+        assert payoffs.tobytes() == pays[cells, outcomes].tobytes()
 
     def test_records_are_shuffled_not_grouped_by_cell(self):
         rounds = 20_000
@@ -567,8 +571,9 @@ class TestRecordsFromCounts:
         half = rounds // 2
         p = 1 / 16
         se = np.sqrt(half * p * (1 - p))
-        for part in (tr.labels[:half], tr.labels[half:]):
-            counts = np.bincount(np.ravel_multi_index(part.T, (4, 4)), minlength=16)
+        cells = tr.joint >> 2
+        for part in (cells[:half], cells[half:]):
+            counts = np.bincount(part, minlength=16)
             assert np.all(np.abs(counts - half * p) <= 5 * se), counts
 
     def test_records_memory_per_round(self):
@@ -583,7 +588,7 @@ class TestRecordsFromCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert tr.payoffs.size == rounds
+        assert tr.joint.size == rounds
         assert peak / rounds < 32, f"{peak / rounds:.1f} B/round"
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -621,7 +626,6 @@ class TestStrategy:
         strat = ew.Strategy(name="uniform", outcome_table=table)
         table[0, 0] = [1.0, 0.0, 0.0, 0.0]
         assert np.all(strat.outcome_table == 0.25)
-        assert strat.n_parties == 2
         with pytest.raises(ValueError):
             strat.outcome_table[0, 0, 0] = 1.0
 
@@ -668,8 +672,9 @@ class TestEmpiricalPayoff:
         tr = ew.run_game(ew.GameConfig(pi, rounds, seed), ew.Strategy("random", table),
                          weights, keep_records=True)
         mean, se = ew.empirical_payoff(tr)
-        assert mean == pytest.approx(tr.payoffs.mean(), rel=1e-12, abs=1e-12)
-        expect = np.std(tr.payoffs, ddof=1) / np.sqrt(rounds)
+        _, _, payoffs = decode_rounds(tr)
+        assert mean == pytest.approx(payoffs.mean(), rel=1e-12, abs=1e-12)
+        expect = np.std(payoffs, ddof=1) / np.sqrt(rounds)
         assert se == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
@@ -684,7 +689,7 @@ class TestTranscript:
         for array in (tr.count_matrix, tr.payments, tr.joint):
             assert not array.flags.writeable
         assert (tr.rounds, tr.n_parties, tr.seed) == (2_000, 2, 8)
-        for name in ("counts", "labels", "payoffs"):
+        for name in ("count_matrix", "counts", "payoff_sums"):
             with pytest.raises(AttributeError):
                 setattr(tr, name, None)
 
@@ -714,7 +719,7 @@ def row_loop_csv(tr, path):
     answer_cols = ["a", "b", "c"][: tr.n_parties]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(label_cols + answer_cols + ["payoff"]) + "\n")
-        for lab, ans, pay in zip(tr.labels, tr.answers, tr.payoffs):
+        for lab, ans, pay in zip(*decode_rounds(tr)):
             cells = [str(int(x)) for x in lab] + [str(int(x)) for x in ans]
             fh.write(",".join(cells + [f"{pay:.17g}"]) + "\n")
 
@@ -742,9 +747,10 @@ class TestTranscriptCsv:
         assert lines[0] == "s,t,a,b,payoff"
         assert len(lines) == 201
         s, t, a, b, payoff = lines[1].split(",")
-        assert [int(s), int(t)] == tr.labels[0].tolist()
-        assert [int(a), int(b)] == tr.answers[0].tolist()
-        assert float(payoff) == tr.payoffs[0]
+        labels, answers, payoffs = decode_rounds(tr)
+        assert [int(s), int(t)] == labels[0].tolist()
+        assert [int(a), int(b)] == answers[0].tolist()
+        assert float(payoff) == payoffs[0]
 
 
 class TestChshValue:

@@ -5,7 +5,8 @@ No linter is installed, so this walks each module's syntax tree: a name
 bound by a top-level import must be read somewhere in the module.
 ``__init__.py`` is skipped there because its imports are the public API; each
 name it exports must be read by the package itself, the benchmark or the
-acceptance suite, so nothing is exported only for its own tests.  No
+acceptance suite, so nothing is exported only for its own tests, and so
+must every public method and property of the classes it exports.  No
 module imports inside a function or class: the package has no import cycle
 for such an import to break.
 
@@ -74,6 +75,39 @@ def test_public_names_are_read():
     read = set().union(*(read_names(p.read_text()) for p in READERS))
     exported = exported_names((PACKAGE / "__init__.py").read_text())
     assert exported and [name for name in exported if name not in read] == []
+
+
+def public_members(source: str, classes) -> list[str]:
+    """Public methods and properties, as class.name, of the named classes
+    defined at the top level of source."""
+    return [f"{node.name}.{item.name}" for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name in classes
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
+def read_attributes(source: str) -> set[str]:
+    """Names read as an attribute (x.name); a bare name does not count, so
+    a local variable cannot stand in for a read of a member."""
+    return {n.attr for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Attribute)}
+
+
+def test_members_and_attributes_are_told_apart():
+    source = ("class C:\n    @property\n    def p(self):\n        return self._q()\n"
+              "    def _q(self):\n        labels = 1\n        return labels\n"
+              "    @classmethod\n    def make(cls):\n        return cls()\n"
+              "class D:\n    def r(self):\n        return ew.C.make().p\n")
+    assert public_members(source, {"C"}) == ["C.p", "C.make"]
+    assert read_attributes(source) == {"_q", "C", "make", "p"}
+
+
+def test_public_members_are_read():
+    # a member only tests read is test-only API, like a name only tests import;
+    # members are matched by name, so one read covers every class that has it
+    exported = set(exported_names((PACKAGE / "__init__.py").read_text()))
+    members = [m for p in MODULES for m in public_members(p.read_text(), exported)]
+    read = set().union(*(read_attributes(p.read_text()) for p in READERS))
+    assert members and [m for m in members if m.split(".")[1] not in read] == []
 
 
 def nested_imports(source: str) -> list[int]:

@@ -1,8 +1,21 @@
-"""Law-level tests for the separable sampler's RNG scheme, ``separable-v1``.
+"""Law-level tests for the RNG schemes: ``counts-v1``, ``rounds-v2`` and
+``separable-v1``.
 
 A byte-identity test can guard only a change that keeps every bit.  A
 change that reorders a sum or a product, such as building the mixtures as
-one Gram product, needs an oracle for the law the samples follow instead:
+one Gram product, or one that draws the same law another way, needs an
+oracle for the law the samples follow instead.
+
+The game's count matrix N (``counts-v1``) is one multinomial of all rounds
+over the (cell, outcome) entries with probabilities pi (x) table, so a
+chi-square of N over its live entries stays below its quantile, and an
+entry with pi or the table at 0 holds exactly 0 rounds.  The records
+(``rounds-v2``) are a uniform shuffle of N's rounds, so each cell's rounds
+are spread evenly over blocks of positions, and the cells of consecutive
+rounds are independent: their pair counts match the product of the
+marginals.
+
+For the separable sampler (``separable-v1``):
 
 - component counts are uniform on 1..4;
 - the weights are flat-Dirichlet: with k components on n qubits the mean
@@ -27,7 +40,7 @@ import numpy as np
 import pytest
 
 import ewgame as ew
-from ewgame import qcore, witness
+from ewgame import game, qcore, witness
 
 TAIL = 1e-6
 N_SAMPLES = 20_000
@@ -48,6 +61,14 @@ def chi2_quantile(p: float, dof: int) -> float:
     1 - 2/(9 dof) and variance 2/(9 dof)."""
     c = 2.0 / (9.0 * dof)
     return dof * (1.0 - c + normal_quantile(p) * np.sqrt(c)) ** 3
+
+
+def chi2_against(counts: np.ndarray, expected: np.ndarray) -> tuple[float, int]:
+    """Chi-square of counts against their expectation over the live entries
+    (expected > 0), and its degrees of freedom."""
+    live = expected > 0.0
+    chi2 = np.sum((counts[live] - expected[live]) ** 2 / expected[live])
+    return float(chi2), int(live.sum()) - 1
 
 
 def z_scores(values: np.ndarray, expected) -> np.ndarray:
@@ -95,8 +116,7 @@ def checked_counts(monkeypatch, rng) -> np.ndarray:
 def counts_chi2(ks: np.ndarray) -> float:
     observed = np.array([np.sum(ks == k) for k in range(1, 5)])
     assert observed.sum() == len(ks)
-    expected = len(ks) / 4.0
-    return float(np.sum((observed - expected) ** 2 / expected))
+    return chi2_against(observed, np.full(4, len(ks) / 4.0))[0]
 
 
 def test_counts_are_uniform_on_1_to_4(monkeypatch):
@@ -203,3 +223,136 @@ def test_witness_law_fails_on_unnormalised_weights(monkeypatch, n_qubits):
     monkeypatch.setattr(witness, "_product_mixtures", unnormalised)
     values = witness_values(np.random.default_rng(13 + n_qubits), n_qubits)
     assert abs(witness_mean_z(values, n_qubits)) > normal_quantile(TAIL / 2)
+
+
+# ---------------------------------------------------------------------------
+# counts-v1: the count matrix
+# ---------------------------------------------------------------------------
+
+# strategy, witness, and whether pi is support-only (else uniform)
+GAMES = {
+    "bell, support-only": (ew.honest_strategy(ew.bell_psi_plus()), ew.werner_witness(), True),
+    "cheat, uniform": (ew.classical_cheat_strategy(), ew.werner_witness(), False),
+    "ghz, support-only": (ew.honest_strategy(ew.ghz_state()), ew.ghz_witness(), True),
+}
+COUNT_ROUNDS = 1_000_000
+
+
+def counted(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A streamed run's count matrix N, with pi as a column and the outcome
+    table as rows, both laid out like N."""
+    strategy, wit, support_only = GAMES[name]
+    if support_only:
+        cfg = ew.GameConfig.support_only(wit.weights, COUNT_ROUNDS, seed=5)
+    else:
+        cfg = ew.GameConfig.uniform(COUNT_ROUNDS, seed=5, n_parties=wit.weights.n_qubits)
+    tr = ew.run_game(cfg, strategy, wit.weights)
+    return (tr.count_matrix, cfg.pi.reshape(-1, 1),
+            strategy.outcome_table.reshape(tr.count_matrix.shape))
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_counts_follow_pi_times_table(name):
+    counts, pi, table = counted(name)
+    # dead entries: the cells support-only pi never draws, and the zeros of
+    # the bell, ghz and cheat tables
+    dead = (pi == 0.0) | (table == 0.0)
+    assert (table[pi[:, 0] > 0.0] == 0.0).any()
+    assert np.all(counts[dead] == 0)
+    chi2, dof = chi2_against(counts, COUNT_ROUNDS * pi * table)
+    assert chi2 <= chi2_quantile(TAIL, dof)
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_count_law_fails_on_rows_rotated_by_one_cell(monkeypatch, name):
+    rows = game._table_rows
+    monkeypatch.setattr(game, "_table_rows", lambda table: np.roll(rows(table), 1, axis=0))
+    counts, pi, table = counted(name)
+    chi2, dof = chi2_against(counts, COUNT_ROUNDS * pi * table)
+    assert chi2 > chi2_quantile(TAIL, dof)
+
+
+# ---------------------------------------------------------------------------
+# rounds-v2: the order of the records
+# ---------------------------------------------------------------------------
+
+# state, witness and rounds of a uniform-pi run with records, per party count
+RECORDED = {
+    2: (ew.make_werner(0.8), ew.werner_witness(), 200_000),
+    3: (ew.ghz_state(), ew.ghz_witness(), 400_000),
+}
+BLOCKS = 16
+
+
+def recorded_cells(n: int) -> np.ndarray:
+    """The raveled label cell of each recorded round, in the order played."""
+    state, wit, rounds = RECORDED[n]
+    cfg = ew.GameConfig.uniform(rounds, seed=7, n_parties=n)
+    tr = ew.run_game(cfg, ew.honest_strategy(state), wit.weights, keep_records=True)
+    return tr.joint >> n
+
+
+def contingency_chi2(table: np.ndarray) -> tuple[float, int]:
+    """Pearson chi-square of a table against the product of its margins,
+    and its (rows - 1)(columns - 1) degrees of freedom."""
+    rows, cols = table.sum(axis=1), table.sum(axis=0)
+    chi2, _ = chi2_against(table, np.outer(rows, cols) / table.sum())
+    return chi2, (len(rows) - 1) * (len(cols) - 1)
+
+
+def block_chi2(cells: np.ndarray, n: int) -> tuple[float, int]:
+    """Rounds per cell and block of consecutive positions: a uniform shuffle
+    spreads every cell's rounds evenly over the blocks."""
+    block = np.arange(len(cells)) * BLOCKS // len(cells)
+    return contingency_chi2(np.bincount(cells * BLOCKS + block, minlength=4 ** n * BLOCKS)
+                            .reshape(4 ** n, BLOCKS))
+
+
+def pair_chi2(cells: np.ndarray, n: int) -> tuple[float, int]:
+    """Counts of (cell, next round's cell): a uniform shuffle makes them the
+    product of the marginals."""
+    k = 4 ** n
+    return contingency_chi2(np.bincount(cells[:-1] * k + cells[1:], minlength=k * k)
+                            .reshape(k, k))
+
+
+def shuffled_as(monkeypatch, shuffle) -> None:
+    """Make run_game order its records with shuffle(rng, joint) in place of
+    rng.shuffle(joint); every other draw is unchanged."""
+    default_rng = np.random.default_rng
+
+    def rng_for(seed):
+        rng = default_rng(seed)
+        return DrawChanged(rng, shuffle=lambda joint: shuffle(rng, joint))
+
+    monkeypatch.setattr(game, "np", DrawChanged(np, random=DrawChanged(np.random, default_rng=rng_for)))
+
+
+@pytest.mark.parametrize("n", RECORDED)
+def test_cells_are_spread_evenly_over_positions(n):
+    chi2, dof = block_chi2(recorded_cells(n), n)
+    assert chi2 <= chi2_quantile(TAIL, dof)
+
+
+@pytest.mark.parametrize("n", RECORDED)
+def test_consecutive_cells_are_independent(n):
+    chi2, dof = pair_chi2(recorded_cells(n), n)
+    assert chi2 <= chi2_quantile(TAIL, dof)
+
+
+@pytest.mark.parametrize("n", RECORDED)
+def test_position_law_fails_on_records_sorted_by_cell(monkeypatch, n):
+    shuffled_as(monkeypatch, lambda rng, joint: None)
+    cells = recorded_cells(n)
+    assert np.all(np.diff(cells) >= 0)
+    chi2, dof = block_chi2(cells, n)
+    assert chi2 > chi2_quantile(TAIL, dof)
+
+
+@pytest.mark.parametrize("n", RECORDED)
+def test_pair_law_fails_on_rounds_shuffled_two_at_a_time(monkeypatch, n):
+    # the sorted rounds cut into pairs and the pairs shuffled: nearly every
+    # pair holds one cell twice
+    shuffled_as(monkeypatch, lambda rng, joint: rng.shuffle(joint.reshape(-1, 2)))
+    chi2, dof = pair_chi2(recorded_cells(n), n)
+    assert chi2 > chi2_quantile(TAIL, dof)

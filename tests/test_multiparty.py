@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import ewgame as ew
+from conftest import decode_rounds
 from ewgame import game, qcore
 
 
@@ -99,8 +100,9 @@ class TestRunGame3:
         cfg = ew.GameConfig.uniform(5_000, seed=1, n_parties=3)
         tr = ew.run_game(cfg, ew.honest_strategy(ew.ghz_state()), ew.ghz_witness().weights,
                          keep_records=True)
+        labels, answers, _ = decode_rounds(tr)
         for col in range(3):
-            assert np.all(tr.answers[tr.labels[:, col] == 0, col] == 1)
+            assert np.all(answers[labels[:, col] == 0, col] == 1)
 
     def test_deterministic(self):
         cfg = ew.GameConfig.uniform(20_000, seed=77, n_parties=3)
@@ -108,7 +110,7 @@ class TestRunGame3:
         w = ew.ghz_witness().weights
         t1 = ew.run_game(cfg, strat, w, keep_records=True)
         t2 = ew.run_game(cfg, strat, w, keep_records=True)
-        assert t1.payoffs.tobytes() == t2.payoffs.tobytes()
+        assert t1.joint.tobytes() == t2.joint.tobytes()
         assert np.array_equal(t1.counts, t2.counts)
 
     def test_support_violation(self):

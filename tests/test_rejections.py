@@ -22,6 +22,8 @@ TABLE = np.full((4, 4, 4), 0.25)
 COUNTS = np.arange(64, dtype=np.int64).reshape(16, 4)
 WEIGHTS = ew.werner_witness().weights
 OPERATOR = ew.werner_witness().operator
+PLAYED = np.full((4, 4), 10)
+SUMS = np.full((4, 4), 2.0)
 
 
 def put(base, *entries):
@@ -51,6 +53,7 @@ VALIDATORS = {
     "count_table": game.count_table,
     "PauliWeights": lambda t: ew.PauliWeights(2, t),
     "Witness": lambda op: ew.Witness(op, WEIGHTS),
+    "Moments": lambda counts_and_sums: ew.Moments(*counts_and_sums),
 }
 
 # validator, corruption, input, expected message (None: accepted)
@@ -157,6 +160,19 @@ CASES = [
      "operator must have shape (4, 4), got (0, 0)"),
     ("Witness", "scalar", np.float64(1.0),
      "operator must have shape (4, 4), got ()"),
+    ("Moments", "nan", (PLAYED, put(SUMS, ((1, 2), NAN))), "parity sums must be finite"),
+    ("Moments", "+inf", (PLAYED, put(SUMS, ((1, 2), INF))), "parity sums must be finite"),
+    ("Moments", "-inf", (PLAYED, put(SUMS, ((1, 2), -INF))), "parity sums must be finite"),
+    ("Moments", "nan and unplayed cell", (put(PLAYED, ((0, 3), 0)), put(SUMS, ((1, 2), NAN))),
+     "parity sums must be finite"),
+    ("Moments", "nan and wrong shape", (PLAYED, np.full((4, 3), NAN)),
+     "moments are 4x4 tables over two-qubit label cells"),
+    ("Moments", "nan count and nan sum",
+     (put(PLAYED.astype(float), ((2, 2), NAN)), put(SUMS, ((1, 2), NAN))),
+     "counts must be nonnegative integers"),
+    ("Moments", "unplayed cell", (put(PLAYED, ((0, 3), 0)), SUMS),
+     "no rounds for 1 label cells: [(0, 3)]"),
+    ("Moments", "valid", (PLAYED, SUMS), None),
 ]
 
 
@@ -204,3 +220,15 @@ def test_pauli_traces_rejects_non_finite(value, n):
         qcore.pauli_traces(m)
     with pytest.raises(ValueError, match="non-finite"):
         ew.Witness.from_operator(np.full((2 ** n, 2 ** n), value))
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("operand", ["first", "second", "both"])
+def test_trace_distance_rejects_non_finite(value, operand):
+    # checked before the subtraction, which would warn on inf - inf
+    bad = np.full((4, 4), value)
+    a, b = {"first": (bad, ew.make_werner(0.5)), "second": (WERNER, bad),
+            "both": (bad, bad)}[operand]
+    with pytest.raises(ValueError) as err:
+        ew.trace_distance(a, b)
+    assert str(err.value) == "operator contains non-finite entries"
