@@ -26,14 +26,17 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-def _resolve_seed(seed: int) -> int:
+def _resolve_seed(seed, source: str | None = None) -> int:
+    """The EWGAME_SEED override when it is set, else seed, checked by
+    game.validate_seed; source names the run spec seed came from, if any."""
     env = os.environ.get(ENV_SEED)
     if env is not None and env.strip():
         try:
-            return int(env)
+            seed, source = int(env), ENV_SEED
         except ValueError:
             raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return int(seed)
+    with _naming(source):
+        return game.validate_seed(seed)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -58,8 +61,9 @@ def cmd_payoff(args) -> int:
 
 @contextmanager
 def _naming(source: str | None):
-    """Prefix a ValueError raised inside with source, the run-spec file the
-    value at fault came from; None (a flag or a default) adds nothing."""
+    """Prefix a ValueError raised inside with source, the run-spec file or
+    environment variable the value at fault came from; None (a flag or a
+    default) adds nothing."""
     try:
         yield
     except ValueError as exc:
@@ -88,18 +92,19 @@ def cmd_simulate(args) -> int:
         raise ValueError("simulate needs --state and --witness (flags or config file)")
     rounds_src = args.config if args.rounds is None and "rounds" in spec else None
     rounds = args.rounds if args.rounds is not None else spec.get("rounds", 100_000)
-    seed = _resolve_seed(args.seed if args.seed is not None else spec.get("seed", 0))
+    seed_src = args.config if args.seed is None and "seed" in spec else None
+    seed = _resolve_seed(args.seed if args.seed is not None else spec.get("seed", 0), seed_src)
     pi_spec, pi_src = pick("pi", "uniform")
     strategy_name, strategy_src = pick("strategy", "honest")
     with _naming(state_src):
         rho = serialize.parse_state_spec(state_spec)
     with _naming(wit_src):
         wit = serialize.parse_witness_spec(wit_spec)
-    # pi with a placeholder round count, then the config with the real one,
-    # so that an error in either names its own source; an inline pi list
-    # names its config field instead
+    # pi with a placeholder round count and seed, then the config with the
+    # real ones, so that an error in either names its own source; an inline
+    # pi list names its config field instead
     with _naming(pi_src if isinstance(pi_spec, str) else None):
-        pi = serialize.parse_pi_spec(pi_spec, wit.weights, 1, seed).pi
+        pi = serialize.parse_pi_spec(pi_spec, wit.weights, 1, 0).pi
     with _naming(rounds_src):
         config = game.GameConfig(pi, rounds, seed)
     with _naming(strategy_src):

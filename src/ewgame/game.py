@@ -89,6 +89,14 @@ def count_table(counts) -> np.ndarray:
     return table
 
 
+def validate_seed(seed) -> int:
+    """seed as an int: a nonnegative integer, not a bool, as
+    ``default_rng`` takes it."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 @dataclass(frozen=True, eq=False)
 class GameConfig:
     """Label distribution, round count and RNG seed for one game run."""
@@ -117,6 +125,7 @@ class GameConfig:
             raise ValueError("rounds must be positive")
         if self.rounds > MAX_ROUNDS:
             raise ValueError(f"rounds must be at most 2**63 - 1, got {self.rounds}")
+        validate_seed(self.seed)
         p.setflags(write=False)
         object.__setattr__(self, "pi", p)
 
@@ -203,6 +212,12 @@ class Transcript:
         if self.joint is not None:
             # a read-only view: one index per round is not worth copying
             joint = np.asarray(self.joint, dtype=np.int64).view()
+            # the range first: bincount allocates up to the largest entry
+            if (joint.ndim != 1
+                    or (joint.size and not 0 <= joint.min() <= joint.max() < counts.size)
+                    or not np.array_equal(np.bincount(joint, minlength=counts.size),
+                                          counts.ravel())):
+                raise ValueError("joint records do not match the count matrix")
             joint.setflags(write=False)
             object.__setattr__(self, "joint", joint)
 
@@ -448,10 +463,7 @@ def chsh_value(rho: qcore.DensityMatrix, a, a2, b, b2) -> ChshReport:
            ((a, "A"), (a2, "A'"), (b, "B"), (b2, "B'"))]
     a, a2, b, b2 = obs
     bell = np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
-    val = (rho.matrix @ bell).trace()
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"CHSH value has imaginary residue {val.imag:.3e}")
-    s = float(val.real)
+    s = float(qcore.expectations(rho.matrix, bell))
     return ChshReport(
         value=s,
         violates_classical=bool(abs(s) > 2.0),

@@ -1,8 +1,9 @@
 """Dense complex operator algebra for one to three qubits.
 
 Pauli strings and their tensor products, named two-qubit states, validated
-density matrices, partial transposition, Hermitian eigendecomposition, and
-the maps between operators and their Pauli-basis coefficient tables.
+density matrices, partial transposition, Hermitian eigendecomposition,
+expectation values Tr(sigma O), and the maps between operators and their
+Pauli-basis coefficient tables.
 Everything is a plain complex128 ndarray except the few types that carry
 validated structure.
 """
@@ -74,18 +75,19 @@ def _as_operator(matrix, name: str = "operator", stack: bool = False) -> np.ndar
     return m
 
 
-def _check_hermitian(m: np.ndarray, name: str = "operator") -> np.ndarray:
-    """Raise unless m is Hermitian within HERMITICITY_TOL; return the adjoint
-    of m as a fresh C-ordered array the caller may overwrite.
+def _hermitian_part(m: np.ndarray, name: str = "operator") -> np.ndarray:
+    """Raise unless m is Hermitian within HERMITICITY_TOL; return its
+    Hermitian part (m + m^dag)/2 as a fresh C-ordered array.
 
-    C order keeps m - adj and the caller's in-place updates on matching
-    layouts; on the transposed view of m.conj() each of them would be a
-    strided pass.
+    C order keeps m - adj and the in-place updates on matching layouts; on
+    the transposed view of m.conj() each of them would be a strided pass.
     """
     adj = np.conjugate(m.swapaxes(-1, -2), order="C")
     dev = abs(m - adj).max()
     if not dev <= HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e})")
+    adj += m
+    adj /= 2.0
     return adj
 
 
@@ -95,13 +97,12 @@ def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
     and no eigenvalue below -PSD_TOL.  The first failing check raises
     ValueError; for a stack it reports the worst offending matrix.
 
-    The adjoint is computed once: the Hermiticity check returns it, and the
-    Hermitian part h = (m + m^dag)/2 is built in its buffer.  Positivity is
-    one batched Cholesky factorisation of a copy of h with PSD_TOL added to
-    its diagonal.
+    The Hermiticity check returns the Hermitian part h = (m + m^dag)/2.
+    Positivity is one batched Cholesky factorisation of a copy of h with
+    PSD_TOL added to its diagonal.
     """
     m = _as_operator(matrices, "density matrix", stack)
-    h = _check_hermitian(m, "density matrix")
+    h = _hermitian_part(m, "density matrix")
     tr = m.trace(axis1=-2, axis2=-1)
     off = abs(tr - 1.0)
     if not off.max() <= TRACE_TOL:
@@ -109,9 +110,7 @@ def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
     # h + PSD_TOL*I has a Cholesky factor exactly when no eigenvalue of h is
     # below -PSD_TOL, up to rounding of about d*eps; the eigenvalues are
     # computed only to decide and word a rejection.  Cholesky reads only the
-    # lower triangle, hence the Hermitian part first.
-    h += m
-    h /= 2.0
+    # lower triangle, hence the Hermitian part.
     d = m.shape[-1]
     shifted = h.copy()
     # every (d + 1)-th entry of a C-ordered d x d matrix is on its diagonal
@@ -149,6 +148,12 @@ class DensityMatrix:
         return self.dim.bit_length() - 1
 
 
+def _matrix_of(x, name: str = "operator") -> np.ndarray:
+    """The matrix of a DensityMatrix, which is already validated, or x
+    checked by _as_operator."""
+    return x.matrix if isinstance(x, DensityMatrix) else _as_operator(x, name)
+
+
 def pauli_traces(matrix) -> np.ndarray:
     """Raw trace table Tr(M * sigma_t) for every Pauli string, shape (4,)*n
     for a 2^n x 2^n matrix or DensityMatrix.
@@ -157,21 +162,25 @@ def pauli_traces(matrix) -> np.ndarray:
     imaginary residue must stay within 2^(n-1) * HERMITICITY_TOL (a larger
     one means the input was not Hermitian); it is discarded after the check.
     """
-    if isinstance(matrix, DensityMatrix):
-        m = matrix.matrix
-    else:
-        m = _as_operator(matrix, "matrix")
+    m = _matrix_of(matrix, "matrix")
     n_qubits = m.shape[0].bit_length() - 1
     # row k of the basis, raveled, dotted with M^T raveled is Tr(sigma_k M)
     traces = pauli_basis(n_qubits).reshape(4 ** n_qubits, -1) @ m.T.ravel()
     # Only the anti-Hermitian part A = (M - M^dag)/2 adds an imaginary part,
     # Tr(sigma A).  Each entry of A is at most HERMITICITY_TOL/2 on a matrix
-    # _check_hermitian accepts, and sigma has 2^n unit entries, so the
+    # _hermitian_part accepts, and sigma has 2^n unit entries, so the
     # residue of an accepted matrix is at most 2^(n-1) * HERMITICITY_TOL.
     resid = abs(traces.imag).max()
     if not resid <= 2 ** (n_qubits - 1) * HERMITICITY_TOL:
         raise ValueError(f"imaginary residue {resid:.3e} in Pauli traces; input not Hermitian")
     return traces.real.reshape((4,) * n_qubits)
+
+
+def pauli_sum(table: np.ndarray) -> np.ndarray:
+    """The 2^n x 2^n operator sum_t table[t] sigma_t of a real table of
+    shape (4,)*n."""
+    n = table.ndim
+    return (table.ravel() @ pauli_basis(n).reshape(4 ** n, -1)).reshape(2 ** n, 2 ** n)
 
 
 def from_pauli_coefficients(table) -> np.ndarray:
@@ -180,13 +189,26 @@ def from_pauli_coefficients(table) -> np.ndarray:
     n = values.ndim
     if values.shape != (4,) * n:
         raise ValueError(f"coefficient table must have shape (4,)*n, got {values.shape}")
-    op = values.ravel() @ pauli_basis(n).reshape(4 ** n, -1)
-    return op.reshape(2 ** n, 2 ** n) / (2.0 ** n)
+    return pauli_sum(values) / (2.0 ** n)
+
+
+def expectations(states: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Tr(sigma op) for one validated d x d state or a (..., d, d) stack of
+    them and a Hermitian d x d op, as a float array of the stack's shape.
+
+    Both operands have passed a Hermiticity check, so the imaginary part is
+    bounded by its tolerance; it is discarded.
+    """
+    d = op.shape[-1]
+    if states.shape[-1] != d:
+        raise ValueError(f"dimension mismatch: state {states.shape[-1]}, operator {d}")
+    # Tr(sigma op) = sum_ij sigma_ij op_ji: each raveled sigma dotted with op^T raveled
+    return (states.reshape(-1, d * d) @ op.T.ravel()).real.reshape(states.shape[:-2])
 
 
 def partial_transpose(state) -> np.ndarray:
     """Partial transpose of a two-qubit operator over the second qubit (B)."""
-    m = state.matrix if isinstance(state, DensityMatrix) else np.asarray(state, dtype=np.complex128)
+    m = _matrix_of(state)
     if m.shape != (4, 4):
         raise ValueError(f"partial transpose is defined for 4x4 operators, got {m.shape}")
     return np.ascontiguousarray(m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
@@ -195,18 +217,13 @@ def partial_transpose(state) -> np.ndarray:
 def hermitian_eigensystem(op) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvector columns of a
     Hermitian operator (LAPACK via np.linalg.eigh)."""
-    m = _as_operator(op)
-    h = _check_hermitian(m)
-    h += m
-    h /= 2.0
-    return np.linalg.eigh(h)
+    return np.linalg.eigh(_hermitian_part(_as_operator(op)))
 
 
 def trace_distance(a, b) -> float:
     """Half the sum of absolute eigenvalues of (a - b)."""
     # each operand is checked before the subtraction, which would warn on inf
-    ma = a.matrix if isinstance(a, DensityMatrix) else _as_operator(a)
-    mb = b.matrix if isinstance(b, DensityMatrix) else _as_operator(b)
+    ma, mb = _matrix_of(a), _matrix_of(b)
     if ma.shape != mb.shape:
         raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     vals, _ = hermitian_eigensystem(ma - mb)
@@ -262,12 +279,10 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
 
 def validate_spin_observable(op, name: str = "observable") -> np.ndarray:
     """Check a single-qubit observable is Hermitian with spectrum {-1, +1}."""
-    m = np.asarray(op, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    _check_hermitian(m, name)
+    if np.shape(op) != (2, 2):
+        raise ValueError(f"{name} must be 2x2, got {np.shape(op)}")
+    m = _as_operator(op, name)
+    _hermitian_part(m, name)
     if not abs(m @ m - np.eye(2)).max() <= 1e-9:
         raise ValueError(f"{name} must square to the identity")
     if not abs(m.trace()) <= 1e-9:

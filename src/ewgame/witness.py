@@ -1,22 +1,21 @@
 """Entanglement witnesses: construction, Pauli-weight decomposition, exact
 expected payoff -Tr(rho W), and sampling-based separability checks.
 
-A witness is stored exactly as defined, together with its coefficient table
-w such that W = sum_t w[t] sigma_t; nothing is renormalized behind the
-caller's back, so payoff values come out exactly as the defining constants
-dictate.
+A witness is stored as its coefficient table w, the Pauli weights the
+referee pays by, and its operator W = sum_t w[t] sigma_t is built once from
+them; nothing is renormalized behind the caller's back, so payoff values
+come out exactly as the defining constants dictate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import qcore
 
-WEIGHT_CONSISTENCY_TOL = 1e-12
 SEPARABLE_FLOOR = 1e-9
 NPT_THRESHOLD = -1e-9
 SAMPLE_CHUNK = 1024
@@ -50,27 +49,17 @@ class PauliWeights:
     def __getitem__(self, labels) -> float:
         return float(self.table[labels])
 
-    def to_operator(self) -> np.ndarray:
-        n = self.n_qubits
-        op = self.table.ravel() @ qcore.pauli_basis(n).reshape(4 ** n, -1)
-        return op.reshape(2 ** n, 2 ** n)
-
 
 @dataclass(frozen=True, eq=False)
 class Witness:
-    """Hermitian witness operator with its cached Pauli decomposition."""
+    """Hermitian witness W = sum_t w[t] sigma_t, stored as its Pauli weights
+    w; the read-only operator is built from them."""
 
-    operator: np.ndarray
     weights: PauliWeights
+    operator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        op = np.array(self.operator, dtype=np.complex128)
-        rebuilt = self.weights.to_operator()
-        if op.shape != rebuilt.shape:
-            raise ValueError(f"operator must have shape {rebuilt.shape}, got {op.shape}")
-        dev = abs(op - rebuilt).max()
-        if not dev <= WEIGHT_CONSISTENCY_TOL:
-            raise ValueError(f"operator and weights disagree (max deviation {dev:.3e})")
+        op = qcore.pauli_sum(self.weights.table)
         op.setflags(write=False)
         object.__setattr__(self, "operator", op)
 
@@ -80,14 +69,13 @@ class Witness:
 
     @classmethod
     def from_weights(cls, weights: PauliWeights) -> "Witness":
-        return cls(weights.to_operator(), weights)
+        return cls(weights)
 
     @classmethod
     def from_operator(cls, op) -> "Witness":
-        op = np.asarray(op, dtype=np.complex128)
         traces = qcore.pauli_traces(op)
         n = traces.ndim
-        return cls(op, PauliWeights(n, traces / (2.0 ** n)))
+        return cls(PauliWeights(n, traces / (2.0 ** n)))
 
 
 @dataclass(frozen=True)
@@ -189,14 +177,7 @@ def ppt_witness(rho: qcore.DensityMatrix) -> Witness:
 
 def expected_payoff(rho: qcore.DensityMatrix, witness: Witness) -> float:
     """Exact average payoff -Tr(rho W)."""
-    if rho.dim != witness.operator.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: state {rho.dim}, witness {witness.operator.shape[0]}"
-        )
-    val = -(rho.matrix @ witness.operator).trace()
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"payoff has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+    return -float(qcore.expectations(rho.matrix, witness.operator))
 
 
 def _positive_int(value, name: str) -> int:
@@ -274,8 +255,7 @@ def check_witness(witness: Witness, rho: qcore.DensityMatrix, n_samples: int,
         ks = rng.integers(1, 5, min(SAMPLE_CHUNK, n_samples - start))
         sigmas = qcore.validate_density_matrices(
             _product_mixtures(rng, ks, witness.n_qubits))
-        # Tr(sigma W) = sum_ij sigma_ij W_ji: each raveled sigma dotted with W^T raveled
-        values = (sigmas.reshape(len(sigmas), -1) @ witness.operator.T.ravel()).real
+        values = qcore.expectations(sigmas, witness.operator)
         min_val = min(min_val, float(values.min()))
     return CheckReport(
         payoff_on_target=payoff,

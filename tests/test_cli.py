@@ -107,6 +107,32 @@ class TestSimulate:
         assert code == 2 and out == ""
         assert err == "error: EWGAME_SEED must be an integer, got 'abc'\n"
 
+    SEED_ERROR = "seed must be a nonnegative integer, got"
+
+    def test_negative_seed_flag(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--state", "werner(1)",
+                                 "--witness", "werner", "--rounds", "100", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == f"error: {self.SEED_ERROR} -1\n"
+
+    def test_negative_env_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.ENV_SEED, "-5")
+        for command in (("simulate", "--witness", "werner", "--rounds", "100"),
+                        ("witness", "check", "--witness", "werner", "--samples", "10"),
+                        ("tomography", "--rounds", "100")):
+            code, out, err = run_cli(capsys, *command, "--state", "werner(0.8)")
+            assert code == 2 and out == ""
+            assert err == f"error: EWGAME_SEED: {self.SEED_ERROR} -5\n"
+
+    def test_negative_run_spec_seed_names_the_file(self, capsys, tmp_path):
+        path = spec_file(tmp_path, "run.json", {"state": "werner(0.8)", "witness": "werner",
+                                                "rounds": 100, "seed": -3})
+        code, out, err = run_cli(capsys, "simulate", "--config", path)
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: {self.SEED_ERROR} -3\n"
+        code, out, _ = run_cli(capsys, "simulate", "--config", path, "--seed", "4")
+        assert code == 0 and "seed=4" in out
+
     def test_csv_without_out_fails_before_any_work(self, capsys, monkeypatch):
         def no_game(*args, **kwargs):
             raise AssertionError("run_game was called")
@@ -654,10 +680,10 @@ class TestSpecFileFuzz:
         if how == "field":
             key = data.draw(st.sampled_from(sorted(doc)))
             # a valid spec or an existing path in a spec field is no junk,
-            # and any integer is a valid seed
+            # and any nonnegative integer is a valid seed
             assume(not (kind == "config" and key in SPEC_STRING_FIELDS
                         and isinstance(junk, str) and valid_spec_string(key, junk)))
-            assume(not (kind == "config" and key == "seed" and junk in (BIG, -BIG)))
+            assume(not (kind == "config" and key == "seed" and junk == BIG))
             doc[key] = junk
             if kind == "config" and key == "pi" and isinstance(junk, list):
                 source = "config field 'pi'"

@@ -181,6 +181,18 @@ class TestGameConfig:
         with pytest.raises(ValueError, match="rounds"):
             ew.GameConfig.uniform(10 ** 20, 0)
 
+    @pytest.mark.parametrize("seed", [1.5, "abc", True, -1, np.int64(-3), None])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError) as err:
+            ew.GameConfig.uniform(100, seed=seed)
+        assert str(err.value) == f"seed must be a nonnegative integer, got {seed!r}"
+
+    @pytest.mark.parametrize("seed", [0, np.int64(5), np.uint64(7), 10 ** 400])
+    def test_accepts_any_nonnegative_integer_seed(self, seed):
+        cfg = ew.GameConfig.uniform(100, seed=seed)
+        tr = ew.run_game(cfg, ew.classical_cheat_strategy(), ew.werner_witness().weights)
+        assert tr.rounds == 100
+
     def test_support_violation_fails_before_any_round(self):
         pi = np.zeros((4, 4))
         pi[0, 0] = 1.0
@@ -707,6 +719,34 @@ class TestTranscript:
         # 2^64 - 1 fills a uint64 table, which int64 cannot hold
         with pytest.raises(ValueError, match="counts must be nonnegative integers"):
             ew.Transcript(np.full((16, 4), count), np.zeros((16, 4)), seed=0)
+
+    @staticmethod
+    def two_rounds():
+        """A count matrix with two rounds in cell 0, outcome 0, and its
+        payments."""
+        counts = np.zeros((16, 4), dtype=np.int64)
+        counts[0, 0] = 2
+        return counts, np.zeros((16, 4))
+
+    def test_accepts_joint_matching_the_counts(self):
+        tr = ew.Transcript(*self.two_rounds(), seed=0, joint=[0, 0])
+        assert tr.joint.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("joint", [[[0, 0]], np.int64(0)], ids=["2-D", "0-D"])
+    def test_rejects_joint_not_one_dimensional(self, joint):
+        with pytest.raises(ValueError, match="^joint records do not match the count matrix$"):
+            ew.Transcript(*self.two_rounds(), seed=0, joint=joint)
+
+    @pytest.mark.parametrize("joint", [[0, -5], [0, 64], [999, -5], [0, 2 ** 62]])
+    def test_rejects_joint_entry_outside_the_cells(self, joint):
+        # 2^62 would have bincount allocate 32 EiB were the range not checked first
+        with pytest.raises(ValueError, match="^joint records do not match the count matrix$"):
+            ew.Transcript(*self.two_rounds(), seed=0, joint=joint)
+
+    @pytest.mark.parametrize("joint", [[63, 63, 63], [0], [0, 1], []])
+    def test_rejects_joint_that_disagrees_with_the_counts(self, joint):
+        with pytest.raises(ValueError, match="^joint records do not match the count matrix$"):
+            ew.Transcript(*self.two_rounds(), seed=0, joint=joint)
 
     def test_integral_float_counts(self):
         tr = ew.Transcript(np.full((16, 4), 2.0), np.zeros((16, 4)), seed=0)

@@ -6,7 +6,8 @@ bound by a top-level import must be read somewhere in the module.
 ``__init__.py`` is skipped there because its imports are the public API; each
 name it exports must be read by the package itself, the benchmark or the
 acceptance suite, so nothing is exported only for its own tests, and so
-must every public method and property of the classes it exports.  No
+must every public method and property of the classes it exports and every
+public function, class and constant a module defines at its top level.  No
 module imports inside a function or class: the package has no import cycle
 for such an import to break.
 
@@ -61,13 +62,15 @@ def exported_names(source: str) -> list[str]:
 
 
 def read_names(source: str) -> set[str]:
+    """Names loaded, bare or as an attribute; binding a name is no read."""
     tree = ast.parse(source)
-    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and isinstance(n.ctx, ast.Load)}
             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
 
 
 def test_read_names_sees_names_and_attributes():
-    source = "def f(x):\n    return ew.g(x) + h\nclass C:\n    pass\n"
+    source = "def f(x):\n    return ew.g(x) + h\nclass C:\n    pass\nK = 1\n"
     assert read_names(source) == {"ew", "g", "x", "h"}
 
 
@@ -75,6 +78,36 @@ def test_public_names_are_read():
     read = set().union(*(read_names(p.read_text()) for p in READERS))
     exported = exported_names((PACKAGE / "__init__.py").read_text())
     assert exported and [name for name in exported if name not in read] == []
+
+
+def defined_names(source: str) -> list[str]:
+    """Public functions, classes and constants bound at the top level of
+    source."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_defined_names_flag_the_unread_function():
+    source = ("LIMIT = 2\n_cache = {}\nA, B = 1, 2\nSIZE: int = 3\n"
+              "def read():\n    return LIMIT + A + B + SIZE\n"
+              "def unread():\n    return read()\nclass Used:\n    pass\nUsed()\n")
+    defined = defined_names(source)
+    assert defined == ["LIMIT", "A", "B", "SIZE", "read", "unread", "Used"]
+    assert [name for name in defined if name not in read_names(source)] == ["unread"]
+
+
+def test_module_names_are_read():
+    # a module-level name only tests read is test-only API as well; the
+    # module's own reads count, so a helper its functions call is read
+    read = set().union(*(read_names(p.read_text()) for p in READERS))
+    defined = [f"{p.stem}.{name}" for p in MODULES for name in defined_names(p.read_text())]
+    assert defined and [name for name in defined if name.split(".")[1] not in read] == []
 
 
 def public_members(source: str, classes) -> list[str]:

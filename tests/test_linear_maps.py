@@ -3,7 +3,7 @@ the named constants built once per process.
 
 Each map is checked against the einsum it replaced, kept here as an oracle:
 the Born-rule contraction for outcome tables and the Pauli-basis sums for
-traces, coefficients and witness operators.  The shared constants must be
+traces, coefficients and Pauli sums.  The shared constants must be
 the same instance on every call and must refuse every write.
 """
 
@@ -71,13 +71,12 @@ class TestEinsumOracles:
     @settings(max_examples=60, deadline=None)
     @given(rho=states(), signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=64,
                                         max_size=64))
-    def test_weights_to_operator(self, rho, signs):
+    def test_pauli_sum(self, rho, signs):
         # the weights of a unit-trace operator, with random signs
         n = rho.n_qubits
         flip = np.reshape(signs[:4 ** n], (4,) * n)
-        weights = ew.PauliWeights(n, flip * qcore.pauli_traces(rho.matrix) / 2 ** n)
-        assert np.max(np.abs(weights.to_operator() - einsum_pauli_sum(weights.table))) \
-            <= ORACLE_TOL
+        table = flip * qcore.pauli_traces(rho.matrix) / 2 ** n
+        assert np.max(np.abs(qcore.pauli_sum(table) - einsum_pauli_sum(table))) <= ORACLE_TOL
 
 
 @pytest.mark.parametrize("seed", [0, 31, 2024])

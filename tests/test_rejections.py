@@ -52,7 +52,7 @@ VALIDATORS = {
     "GameConfig, zero rounds": lambda p: ew.GameConfig(p, 0, 0),
     "count_table": game.count_table,
     "PauliWeights": lambda t: ew.PauliWeights(2, t),
-    "Witness": lambda op: ew.Witness(op, WEIGHTS),
+    "Witness": ew.Witness.from_operator,
     "Moments": lambda counts_and_sums: ew.Moments(*counts_and_sums),
 }
 
@@ -148,18 +148,13 @@ CASES = [
      "weights must be finite"),
     ("PauliWeights", "negative entry", -WEIGHTS.table, None),
     ("PauliWeights", "empty", np.zeros(0), "expected shape (4, 4), got (0,)"),
-    ("Witness", "nan", np.full((4, 4), NAN),
-     "operator and weights disagree (max deviation nan)"),
-    ("Witness", "+inf", put(OPERATOR, ((1, 1), INF)),
-     "operator and weights disagree (max deviation inf)"),
-    ("Witness", "-inf", put(OPERATOR, ((1, 1), -INF)),
-     "operator and weights disagree (max deviation inf)"),
+    ("Witness", "nan", np.full((4, 4), NAN), "matrix contains non-finite entries"),
+    ("Witness", "+inf", put(OPERATOR, ((1, 1), INF)), "matrix contains non-finite entries"),
+    ("Witness", "-inf", put(OPERATOR, ((1, 1), -INF)), "matrix contains non-finite entries"),
     ("Witness", "not Hermitian", put(OPERATOR, ((0, 1), 0.1)),
-     "operator and weights disagree (max deviation 1.000e-01)"),
-    ("Witness", "empty", np.zeros((0, 0)),
-     "operator must have shape (4, 4), got (0, 0)"),
-    ("Witness", "scalar", np.float64(1.0),
-     "operator must have shape (4, 4), got ()"),
+     "imaginary residue 1.000e-01 in Pauli traces; input not Hermitian"),
+    ("Witness", "empty", np.zeros((0, 0)), "matrix dimension must be 2, 4 or 8, got 0"),
+    ("Witness", "scalar", np.float64(1.0), "matrix must be a square matrix, got shape ()"),
     ("Moments", "nan", (PLAYED, put(SUMS, ((1, 2), NAN))), "parity sums must be finite"),
     ("Moments", "+inf", (PLAYED, put(SUMS, ((1, 2), INF))), "parity sums must be finite"),
     ("Moments", "-inf", (PLAYED, put(SUMS, ((1, 2), -INF))), "parity sums must be finite"),
@@ -196,10 +191,10 @@ NON_FINITE = [NAN, INF, -INF]
 
 @pytest.mark.parametrize("value", NON_FINITE)
 def test_witness_rejects_non_finite_operator(value):
-    with pytest.raises(ValueError, match="disagree"):
-        ew.Witness(np.full((4, 4), value), WEIGHTS)
-    with pytest.raises(ValueError, match="disagree"):
-        ew.Witness(put(OPERATOR, ((2, 3), value)), WEIGHTS)
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        ew.Witness.from_operator(np.full((4, 4), value))
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        ew.Witness.from_operator(put(OPERATOR, ((2, 3), value)))
 
 
 @pytest.mark.parametrize("value", NON_FINITE)

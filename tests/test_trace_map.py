@@ -1,0 +1,120 @@
+"""One trace map: every Tr(sigma O) in the package is qcore.expectations.
+
+expected_payoff, chsh_value and check_witness read the real part of
+Tr(sigma O) for operands that have already passed a Hermiticity check, so
+a state DensityMatrix accepts is never rejected for the imaginary part its
+tolerance allows.  The payoff is checked against -sum_t w[t] Tr(rho sigma_t)
+built from Pauli matrices written out here, not from qcore's basis.
+"""
+
+import json
+from functools import reduce
+from itertools import product
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ewgame as ew
+from ewgame import cli, qcore, serialize
+
+PAULI = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+         np.diag([1, -1])]
+
+
+def oracle_payoff(rho, weights):
+    """-sum_t w[t] Tr(rho sigma_t), one Pauli string at a time."""
+    total = 0.0
+    for labels in product(range(4), repeat=weights.ndim):
+        sigma = reduce(np.kron, [PAULI[l] for l in labels])
+        total += weights[labels] * np.trace(rho @ sigma).real
+    return -total
+
+
+def edge_state():
+    """I/4 with 0.5e-10j at (0, 3) and (3, 0): its Hermiticity deviation is
+    exactly HERMITICITY_TOL."""
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 3] = m[3, 0] = 0.5e-10j
+    return m
+
+
+class TestEdgeState:
+    def test_density_matrix_accepts_it(self):
+        m = edge_state()
+        assert abs(m - m.conj().T).max() == qcore.HERMITICITY_TOL
+        assert np.array_equal(ew.DensityMatrix(m).matrix, m)
+
+    def test_payoff_and_chsh_have_values(self):
+        rho = ew.DensityMatrix(edge_state())
+        assert ew.expected_payoff(rho, ew.werner_witness()) == \
+            pytest.approx(-1 / np.sqrt(3), abs=1e-15)
+        assert ew.chsh_value(rho, *ew.xz_chsh_observables()).value == pytest.approx(0, abs=1e-15)
+
+    @pytest.mark.parametrize("command", [
+        ("payoff", "--witness", "werner"),
+        ("chsh",),
+        ("witness", "check", "--witness", "werner", "--samples", "50"),
+    ], ids=lambda c: " ".join(c[:2]))
+    def test_cli_prints_a_value(self, capsys, tmp_path, command):
+        path = tmp_path / "edge.json"
+        path.write_text(json.dumps(serialize.state_to_dict(ew.DensityMatrix(edge_state()))))
+        code = cli.main([*command, "--state", str(path)])
+        captured = capsys.readouterr()
+        assert code in (0, 1) and captured.err == ""
+        assert captured.out
+
+
+@st.composite
+def noisy_states(draw):
+    """A random 2- or 3-qubit density matrix plus an anti-Hermitian part
+    whose largest off-diagonal entry is up to HERMITICITY_TOL / 2, and
+    random weights."""
+    n = draw(st.sampled_from([2, 3]))
+    # the margin below 1 leaves room for the round-off of adding the parts
+    size = draw(st.floats(0.0, 1.0 - 1e-6)) * qcore.HERMITICITY_TOL / 2
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = 2 ** n
+    g = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    h = g @ g.conj().T
+    h = (h + h.conj().T) / (2 * h.trace().real)
+    b = gen.uniform(-1, 1, (d, d)) + 1j * gen.uniform(-1, 1, (d, d))
+    a = b - b.conj().T
+    np.fill_diagonal(a, 0)  # the trace stays 1
+    return h + a * (size / abs(a).max()), gen.uniform(-1, 1, (4,) * n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=noisy_states())
+def test_payoff_is_minus_the_weighted_pauli_traces(case):
+    m, table = case
+    rho = ew.DensityMatrix(m)
+    wit = ew.Witness(ew.PauliWeights(table.ndim, table))
+    assert ew.expected_payoff(rho, wit) == pytest.approx(oracle_payoff(m, table), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(7,), (2, 3)])
+@pytest.mark.parametrize("wit", [ew.werner_witness, ew.ghz_witness], ids=["2q", "3q"])
+def test_expectations_on_a_stack(rng, shape, wit):
+    w = wit()
+    d = w.operator.shape[0]
+    stack = np.stack([ew.random_density_matrix(rng, d).matrix
+                      for _ in range(int(np.prod(shape)))]).reshape(*shape, d, d)
+    values = qcore.expectations(stack, w.operator)
+    assert values.shape == shape
+    for ix in np.ndindex(shape):
+        assert values[ix] == pytest.approx(np.trace(stack[ix] @ w.operator).real, abs=1e-12)
+
+
+def test_dimension_mismatch_is_named():
+    with pytest.raises(ValueError, match="^dimension mismatch: state 8, operator 4$"):
+        ew.chsh_value(ew.ghz_state(), *ew.xz_chsh_observables())
+    with pytest.raises(ValueError, match="^dimension mismatch: state 4, operator 8$"):
+        ew.expected_payoff(ew.bell_psi_plus(), ew.ghz_witness())
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_partial_transpose_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="^operator contains non-finite entries$"):
+        ew.partial_transpose(np.full((4, 4), value))

@@ -358,9 +358,13 @@ class TestWitnessTypes:
             ew.PauliWeights(2, np.zeros((4, 3)))
 
     def test_inconsistent_operator_rejected(self):
+        # the operator is built from the weights; no other can be given
         w = ew.werner_witness()
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(TypeError):
             ew.Witness(np.eye(4), w.weights)
+        with pytest.raises(TypeError):
+            ew.Witness(w.weights, operator=np.eye(4))
+        assert np.array_equal(ew.Witness(w.weights).operator, w.operator)
 
     def test_from_operator_roundtrip(self, rng):
         table = rng.uniform(-1, 1, size=(4, 4))
