@@ -63,4 +63,4 @@ from .witness import (
     xz_chsh_observables,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

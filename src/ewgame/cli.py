@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -35,7 +34,7 @@ def _resolve_seed(seed, source: str | None = None) -> int:
             seed, source = int(env), ENV_SEED
         except ValueError:
             raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    with _naming(source):
+    with serialize.naming(source):
         return game.validate_seed(seed)
 
 
@@ -59,59 +58,45 @@ def cmd_payoff(args) -> int:
     return EXIT_OK if value > 0.0 else EXIT_NEGATIVE
 
 
-@contextmanager
-def _naming(source: str | None):
-    """Prefix a ValueError raised inside with source, the run-spec file or
-    environment variable the value at fault came from; None (a flag or a
-    default) adds nothing."""
-    try:
-        yield
-    except ValueError as exc:
-        if source is None:
-            raise
-        raise ValueError(f"{source}: {exc}") from None
+# simulate's fields in the order they are checked, each with its default
+# (None: the field must be given)
+_SIMULATE_DEFAULTS = {"seed": 0, "state": None, "witness": None, "pi": "uniform",
+                      "rounds": 100_000, "strategy": "honest"}
 
 
 def cmd_simulate(args) -> int:
     want_csv = args.format == "csv"
     if want_csv and not args.out:
         raise ValueError("--format csv needs --out for the transcript file")
-    # flags override the fields of the run spec, which serialize has checked
-    spec = serialize.load_run_spec(args.config) if args.config else {}
-
-    def pick(key, default=None):
-        """The flag, else the run spec's field, else the default, with the
-        file to name when the value is bad."""
-        flag = getattr(args, key)
-        if flag or key not in spec:
-            return flag or default, None
-        return spec[key], args.config
-
-    (state_spec, state_src), (wit_spec, wit_src) = pick("state"), pick("witness")
-    if state_spec is None or wit_spec is None:
+    spec = serialize.load_run_spec(args.config) if args.config is not None else {}
+    # each field is its flag when given, else the run spec's (named by the
+    # run spec's path when it is bad), else its default
+    value, source = {}, {}
+    for key, default in _SIMULATE_DEFAULTS.items():
+        if getattr(args, key) is not None:
+            value[key], source[key] = getattr(args, key), None
+        elif key in spec:
+            value[key], source[key] = spec[key], args.config
+        else:
+            value[key], source[key] = default, None
+    if value["state"] is None or value["witness"] is None:
         raise ValueError("simulate needs --state and --witness (flags or config file)")
-    rounds_src = args.config if args.rounds is None and "rounds" in spec else None
-    rounds = args.rounds if args.rounds is not None else spec.get("rounds", 100_000)
-    seed_src = args.config if args.seed is None and "seed" in spec else None
-    seed = _resolve_seed(args.seed if args.seed is not None else spec.get("seed", 0), seed_src)
-    pi_spec, pi_src = pick("pi", "uniform")
-    strategy_name, strategy_src = pick("strategy", "honest")
-    with _naming(state_src):
-        rho = serialize.parse_state_spec(state_spec)
-    with _naming(wit_src):
-        wit = serialize.parse_witness_spec(wit_spec)
+    seed = _resolve_seed(value["seed"], source["seed"])
+    with serialize.naming(source["state"]):
+        rho = serialize.parse_state_spec(value["state"])
+    with serialize.naming(source["witness"]):
+        wit = serialize.parse_witness_spec(value["witness"])
     # pi with a placeholder round count and seed, then the config with the
-    # real ones, so that an error in either names its own source; an inline
-    # pi list names its config field instead
-    with _naming(pi_src if isinstance(pi_spec, str) else None):
-        pi = serialize.parse_pi_spec(pi_spec, wit.weights, 1, 0).pi
-    with _naming(rounds_src):
-        config = game.GameConfig(pi, rounds, seed)
-    with _naming(strategy_src):
-        if strategy_name not in ("honest", "cheat"):
-            raise ValueError(f"unknown strategy {strategy_name!r}; use honest or cheat")
+    # real ones, so that an error in either names its own source
+    with serialize.naming(source["pi"]):
+        pi = serialize.parse_pi_spec(value["pi"], wit.weights, 1, 0).pi
+    with serialize.naming(source["rounds"]):
+        config = game.GameConfig(pi, value["rounds"], seed)
+    with serialize.naming(source["strategy"]):
+        if value["strategy"] not in ("honest", "cheat"):
+            raise ValueError(f"unknown strategy {value['strategy']!r}; use honest or cheat")
 
-    if strategy_name == "honest":
+    if value["strategy"] == "honest":
         strategy = game.honest_strategy(rho)
     else:
         if wit.n_qubits != 2:

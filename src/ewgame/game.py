@@ -89,6 +89,26 @@ def count_table(counts) -> np.ndarray:
     return table
 
 
+def pi_table(pi) -> np.ndarray:
+    """Label probabilities as a read-only float64 copy of shape (4, 4) or
+    (4, 4, 4): finite, nonnegative entries that sum to 1."""
+    p = np.array(pi, dtype=np.float64)
+    n = p.ndim
+    if p.shape != (4,) * n or n not in (2, 3):
+        raise ValueError(f"pi must have shape (4, 4) or (4, 4, 4), got {p.shape}")
+    # NaN and -inf fail the minimum, +inf the sum; only then is the
+    # cause looked up, so that non-finite entries are named first
+    if not p.min() >= 0.0:
+        _check_finite(p, "pi entries must be finite")
+        raise ValueError("pi entries must be nonnegative")
+    total = p.sum()
+    if not abs(total - 1.0) <= PI_SUM_TOL:
+        _check_finite(p, "pi entries must be finite")
+        raise ValueError(f"pi must sum to 1, got {total:.15g}")
+    p.setflags(write=False)
+    return p
+
+
 def validate_seed(seed) -> int:
     """seed as an int: a nonnegative integer, not a bool, as
     ``default_rng`` takes it."""
@@ -106,19 +126,7 @@ class GameConfig:
     seed: int
 
     def __post_init__(self):
-        p = np.array(self.pi, dtype=np.float64)
-        n = p.ndim
-        if p.shape != (4,) * n or n not in (2, 3):
-            raise ValueError(f"pi must have shape (4, 4) or (4, 4, 4), got {p.shape}")
-        # NaN and -inf fail the minimum, +inf the sum; only then is the
-        # cause looked up, so that non-finite entries are named first
-        if not p.min() >= 0.0:
-            _check_finite(p, "pi entries must be finite")
-            raise ValueError("pi entries must be nonnegative")
-        total = p.sum()
-        if not abs(total - 1.0) <= PI_SUM_TOL:
-            _check_finite(p, "pi entries must be finite")
-            raise ValueError(f"pi must sum to 1, got {total:.15g}")
+        p = pi_table(self.pi)
         if isinstance(self.rounds, bool) or not isinstance(self.rounds, (int, np.integer)):
             raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
         if self.rounds < 1:
@@ -126,12 +134,7 @@ class GameConfig:
         if self.rounds > MAX_ROUNDS:
             raise ValueError(f"rounds must be at most 2**63 - 1, got {self.rounds}")
         validate_seed(self.seed)
-        p.setflags(write=False)
         object.__setattr__(self, "pi", p)
-
-    @property
-    def n_parties(self) -> int:
-        return self.pi.ndim
 
     @classmethod
     def uniform(cls, rounds: int, seed: int, n_parties: int = 2) -> "GameConfig":
@@ -145,13 +148,19 @@ class GameConfig:
         mask = weights.table != 0.0
         return cls(mask / mask.sum(), rounds, seed)
 
-    def validate_against(self, weights: PauliWeights) -> None:
-        if self.pi.shape != weights.table.shape:
-            raise ValueError("pi and weights must have matching shapes")
-        bad = (weights.table != 0.0) & (self.pi == 0.0)
-        if bad.any():
-            cells = [tuple(ix) for ix in np.argwhere(bad).tolist()]
-            raise ValueError(f"pi is zero on cells with nonzero weight: {cells}")
+
+def _check_support(pi: np.ndarray, weights: PauliWeights, table: np.ndarray) -> None:
+    """weights has pi's party count, pi draws every cell they weigh (a cell
+    pi never draws cannot pay its weight), and the outcome table has a row
+    for each of pi's cells."""
+    if weights.n_qubits != pi.ndim:
+        raise ValueError("weights and config have different party counts")
+    bad = (weights.table != 0.0) & (pi == 0.0)
+    if bad.any():
+        cells = [tuple(ix) for ix in np.argwhere(bad).tolist()]
+        raise ValueError(f"pi is zero on cells with nonzero weight: {cells}")
+    if table.shape[:-1] != pi.shape:
+        raise ValueError("strategy outcome table does not match pi's shape")
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,20 +174,26 @@ class Strategy:
     outcome_table: np.ndarray
 
     def __post_init__(self):
-        t = np.array(self.outcome_table, dtype=np.float64)
-        n = t.ndim - 1
-        if n < 1 or t.shape != (4,) * n + (2 ** n,):
-            raise ValueError(f"outcome table must have shape (4,)*n + (2^n,), got {t.shape}")
-        # NaN and -inf fail the minimum, +inf the row sums
-        low = t.min()
-        if not low >= -OUTCOME_TOL:
-            _check_finite(t, "outcome probabilities must be finite")
-            raise ValueError(f"negative outcome probability {low:.3e}")
-        if not abs(t.sum(axis=-1) - 1.0).max() <= OUTCOME_TOL:
-            _check_finite(t, "outcome probabilities must be finite")
-            raise ValueError("outcome probabilities must sum to 1 in every label cell")
-        t.setflags(write=False)
-        object.__setattr__(self, "outcome_table", t)
+        object.__setattr__(self, "outcome_table", _outcome_probabilities(self.outcome_table))
+
+
+def _outcome_probabilities(table) -> np.ndarray:
+    """An outcome table as a read-only float64 copy of shape
+    (4,)*n + (2^n,) whose rows are probability distributions."""
+    t = np.array(table, dtype=np.float64)
+    n = t.ndim - 1
+    if n < 1 or t.shape != (4,) * n + (2 ** n,):
+        raise ValueError(f"outcome table must have shape (4,)*n + (2^n,), got {t.shape}")
+    # NaN and -inf fail the minimum, +inf the row sums
+    low = t.min()
+    if not low >= -OUTCOME_TOL:
+        _check_finite(t, "outcome probabilities must be finite")
+        raise ValueError(f"negative outcome probability {low:.3e}")
+    if not abs(t.sum(axis=-1) - 1.0).max() <= OUTCOME_TOL:
+        _check_finite(t, "outcome probabilities must be finite")
+        raise ValueError("outcome probabilities must sum to 1 in every label cell")
+    t.setflags(write=False)
+    return t
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,9 +224,15 @@ class Transcript:
         pays.setflags(write=False)
         object.__setattr__(self, "count_matrix", counts)
         object.__setattr__(self, "payments", pays)
+        object.__setattr__(self, "seed", validate_seed(self.seed))
         if self.joint is not None:
+            raw = np.asarray(self.joint)
+            # the dtype, not the values: casting fractions would truncate
+            # them, and an empty list has no entry to truncate
+            if raw.size and raw.dtype.kind not in "iu":
+                raise ValueError(f"joint records must be integers, got dtype {raw.dtype}")
             # a read-only view: one index per round is not worth copying
-            joint = np.asarray(self.joint, dtype=np.int64).view()
+            joint = raw.astype(np.int64, copy=False).view()
             # the range first: bincount allocates up to the largest entry
             if (joint.ndim != 1
                     or (joint.size and not 0 <= joint.min() <= joint.max() < counts.size)
@@ -409,12 +430,7 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
     """
     if not isinstance(keep_records, bool):
         raise ValueError(f"keep_records must be True or False, got {keep_records!r}")
-    n = config.n_parties
-    if weights.n_qubits != n:
-        raise ValueError("weights and config have different party counts")
-    config.validate_against(weights)
-    if strategy.outcome_table.shape[:-1] != config.pi.shape:
-        raise ValueError("strategy outcome table does not match pi's shape")
+    _check_support(config.pi, weights, strategy.outcome_table)
 
     pays = payoff_table(config.pi, weights)
     rng = np.random.default_rng(config.seed)
@@ -437,9 +453,14 @@ def exact_average_payoff(pi: np.ndarray, outcome_table: np.ndarray,
     This is the exact expectation of the per-round payment for any strategy
     described by its outcome table; for honest play it reproduces
     -Tr(rho W) through the importance weighting by 1/Pi.
+    pi, and the outcome table's rows, must be probability distributions
+    (``pi_table``, ``Strategy``) over the same label cells, and pi must draw
+    every cell the weights weigh, as ``run_game`` requires.
     """
-    pi = np.asarray(pi, dtype=np.float64)
-    flat_v = np.asarray(outcome_table).reshape(pi.size, -1)
+    pi = pi_table(pi)
+    table = _outcome_probabilities(outcome_table)
+    _check_support(pi, weights, table)
+    flat_v = table.reshape(pi.size, -1)
     return float(np.einsum("c,ck,ck->", pi.ravel(), flat_v, payoff_table(pi, weights)))
 
 

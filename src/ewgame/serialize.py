@@ -16,11 +16,12 @@ import json
 import math
 import os
 import re
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import qcore, witness
-from .game import GameConfig
+from .game import GameConfig, pi_table
 
 _WERNER_RE = re.compile(r"^werner\(\s*([-+0-9.eE]+)\s*\)$")
 _FLOAT_MAX = 1.7976931348623157e308
@@ -60,15 +61,26 @@ def _json_number(value, what: str = "an entry") -> float:
     return float(value)
 
 
+@contextmanager
+def naming(source: str | None, errors=ValueError):
+    """Re-raise an error of the types errors raised inside as a ValueError
+    prefixed with "{source}: ", the file, field or variable the value at
+    fault came from; None (a flag or a default) passes it through unchanged."""
+    try:
+        yield
+    except errors as exc:
+        if source is None:
+            raise
+        raise ValueError(f"{source}: {exc}") from None
+
+
 def _load(path: str, parse):
     """Decode the JSON file at path and return parse(document).  Every
     failure on the way, from a bad byte to a bad field, is one ValueError
     that names the file."""
-    try:
+    with naming(path, (ValueError, TypeError, ArithmeticError, RecursionError)):
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
-    except (ValueError, TypeError, ArithmeticError, RecursionError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _check_keys(data, required: tuple, optional: tuple = ()) -> None:
@@ -181,8 +193,8 @@ def _json_numbers(value):
 
 def _pi_table(data, n: int) -> np.ndarray:
     """Label probabilities read from JSON: 4^n numbers, flat or nested, or
-    (in a file) an object holding them under "pi", checked against the rules
-    of GameConfig."""
+    (in a file) an object holding them under "pi", checked by
+    ``game.pi_table``."""
     if isinstance(data, dict):
         _check_keys(data, ("pi",))
         data = data["pi"]
@@ -190,7 +202,7 @@ def _pi_table(data, n: int) -> np.ndarray:
         table = np.asarray(_json_numbers(data), dtype=np.float64).reshape((4,) * n)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"pi must be a list of {4 ** n} numbers: {exc}") from None
-    return GameConfig(table, 1, 0).pi  # a placeholder round count and seed
+    return pi_table(table)
 
 
 def parse_pi_spec(spec: str | list, weights: witness.PauliWeights, rounds: int, seed: int):
@@ -206,10 +218,8 @@ def parse_pi_spec(spec: str | list, weights: witness.PauliWeights, rounds: int, 
     # a table is checked where it is read, so that an error in it names its
     # file or field; rounds and seed are checked after, so that theirs do not
     if text is None:
-        try:
+        with naming("config field 'pi'"):
             pi = _pi_table(spec, n)
-        except ValueError as exc:
-            raise ValueError(f"config field 'pi': {exc}") from None
     elif os.path.exists(text):
         pi = _load(text, lambda data: _pi_table(data, n))
     else:

@@ -28,8 +28,8 @@ class IncompleteTomographyError(ValueError):
 class Moments:
     """Per-cell round counts and answer-product sums with the derived
     correlation estimates r_hat = sum(ab) / n.  Both tables are 4x4 and
-    read-only, the sums are finite and every cell was played: construction
-    checks that once."""
+    read-only, the sums are finite, each lies in [-n, n] (n answers of
+    +/-1) and every cell was played: construction checks that once."""
 
     counts: np.ndarray
     parity_sums: np.ndarray
@@ -44,6 +44,9 @@ class Moments:
         missing = np.argwhere(c == 0).tolist()
         if missing:
             raise IncompleteTomographyError(tuple(ix) for ix in missing)
+        if not (abs(s) <= c).all():
+            raise ValueError("a parity sum lies outside [-count, count], the range of "
+                             "count answers of +/-1")
         s.setflags(write=False)
         object.__setattr__(self, "counts", c)
         object.__setattr__(self, "parity_sums", s)

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,6 +54,16 @@ class TestPayoff:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {path}:")
 
+    def test_module_entry_point(self):
+        # python -m ewgame.cli runs main and exits with its code
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "ewgame.cli", "payoff",
+                               "--state", "werner(1)", "--witness", "werner"],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.1547005383792515\n", "")
+
     def test_unknown_state(self, capsys):
         code, _, err = run_cli(capsys, "payoff", "--state", "nope", "--witness", "werner")
         assert code == 2
@@ -91,6 +104,31 @@ class TestSimulate:
         fields = dict(kv.split("=") for kv in out.split())
         assert float(fields["mean"]) <= 3 * float(fields["std_error"])
         assert code == 1
+
+    def test_needs_a_state(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--witness", "werner", "--rounds", "100")
+        assert (code, out) == (2, "")
+        assert err == "error: simulate needs --state and --witness (flags or config file)\n"
+
+    @pytest.mark.parametrize("over_run_spec", [False, True], ids=["flags", "run spec"])
+    @pytest.mark.parametrize("field", ["state", "witness", "pi"])
+    def test_empty_flag_is_an_error(self, capsys, tmp_path, over_run_spec, field):
+        # an empty flag is a spec that does not resolve, never a fallback
+        # to the run spec's field or the default
+        fields = {"state": "werner(0.8)", "witness": "werner", "pi": "uniform"}
+        if over_run_spec:
+            argv = ("--config", spec_file(tmp_path, "run.json", fields), f"--{field}", "")
+        else:
+            argv = sum(((f"--{k}", "" if k == field else v) for k, v in fields.items()), ())
+        code, out, err = run_cli(capsys, "simulate", "--rounds", "1000", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unknown {field} spec ''")
+
+    def test_empty_config_flag_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--config", "", "--state", "werner(0.8)",
+                                 "--witness", "werner", "--rounds", "1000")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "''" in err
 
     def test_env_seed_override(self, capsys, monkeypatch):
         base = ("simulate", "--state", "werner(1)", "--witness", "werner",
@@ -301,12 +339,13 @@ JUNK = st.recursive(
 def run_pi(capsys, tmp_path, pi, source):
     """Run PI_RUN with pi given as a --pi file, a {"pi": ...} file or inline
     in a --config file; return the exit code, stdout, stderr and the name
-    an error must mention."""
+    an error must mention: the file, and for an inline pi its field too."""
     path = tmp_path / "pi.json"
     if source == "config":
         path.write_text(json.dumps({"state": "werner(0.8)", "witness": "chsh",
                                     "rounds": 2000, "seed": 5, "pi": pi}))
-        return (*run_cli(capsys, "simulate", "--config", str(path)), "config field 'pi'")
+        return (*run_cli(capsys, "simulate", "--config", str(path)),
+                f"{path}: config field 'pi'")
     path.write_text(json.dumps({"pi": pi} if source == "object" else pi))
     return (*run_cli(capsys, *PI_RUN, "--pi", str(path)), str(path))
 
@@ -376,6 +415,10 @@ class TestTomography:
         assert code == 2
         assert "no rounds for 12 label cells: [(0, 1), (0, 2), (0, 3), (1, 0)," in err
         assert "np." not in err
+
+    def test_needs_two_qubits(self, capsys):
+        code, out, err = run_cli(capsys, "tomography", "--state", "ghz", "--rounds", "100")
+        assert (code, out, err) == (2, "", "error: tomography is defined for two-qubit states\n")
 
     def test_witness_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -674,7 +717,7 @@ class TestSpecFileFuzz:
     def test_malformed_spec_file_exits_2(self, capsys, tmp_path, kind, how, junk, data):
         """One field or entry of a valid file replaced by junk, an unknown key
         added, or the text cut short: exit 2, and the error names the file
-        (or, for an inline pi, the config field)."""
+        (and, for an inline pi, the config field after it)."""
         doc = base_doc(kind)
         source = str(tmp_path / "spec.json")
         if how == "field":
@@ -686,13 +729,13 @@ class TestSpecFileFuzz:
             assume(not (kind == "config" and key == "seed" and junk == BIG))
             doc[key] = junk
             if kind == "config" and key == "pi" and isinstance(junk, list):
-                source = "config field 'pi'"
+                source += ": config field 'pi'"
         elif how == "entry":
             rows = {"state": "entries", "witness": "weights", "config": "pi"}[kind]
             i = data.draw(st.integers(0, len(doc[rows]) - 1))
             if kind == "config":
                 doc["pi"][i] = junk
-                source = "config field 'pi'"
+                source += ": config field 'pi'"
             else:
                 doc[rows][i][data.draw(st.integers(0, len(doc[rows][i]) - 1))] = junk
         elif how == "unknown key":

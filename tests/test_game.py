@@ -202,6 +202,49 @@ class TestGameConfig:
                         ew.werner_witness().weights)
 
 
+class TestExactAveragePayoff:
+    """exact_average_payoff rejects what run_game and Strategy reject,
+    instead of returning a number for it."""
+
+    @staticmethod
+    def bell_table():
+        return ew.honest_strategy(ew.make_werner(1.0)).outcome_table
+
+    def test_pi_must_draw_every_weighted_cell(self):
+        pi = np.full((4, 4), 1 / 16)
+        pi[1, 1] = 0.0
+        with pytest.raises(ValueError) as err:
+            ew.exact_average_payoff(pi / pi.sum(), self.bell_table(),
+                                    ew.werner_witness().weights)
+        assert str(err.value) == "pi is zero on cells with nonzero weight: [(1, 1)]"
+
+    def test_outcome_rows_must_be_distributions(self):
+        with pytest.raises(ValueError) as err:
+            ew.exact_average_payoff(np.full((4, 4), 1 / 16), np.ones((4, 4, 4)),
+                                    ew.werner_witness().weights)
+        assert str(err.value) == "outcome probabilities must sum to 1 in every label cell"
+
+    def test_pi_must_be_finite(self):
+        pi = np.full((4, 4), 1 / 16)
+        pi[2, 3] = np.nan
+        with pytest.raises(ValueError) as err:
+            ew.exact_average_payoff(pi, self.bell_table(), ew.werner_witness().weights)
+        assert str(err.value) == "pi entries must be finite"
+
+    def test_weights_must_have_pi_party_count(self):
+        with pytest.raises(ValueError) as err:
+            ew.exact_average_payoff(np.full((4, 4), 1 / 16), self.bell_table(),
+                                    ew.ghz_witness().weights)
+        assert str(err.value) == "weights and config have different party counts"
+
+    def test_table_must_cover_pi_cells(self):
+        table = ew.honest_strategy(ew.ghz_state()).outcome_table
+        with pytest.raises(ValueError) as err:
+            ew.exact_average_payoff(np.full((4, 4), 1 / 16), table,
+                                    ew.werner_witness().weights)
+        assert str(err.value) == "strategy outcome table does not match pi's shape"
+
+
 class TestHonestStrategy:
     def test_identity_label_records_plus_one(self):
         strat = ew.honest_strategy(ew.bell_psi_plus())
@@ -397,6 +440,12 @@ class TestRunGame:
         counts = tr.counts.reshape(4, 4)
         expect = (counts * (-16.0) * w.table / cfg.rounds).sum()
         assert mean == pytest.approx(expect, abs=1e-10)
+
+    def test_strategy_must_match_the_party_count(self):
+        with pytest.raises(ValueError) as err:
+            ew.run_game(ew.GameConfig.uniform(100, seed=0), ew.honest_strategy(ew.ghz_state()),
+                        ew.werner_witness().weights)
+        assert str(err.value) == "strategy outcome table does not match pi's shape"
 
     def test_zero_probability_cells_never_sampled(self, rng):
         pi, weights, strat = random_strategy_game(rng, zero_cells=6)
@@ -747,6 +796,24 @@ class TestTranscript:
     def test_rejects_joint_that_disagrees_with_the_counts(self, joint):
         with pytest.raises(ValueError, match="^joint records do not match the count matrix$"):
             ew.Transcript(*self.two_rounds(), seed=0, joint=joint)
+
+    @pytest.mark.parametrize("seed", [-7, 1.5, True, None])
+    def test_seed_is_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError) as err:
+            ew.Transcript(*self.two_rounds(), seed=seed)
+        assert str(err.value) == f"seed must be a nonnegative integer, got {seed!r}"
+
+    @pytest.mark.parametrize("joint", [[0.5, 0.7], [0.0, 0.0], [True, True]],
+                             ids=["fractions", "integral floats", "bools"])
+    def test_joint_records_are_integers(self, joint):
+        # [0.5, 0.7] would truncate to [0, 0], which matches the counts
+        with pytest.raises(ValueError, match="^joint records must be integers, got dtype"):
+            ew.Transcript(*self.two_rounds(), seed=0, joint=joint)
+
+    def test_joint_records_of_any_integer_dtype(self):
+        joint = np.zeros(2, dtype=np.uint8)
+        tr = ew.Transcript(*self.two_rounds(), seed=np.int64(3), joint=joint)
+        assert tr.joint.dtype == np.int64 and tr.joint.tolist() == [0, 0] and tr.seed == 3
 
     def test_integral_float_counts(self):
         tr = ew.Transcript(np.full((16, 4), 2.0), np.zeros((16, 4)), seed=0)

@@ -126,6 +126,11 @@ class TestFigureExport:
         cross = fig.series_points("intersection")[0]
         assert np.allclose(cross, [1 / 3, -1 / 3, 1 / 3], atol=1e-12)
 
+    def test_unknown_point_series(self):
+        fig = ew.export_figure_data("fig2", resolution=5)
+        with pytest.raises(KeyError, match="no point series 'nope' in fig2"):
+            fig.series_points("nope")
+
     def test_fig2_edge_counts(self):
         fig = ew.export_figure_data("fig2", resolution=5)
         assert sum(1 for s, _, _ in fig.edges if s == "tetrahedron") == 6

@@ -7,9 +7,11 @@ bound by a top-level import must be read somewhere in the module.
 name it exports must be read by the package itself, the benchmark or the
 acceptance suite, so nothing is exported only for its own tests, and so
 must every public method and property of the classes it exports and every
-public function, class and constant a module defines at its top level.  No
-module imports inside a function or class: the package has no import cycle
-for such an import to break.
+public function, class and constant a module defines at its top level.
+Every private function, class, constant and method must be read by the
+package itself, so no helper outlives its last caller.  No module imports
+inside a function or class: the package has no import cycle for such an
+import to break.
 
 numpy is the only declared dependency, and pytest and hypothesis the only
 test dependencies, so the package imports nothing but the standard library
@@ -80,9 +82,8 @@ def test_public_names_are_read():
     assert exported and [name for name in exported if name not in read] == []
 
 
-def defined_names(source: str) -> list[str]:
-    """Public functions, classes and constants bound at the top level of
-    source."""
+def top_level_names(source: str) -> list[str]:
+    """Functions, classes and constants bound at the top level of source."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -90,7 +91,44 @@ def defined_names(source: str) -> list[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [name for name in names if not name.startswith("_")]
+    return names
+
+
+def defined_names(source: str) -> list[str]:
+    """Public functions, classes and constants bound at the top level of
+    source."""
+    return [name for name in top_level_names(source) if not name.startswith("_")]
+
+
+def private_names(source: str) -> list[str]:
+    """Private functions, classes and constants bound at the top level of
+    source, and the private methods of its classes; dunder names, which
+    Python calls, are left out."""
+    methods = [item.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+               for item in node.body
+               if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [name for name in top_level_names(source) + methods
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_private_names_flag_the_unread_helper():
+    source = ("__version__ = '1'\n_LIMIT = 2\n_cache: dict = {}\n"
+              "def _read():\n    return _LIMIT + len(_cache)\n"
+              "def _unread():\n    return _read()\n"
+              "class _Box:\n    def __init__(self):\n        self._n = 0\n"
+              "    def _size(self):\n        return self._n\n"
+              "def public():\n    return _Box()._size()\n")
+    private = private_names(source)
+    assert private == ["_LIMIT", "_cache", "_read", "_unread", "_Box", "_size"]
+    assert [name for name in private if name not in read_names(source)] == ["_unread"]
+
+
+def test_private_names_are_read_by_the_package():
+    # tests and the benchmark do not count: a helper only they call is dead
+    modules = sorted(PACKAGE.glob("*.py"))
+    read = set().union(*(read_names(p.read_text()) for p in modules))
+    private = [f"{p.stem}.{name}" for p in modules for name in private_names(p.read_text())]
+    assert private and [name for name in private if name.split(".")[1] not in read] == []
 
 
 def test_defined_names_flag_the_unread_function():

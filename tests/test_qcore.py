@@ -262,6 +262,11 @@ class TestPauliCoefficients:
         table[0, 0] = 1.0
         assert np.allclose(ew.from_pauli_coefficients(table), np.eye(4) / 4, atol=1e-15)
 
+    def test_coefficient_table_must_be_4_per_axis(self):
+        with pytest.raises(ValueError) as err:
+            ew.from_pauli_coefficients(np.zeros((4, 3)))
+        assert str(err.value) == "coefficient table must have shape (4,)*n, got (4, 3)"
+
     def test_random_table_gives_hermitian(self, rng):
         table = rng.uniform(-1, 1, size=(4, 4))
         m = ew.from_pauli_coefficients(table)

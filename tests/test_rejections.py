@@ -39,6 +39,7 @@ def in_stack(m):
     return np.stack([WERNER, m, WERNER])
 
 
+BEYOND_COUNT = "a parity sum lies outside [-count, count], the range of count answers of +/-1"
 NOT_FINITE = "density matrix contains non-finite entries"
 HERMITIAN = "density matrix is not Hermitian (max deviation 1.000e-01)"
 NEGATIVE = "density matrix has negative eigenvalue -1.000e-01"
@@ -167,6 +168,16 @@ CASES = [
      "counts must be nonnegative integers"),
     ("Moments", "unplayed cell", (put(PLAYED, ((0, 3), 0)), SUMS),
      "no rounds for 1 label cells: [(0, 3)]"),
+    ("Moments", "sum above its count", (PLAYED, put(SUMS, ((1, 2), 10.5))), BEYOND_COUNT),
+    ("Moments", "sum below minus its count", (PLAYED, put(SUMS, ((3, 0), -11.0))),
+     BEYOND_COUNT),
+    ("Moments", "every sum five times its count", (np.ones((4, 4), int), np.full((4, 4), 5.0)),
+     BEYOND_COUNT),
+    ("Moments", "unplayed cell and sum above its count",
+     (put(PLAYED, ((0, 3), 0)), put(SUMS, ((1, 2), 10.5))),
+     "no rounds for 1 label cells: [(0, 3)]"),
+    ("Moments", "sums at plus and minus their counts",
+     (PLAYED, put(SUMS, ((1, 2), 10.0), ((3, 0), -10.0))), None),
     ("Moments", "valid", (PLAYED, SUMS), None),
 ]
 
@@ -205,6 +216,16 @@ def test_spin_observable_rejects_non_finite(value, where):
     sx, sz, b, b2 = ew.xz_chsh_observables()
     with pytest.raises(ValueError, match="non-finite"):
         ew.chsh_value(ew.make_werner(1.0), put(sx, (where, value)), sz, b, b2)
+
+
+@pytest.mark.parametrize("op,message", [
+    (np.eye(4), "A must be 2x2, got (4, 4)"),
+    (np.eye(2), "A must be traceless (eigenvalues -1 and +1)"),
+], ids=["4x4", "identity"])
+def test_spin_observable_rules(op, message):
+    with pytest.raises(ValueError) as err:
+        qcore.validate_spin_observable(op, "A")
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("value", NON_FINITE)

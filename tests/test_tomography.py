@@ -115,6 +115,10 @@ class TestProjectPsd:
             proj = tomography.project_psd(rho.matrix)
             assert np.max(np.abs(proj.matrix - rho.matrix)) < 1e-12
 
+    def test_no_positive_eigenvalue_is_an_error(self):
+        with pytest.raises(ValueError, match="^no positive eigenvalues; cannot project"):
+            tomography.project_psd(-np.eye(4))
+
     def test_clip_and_renormalize_diagonal(self):
         proj = tomography.project_psd(np.diag([1.1, 0.0, 0.0, -0.1]).astype(complex))
         assert np.max(np.abs(proj.matrix - np.diag([1, 0, 0, 0]))) < 1e-12
