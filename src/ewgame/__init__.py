@@ -63,4 +63,4 @@ from .witness import (
     xz_chsh_observables,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -39,7 +39,7 @@ def _resolve_seed(seed, source: str | None = None) -> int:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
@@ -66,7 +66,7 @@ _SIMULATE_DEFAULTS = {"seed": 0, "state": None, "witness": None, "pi": "uniform"
 
 def cmd_simulate(args) -> int:
     want_csv = args.format == "csv"
-    if want_csv and not args.out:
+    if want_csv and args.out is None:
         raise ValueError("--format csv needs --out for the transcript file")
     spec = serialize.load_run_spec(args.config) if args.config is not None else {}
     # each field is its flag when given, else the run spec's (named by the
@@ -295,6 +295,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # an empty --out names no file; it never means stdout
+        if getattr(args, "out", None) == "":
+            raise ValueError("--out '' names no file")
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

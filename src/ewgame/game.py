@@ -13,7 +13,7 @@ seed) tuple always yields the same transcript.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -149,16 +149,21 @@ class GameConfig:
         return cls(mask / mask.sum(), rounds, seed)
 
 
-def _check_support(pi: np.ndarray, weights: PauliWeights, table: np.ndarray) -> None:
-    """weights has pi's party count, pi draws every cell they weigh (a cell
-    pi never draws cannot pay its weight), and the outcome table has a row
-    for each of pi's cells."""
+def _check_support(pi: np.ndarray, weights: PauliWeights) -> None:
+    """weights are a PauliWeights with pi's party count, and pi draws every
+    cell they weigh: a cell pi never draws cannot pay its weight."""
+    if not isinstance(weights, PauliWeights):
+        raise ValueError(f"weights must be a PauliWeights, got {type(weights).__name__}")
     if weights.n_qubits != pi.ndim:
         raise ValueError("weights and config have different party counts")
     bad = (weights.table != 0.0) & (pi == 0.0)
     if bad.any():
         cells = [tuple(ix) for ix in np.argwhere(bad).tolist()]
         raise ValueError(f"pi is zero on cells with nonzero weight: {cells}")
+
+
+def _check_rows(pi: np.ndarray, table: np.ndarray) -> None:
+    """The outcome table has a row for each of pi's cells."""
     if table.shape[:-1] != pi.shape:
         raise ValueError("strategy outcome table does not match pi's shape")
 
@@ -198,53 +203,41 @@ def _outcome_probabilities(table) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """One game run, stored as its count matrix.
-
-    count_matrix[cell, outcome] is the number of rounds that landed on each
-    raveled label cell and joint outcome (int64), and payments[cell,
-    outcome] the payment each such round earned (``payoff_table``); both are
-    read-only.  With records, joint holds every round's cell * 2^n +
-    outcome in the order played (int64, read-only); it is None when the run
-    streamed.  Every other quantity is a property derived from these.
+    """One game run, stored as what it decided: count matrix, pi, weights
+    and seed.  count_matrix[cell, outcome] counts the rounds that landed on
+    each raveled label cell and joint outcome (int64); payments[cell,
+    outcome], each such round's payment, is built from pi and the weights
+    once (``payoff_table``).  joint, set by ``run_game`` alone, holds each
+    round's cell * 2^n + outcome in the order played, or None when the run
+    streamed.  All are read-only; every other quantity is derived from them.
     """
 
     count_matrix: np.ndarray
-    payments: np.ndarray
+    pi: np.ndarray
+    weights: PauliWeights
     seed: int
-    joint: np.ndarray | None = None
+    payments: np.ndarray = field(init=False, repr=False)
+    joint: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         counts = count_table(self.count_matrix)
-        pays = np.array(self.payments, dtype=np.float64)
-        n = counts.shape[-1].bit_length() - 1 if counts.ndim == 2 else 0
-        if n < 1 or counts.shape != (4 ** n, 2 ** n):
+        pi = pi_table(self.pi)
+        _check_support(pi, self.weights)
+        # a row per label cell of pi, a column per joint outcome
+        if counts.shape != (pi.size, 2 ** pi.ndim):
             raise ValueError(f"count matrix must have shape (4^n, 2^n), got {counts.shape}")
-        if pays.shape != counts.shape:
-            raise ValueError(f"payments must have shape {counts.shape}, got {pays.shape}")
+        if counts[pi.ravel() == 0.0].any():
+            raise ValueError("count matrix has rounds in cells pi never draws")
+        pays = payoff_table(pi, self.weights)
         pays.setflags(write=False)
         object.__setattr__(self, "count_matrix", counts)
-        object.__setattr__(self, "payments", pays)
+        object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "seed", validate_seed(self.seed))
-        if self.joint is not None:
-            raw = np.asarray(self.joint)
-            # the dtype, not the values: casting fractions would truncate
-            # them, and an empty list has no entry to truncate
-            if raw.size and raw.dtype.kind not in "iu":
-                raise ValueError(f"joint records must be integers, got dtype {raw.dtype}")
-            # a read-only view: one index per round is not worth copying
-            joint = raw.astype(np.int64, copy=False).view()
-            # the range first: bincount allocates up to the largest entry
-            if (joint.ndim != 1
-                    or (joint.size and not 0 <= joint.min() <= joint.max() < counts.size)
-                    or not np.array_equal(np.bincount(joint, minlength=counts.size),
-                                          counts.ravel())):
-                raise ValueError("joint records do not match the count matrix")
-            joint.setflags(write=False)
-            object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "payments", pays)
 
     @property
     def n_parties(self) -> int:
-        return self.count_matrix.shape[1].bit_length() - 1
+        return self.pi.ndim
 
     @property
     def rounds(self) -> int:
@@ -430,20 +423,21 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
     """
     if not isinstance(keep_records, bool):
         raise ValueError(f"keep_records must be True or False, got {keep_records!r}")
-    _check_support(config.pi, weights, strategy.outcome_table)
+    _check_rows(config.pi, strategy.outcome_table)
 
-    pays = payoff_table(config.pi, weights)
     rng = np.random.default_rng(config.seed)
     pi = config.pi.ravel()
     count_matrix = rng.multinomial(rng.multinomial(config.rounds, pi / pi.sum()),
                                    _table_rows(strategy.outcome_table))
-
-    joint = None
+    # checks the weights before any work that grows with the rounds
+    tr = Transcript(count_matrix, config.pi, weights, config.seed)
     if keep_records:
         # joint = cell * 2^n + outcome, one entry per round
         joint = np.repeat(np.arange(count_matrix.size), count_matrix.ravel())
         rng.shuffle(joint)
-    return Transcript(count_matrix, pays, config.seed, joint)
+        joint.setflags(write=False)
+        object.__setattr__(tr, "joint", joint)
+    return tr
 
 
 def exact_average_payoff(pi: np.ndarray, outcome_table: np.ndarray,
@@ -459,7 +453,8 @@ def exact_average_payoff(pi: np.ndarray, outcome_table: np.ndarray,
     """
     pi = pi_table(pi)
     table = _outcome_probabilities(outcome_table)
-    _check_support(pi, weights, table)
+    _check_support(pi, weights)
+    _check_rows(pi, table)
     flat_v = table.reshape(pi.size, -1)
     return float(np.einsum("c,ck,ck->", pi.ravel(), flat_v, payoff_table(pi, weights)))
 

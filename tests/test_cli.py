@@ -568,6 +568,22 @@ def test_witness_check_table(capsys, tmp_path, state, wit, code, verdict, min_va
     assert report["min_separable_value"] == pytest.approx(min_value, abs=1e-14)
 
 
+@pytest.mark.parametrize("command", [
+    ("geometry", "fig2"),
+    ("tomography", "--state", "werner(0.8)", "--rounds", "1000"),
+    ("simulate", "--state", "werner(0.8)", "--witness", "werner", "--rounds", "1000"),
+    ("simulate", "--state", "werner(0.8)", "--witness", "werner", "--rounds", "1000",
+     "--format", "csv"),
+    ("witness", "make", "--state", "werner(0.9)"),
+    ("witness", "make", "--state", "werner(0.2)"),
+    ("witness", "check", "--state", "werner(0.9)", "--witness", "werner", "--samples", "10"),
+], ids=["geometry", "tomography", "simulate", "simulate-csv", "witness-make",
+        "witness-make-ppt", "witness-check"])
+def test_empty_out_is_an_error(capsys, command):
+    # an empty --out names no file: it is neither stdout nor a missing --out
+    assert run_cli(capsys, *command, "--out", "") == (2, "", "error: --out '' names no file\n")
+
+
 def spec_file(tmp_path, name, content):
     path = tmp_path / name
     if isinstance(content, bytes):

@@ -15,6 +15,7 @@ from ewgame import game, qcore
 
 RT2 = np.sqrt(2.0)
 RT3 = np.sqrt(3.0)
+UNIFORM_PI = np.full((4, 4), 1 / 16)
 
 
 def born_rule_table(rho):
@@ -707,10 +708,12 @@ class TestEmpiricalPayoff:
     def test_alternating_signs(self):
         n = 10_000
         counts = np.zeros((16, 4), dtype=np.int64)
-        pays = np.zeros((16, 4))
         counts[0, :2] = n // 2
-        pays[0, :2] = [1.0, -1.0]
-        tr = ew.Transcript(counts, pays, seed=0)
+        # -w * parity / pi pays +1 on outcome 0 and -1 on outcome 1
+        table = np.zeros((4, 4))
+        table[0, 0] = -1 / 16
+        tr = ew.Transcript(counts, UNIFORM_PI, ew.PauliWeights(2, table), seed=0)
+        assert tr.payments[0, :2].tolist() == [1.0, -1.0]
         mean, se = ew.empirical_payoff(tr)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert se == pytest.approx(1 / np.sqrt(n), rel=1e-3)
@@ -718,7 +721,7 @@ class TestEmpiricalPayoff:
     def test_needs_two_rounds(self):
         counts = np.zeros((16, 4), dtype=np.int64)
         counts[0, 0] = 1
-        tr = ew.Transcript(counts, np.ones((16, 4)), seed=0)
+        tr = ew.Transcript(counts, UNIFORM_PI, ew.werner_witness().weights, seed=0)
         with pytest.raises(ValueError):
             ew.empirical_payoff(tr)
 
@@ -740,84 +743,97 @@ class TestEmpiricalPayoff:
 
 
 class TestTranscript:
+    @staticmethod
+    def two_rounds(counts=None, pi=UNIFORM_PI, weights=ew.werner_witness().weights, seed=0):
+        """A transcript of two rounds in cell 0, outcome 0 of the uniform
+        werner game, with any one of its inputs replaced."""
+        if counts is None:
+            counts = np.zeros((16, 4), dtype=np.int64)
+            counts[0, 0] = 2
+        return ew.Transcript(counts, pi, weights, seed=seed)
+
     def test_stores_each_quantity_once(self):
         cfg = ew.GameConfig.uniform(2_000, seed=8)
         w = ew.werner_witness().weights
         tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(0.8)), w, keep_records=True)
-        assert [f.name for f in fields(tr)] == ["count_matrix", "payments", "seed", "joint"]
+        assert [f.name for f in fields(tr) if f.init] == ["count_matrix", "pi", "weights", "seed"]
         assert tr.count_matrix.dtype == tr.joint.dtype == np.int64
         assert tr.payments.tobytes() == game.payoff_table(cfg.pi, w).tobytes()
-        for array in (tr.count_matrix, tr.payments, tr.joint):
+        assert tr.pi.tobytes() == cfg.pi.tobytes() and tr.weights is w
+        for array in (tr.count_matrix, tr.pi, tr.payments, tr.joint):
             assert not array.flags.writeable
         assert (tr.rounds, tr.n_parties, tr.seed) == (2_000, 2, 8)
-        for name in ("count_matrix", "counts", "payoff_sums"):
+        for name in ("count_matrix", "payments", "joint", "counts", "payoff_sums"):
             with pytest.raises(AttributeError):
                 setattr(tr, name, None)
 
+    @pytest.mark.parametrize("pi,message", [
+        (np.full((4, 4), 1 / 15), "pi must sum to 1, got 1.06666666666667"),
+        (np.full((4, 4), np.nan), "pi entries must be finite"),
+        (np.full((4, 2), 1 / 8), "pi must have shape (4, 4) or (4, 4, 4), got (4, 2)"),
+    ], ids=["sum", "nan", "shape"])
+    def test_rejects_what_pi_table_rejects(self, pi, message):
+        with pytest.raises(ValueError) as err:
+            self.two_rounds(pi=pi)
+        assert str(err.value) == message
+
+    def test_rejects_weights_that_are_not_pauli_weights(self):
+        with pytest.raises(ValueError) as err:
+            self.two_rounds(weights=ew.werner_witness().weights.table)
+        assert str(err.value) == "weights must be a PauliWeights, got ndarray"
+
+    def test_rejects_weights_of_another_party_count(self):
+        with pytest.raises(ValueError) as err:
+            self.two_rounds(weights=ew.ghz_witness().weights)
+        assert str(err.value) == "weights and config have different party counts"
+
+    def test_rejects_a_weighted_cell_pi_never_draws(self):
+        pi = np.full((4, 4), 1 / 15)
+        pi[1, 1] = 0.0
+        with pytest.raises(ValueError) as err:
+            self.two_rounds(pi=pi)
+        assert str(err.value) == "pi is zero on cells with nonzero weight: [(1, 1)]"
+
+    def test_rejects_rounds_in_a_cell_pi_never_draws(self):
+        pi = np.full((4, 4), 1 / 15)
+        pi[0, 2] = 0.0
+        counts = np.zeros((16, 4), dtype=np.int64)
+        counts[2, 3] = 1
+        with pytest.raises(ValueError) as err:
+            self.two_rounds(counts=counts, pi=pi)
+        assert str(err.value) == "count matrix has rounds in cells pi never draws"
+
     def test_rejects_malformed_tables(self):
-        good = np.zeros((16, 4), dtype=np.int64)
-        for counts, pays in ((np.zeros((16, 3)), np.zeros((16, 3))),
-                             (np.zeros((4, 4)), np.zeros((4, 4))),
-                             (np.zeros(16), np.zeros(16)),
-                             (good, np.zeros((16, 2)))):
-            with pytest.raises(ValueError):
-                ew.Transcript(counts, pays, seed=0)
+        # (64, 8) is a three-party count matrix; pi is two-party
+        for shape in ((16, 3), (4, 4), (16,), (64, 8)):
+            with pytest.raises(ValueError) as err:
+                self.two_rounds(counts=np.zeros(shape, dtype=np.int64))
+            assert str(err.value) == f"count matrix must have shape (4^n, 2^n), got {shape}"
 
     @pytest.mark.parametrize("count", [2.7, -1, np.inf, 2.0 ** 63, "2", 2 ** 64 - 1])
     def test_counts_are_nonnegative_integers(self, count):
         # 2^64 - 1 fills a uint64 table, which int64 cannot hold
         with pytest.raises(ValueError, match="counts must be nonnegative integers"):
-            ew.Transcript(np.full((16, 4), count), np.zeros((16, 4)), seed=0)
-
-    @staticmethod
-    def two_rounds():
-        """A count matrix with two rounds in cell 0, outcome 0, and its
-        payments."""
-        counts = np.zeros((16, 4), dtype=np.int64)
-        counts[0, 0] = 2
-        return counts, np.zeros((16, 4))
-
-    def test_accepts_joint_matching_the_counts(self):
-        tr = ew.Transcript(*self.two_rounds(), seed=0, joint=[0, 0])
-        assert tr.joint.tolist() == [0, 0]
-
-    @pytest.mark.parametrize("joint", [[[0, 0]], np.int64(0)], ids=["2-D", "0-D"])
-    def test_rejects_joint_not_one_dimensional(self, joint):
-        with pytest.raises(ValueError, match="^joint records do not match the count matrix$"):
-            ew.Transcript(*self.two_rounds(), seed=0, joint=joint)
-
-    @pytest.mark.parametrize("joint", [[0, -5], [0, 64], [999, -5], [0, 2 ** 62]])
-    def test_rejects_joint_entry_outside_the_cells(self, joint):
-        # 2^62 would have bincount allocate 32 EiB were the range not checked first
-        with pytest.raises(ValueError, match="^joint records do not match the count matrix$"):
-            ew.Transcript(*self.two_rounds(), seed=0, joint=joint)
-
-    @pytest.mark.parametrize("joint", [[63, 63, 63], [0], [0, 1], []])
-    def test_rejects_joint_that_disagrees_with_the_counts(self, joint):
-        with pytest.raises(ValueError, match="^joint records do not match the count matrix$"):
-            ew.Transcript(*self.two_rounds(), seed=0, joint=joint)
+            self.two_rounds(counts=np.full((16, 4), count))
 
     @pytest.mark.parametrize("seed", [-7, 1.5, True, None])
     def test_seed_is_a_nonnegative_integer(self, seed):
         with pytest.raises(ValueError) as err:
-            ew.Transcript(*self.two_rounds(), seed=seed)
+            self.two_rounds(seed=seed)
         assert str(err.value) == f"seed must be a nonnegative integer, got {seed!r}"
 
-    @pytest.mark.parametrize("joint", [[0.5, 0.7], [0.0, 0.0], [True, True]],
-                             ids=["fractions", "integral floats", "bools"])
-    def test_joint_records_are_integers(self, joint):
-        # [0.5, 0.7] would truncate to [0, 0], which matches the counts
-        with pytest.raises(ValueError, match="^joint records must be integers, got dtype"):
-            ew.Transcript(*self.two_rounds(), seed=0, joint=joint)
-
-    def test_joint_records_of_any_integer_dtype(self):
-        joint = np.zeros(2, dtype=np.uint8)
-        tr = ew.Transcript(*self.two_rounds(), seed=np.int64(3), joint=joint)
-        assert tr.joint.dtype == np.int64 and tr.joint.tolist() == [0, 0] and tr.seed == 3
-
     def test_integral_float_counts(self):
-        tr = ew.Transcript(np.full((16, 4), 2.0), np.zeros((16, 4)), seed=0)
-        assert tr.count_matrix.dtype == np.int64 and tr.rounds == 128
+        tr = self.two_rounds(counts=np.full((16, 4), 2.0), seed=np.int64(3))
+        assert tr.count_matrix.dtype == np.int64 and tr.rounds == 128 and tr.seed == 3
+        assert tr.joint is None
+
+    def test_run_game_rejects_weights_before_building_records(self):
+        # 2^62 records would take 32 EiB; the support check runs first
+        pi = np.full((4, 4), 1 / 15)
+        pi[1, 1] = 0.0
+        with pytest.raises(ValueError, match="nonzero weight"):
+            ew.run_game(ew.GameConfig(pi, 2 ** 62, seed=0), ew.classical_cheat_strategy(),
+                        ew.werner_witness().weights, keep_records=True)
 
 
 def row_loop_csv(tr, path):
