@@ -40,9 +40,7 @@ from .qcore import (
 from .tomography import (
     Estimate,
     IncompleteTomographyError,
-    Moments,
     accumulate,
-    linear_inversion,
     project_psd,
     reconstruct,
     reconstruction_error,
@@ -63,4 +61,4 @@ from .witness import (
     xz_chsh_observables,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

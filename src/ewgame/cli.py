@@ -86,6 +86,9 @@ def cmd_simulate(args) -> int:
         rho = serialize.parse_state_spec(value["state"])
     with serialize.naming(source["witness"]):
         wit = serialize.parse_witness_spec(value["witness"])
+    # neither value is wrong on its own, so the error names no source
+    if rho.n_qubits != wit.n_qubits:
+        raise ValueError(f"state has {rho.n_qubits} qubits but the witness has {wit.n_qubits}")
     # pi with a placeholder round count and seed, then the config with the
     # real ones, so that an error in either names its own source
     with serialize.naming(source["pi"]):
@@ -128,18 +131,19 @@ def cmd_tomography(args) -> int:
     weights = witness.werner_witness().weights
     config = serialize.parse_pi_spec(args.pi, weights, args.rounds, seed)
     tr = game.run_game(config, game.honest_strategy(rho), weights)
-    moments = tomography.accumulate(tr)
-    est = tomography.reconstruct(moments)
+    r_hat = tomography.accumulate(tr)
+    est = tomography.reconstruct(r_hat)
     err = tomography.reconstruction_error(rho, est)
 
-    r_hat = moments.estimates()
-    se = moments.standard_errors()
+    counts = tr.counts.reshape(4, 4)
+    # binomial standard error of each cell's mean of n answers of +/-1
+    se = np.sqrt(np.clip(1.0 - r_hat * r_hat, 0.0, None) / counts)
     if args.format == "csv":
         lines = ["s,t,r_hat,std_error,count"]
         for s in range(4):
             for t in range(4):
                 lines.append(f"{s},{t},{float17(r_hat[s, t])},"
-                             f"{float17(se[s, t])},{moments.counts[s, t]}")
+                             f"{float17(se[s, t])},{counts[s, t]}")
         _emit("\n".join(lines) + "\n", args.out)
     else:
         payload = {

@@ -224,8 +224,10 @@ class Transcript:
         pi = pi_table(self.pi)
         _check_support(pi, self.weights)
         # a row per label cell of pi, a column per joint outcome
-        if counts.shape != (pi.size, 2 ** pi.ndim):
-            raise ValueError(f"count matrix must have shape (4^n, 2^n), got {counts.shape}")
+        shape = (pi.size, 2 ** pi.ndim)
+        if counts.shape != shape:
+            raise ValueError(f"count matrix must have shape {shape} for a {pi.ndim}-party pi, "
+                             f"got {counts.shape}")
         if counts[pi.ravel() == 0.0].any():
             raise ValueError("count matrix has rounds in cells pi never draws")
         pays = payoff_table(pi, self.weights)

@@ -64,6 +64,20 @@ class TestPayoff:
                               env={**os.environ, "PYTHONPATH": path})
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1.1547005383792515\n", "")
 
+    @pytest.mark.parametrize("argv,code", [
+        (["payoff", "--state", "werner(0.2)", "--witness", "werner"], 1),
+        (["payoff", "--state", "nope", "--witness", "werner"], 2),
+    ], ids=["1", "2"])
+    def test_module_exit_codes(self, argv, code):
+        # the process exits with main's code; test_module_entry_point runs 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "ewgame.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == code
+        assert proc.stderr.startswith("error: ") == (code == 2)
+
     def test_unknown_state(self, capsys):
         code, _, err = run_cli(capsys, "payoff", "--state", "nope", "--witness", "werner")
         assert code == 2
@@ -294,6 +308,20 @@ class TestSimulate:
                                "--seed", "0", "--strategy", "cheat")
         assert code == 2
 
+    @pytest.mark.parametrize("state,wit,strategy,message", [
+        ("werner(0.5)", "ghz", "honest", "state has 2 qubits but the witness has 3"),
+        ("ghz", "werner", "cheat", "state has 3 qubits but the witness has 2"),
+    ], ids=["two-qubit state", "three-qubit state"])
+    def test_state_and_witness_of_different_qubit_counts(self, capsys, tmp_path, state,
+                                                         wit, strategy, message):
+        # neither value is wrong on its own, so no run spec path is named
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"state": state, "witness": wit}))
+        for flags in (("--state", state, "--witness", wit), ("--config", str(config))):
+            code, out, err = run_cli(capsys, "simulate", *flags, "--rounds", "100",
+                                     "--strategy", strategy)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_pi_file_without_pi_key_is_an_error(self, capsys, tmp_path):
         pi_file = tmp_path / "pi.json"
         pi_file.write_text(json.dumps({"probabilities": [[1 / 16] * 4] * 4}))
@@ -429,7 +457,10 @@ class TestTomography:
         args = ("tomography", "--state", "werner(0.5)", "--rounds", "20000", "--seed", "3")
         tr = ew.run_game(ew.GameConfig.uniform(20_000, seed=3),
                          ew.honest_strategy(ew.make_werner(0.5)), ew.werner_witness().weights)
-        se = ew.accumulate(tr).standard_errors()
+        # binomial standard error of each cell's mean of n answers of +/-1
+        n = tr.count_matrix.sum(axis=1)
+        r = (tr.count_matrix @ [1, -1, -1, 1]) / n
+        se = np.sqrt(np.clip(1.0 - r * r, 0.0, None) / n)
         run_cli(capsys, *args, "--format", "csv", "--out", str(tmp_path / "cells.csv"))
         rows = [line.split(",") for line in
                 (tmp_path / "cells.csv").read_text().strip().split("\n")[1:]]
@@ -439,10 +470,13 @@ class TestTomography:
 
     @pytest.mark.parametrize("fmt", ["text", "structured", "csv"])
     def test_scans_for_missing_cells_once(self, capsys, cell_scans, tmp_path, fmt):
-        code, _, _ = run_cli(capsys, "tomography", "--state", "werner(0.5)",
-                             "--rounds", "20000", "--format", fmt,
-                             "--out", str(tmp_path / "out"))
-        assert code == 0 and cell_scans == [(4, 4)]
+        # a complete run is never scanned; an incomplete one once, to name
+        # its unplayed cells
+        args = ("tomography", "--state", "werner(0.5)", "--rounds", "20000",
+                "--format", fmt, "--out", str(tmp_path / "out"))
+        assert run_cli(capsys, *args)[0] == 0 and cell_scans == []
+        assert run_cli(capsys, *args, "--pi", "support-only")[0] == 2
+        assert cell_scans == [(4, 4)]
 
     def test_text_output(self, capsys):
         code, out, _ = run_cli(capsys, "tomography", "--state", "werner(0.5)",

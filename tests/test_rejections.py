@@ -22,8 +22,6 @@ TABLE = np.full((4, 4, 4), 0.25)
 COUNTS = np.arange(64, dtype=np.int64).reshape(16, 4)
 WEIGHTS = ew.werner_witness().weights
 OPERATOR = ew.werner_witness().operator
-PLAYED = np.full((4, 4), 10)
-SUMS = np.full((4, 4), 2.0)
 
 
 def put(base, *entries):
@@ -39,7 +37,6 @@ def in_stack(m):
     return np.stack([WERNER, m, WERNER])
 
 
-BEYOND_COUNT = "a parity sum lies outside [-count, count], the range of count answers of +/-1"
 NOT_FINITE = "density matrix contains non-finite entries"
 HERMITIAN = "density matrix is not Hermitian (max deviation 1.000e-01)"
 NEGATIVE = "density matrix has negative eigenvalue -1.000e-01"
@@ -54,7 +51,6 @@ VALIDATORS = {
     "count_table": game.count_table,
     "PauliWeights": lambda t: ew.PauliWeights(2, t),
     "Witness": ew.Witness.from_operator,
-    "Moments": lambda counts_and_sums: ew.Moments(*counts_and_sums),
 }
 
 # validator, corruption, input, expected message (None: accepted)
@@ -156,29 +152,6 @@ CASES = [
      "imaginary residue 1.000e-01 in Pauli traces; input not Hermitian"),
     ("Witness", "empty", np.zeros((0, 0)), "matrix dimension must be 2, 4 or 8, got 0"),
     ("Witness", "scalar", np.float64(1.0), "matrix must be a square matrix, got shape ()"),
-    ("Moments", "nan", (PLAYED, put(SUMS, ((1, 2), NAN))), "parity sums must be finite"),
-    ("Moments", "+inf", (PLAYED, put(SUMS, ((1, 2), INF))), "parity sums must be finite"),
-    ("Moments", "-inf", (PLAYED, put(SUMS, ((1, 2), -INF))), "parity sums must be finite"),
-    ("Moments", "nan and unplayed cell", (put(PLAYED, ((0, 3), 0)), put(SUMS, ((1, 2), NAN))),
-     "parity sums must be finite"),
-    ("Moments", "nan and wrong shape", (PLAYED, np.full((4, 3), NAN)),
-     "moments are 4x4 tables over two-qubit label cells"),
-    ("Moments", "nan count and nan sum",
-     (put(PLAYED.astype(float), ((2, 2), NAN)), put(SUMS, ((1, 2), NAN))),
-     "counts must be nonnegative integers"),
-    ("Moments", "unplayed cell", (put(PLAYED, ((0, 3), 0)), SUMS),
-     "no rounds for 1 label cells: [(0, 3)]"),
-    ("Moments", "sum above its count", (PLAYED, put(SUMS, ((1, 2), 10.5))), BEYOND_COUNT),
-    ("Moments", "sum below minus its count", (PLAYED, put(SUMS, ((3, 0), -11.0))),
-     BEYOND_COUNT),
-    ("Moments", "every sum five times its count", (np.ones((4, 4), int), np.full((4, 4), 5.0)),
-     BEYOND_COUNT),
-    ("Moments", "unplayed cell and sum above its count",
-     (put(PLAYED, ((0, 3), 0)), put(SUMS, ((1, 2), 10.5))),
-     "no rounds for 1 label cells: [(0, 3)]"),
-    ("Moments", "sums at plus and minus their counts",
-     (PLAYED, put(SUMS, ((1, 2), 10.0), ((3, 0), -10.0))), None),
-    ("Moments", "valid", (PLAYED, SUMS), None),
 ]
 
 

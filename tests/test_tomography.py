@@ -1,16 +1,16 @@
+import json
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import ewgame as ew
-from ewgame import qcore, tomography
+from ewgame import cli, qcore, tomography
 
 
-def exact_moments(rho, rounds_per_cell=1):
-    """Infinite-sample moments: each cell reports its exact correlation."""
-    counts = np.full((4, 4), rounds_per_cell, dtype=np.int64)
-    return tomography.Moments(counts, qcore.pauli_traces(rho.matrix) * rounds_per_cell)
+def exact_moments(rho):
+    """Infinite-sample correlations: each cell reports its exact Pauli trace."""
+    return qcore.pauli_traces(rho.matrix)
 
 
 def honest_transcript(rho, rounds, seed):
@@ -18,11 +18,21 @@ def honest_transcript(rho, rounds, seed):
                        ew.honest_strategy(rho), ew.werner_witness().weights)
 
 
+def tomography_payload(capsys, rounds, seed):
+    code = cli.main(["tomography", "--state", "werner(0.5)", "--rounds", str(rounds),
+                     "--seed", str(seed), "--format", "structured"])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestMoments:
     def test_exact_moments_reproduce_correlations(self):
+        # every cell's counts are its outcome distribution times 1000 rounds
         rho = ew.make_werner(0.6)
-        m = exact_moments(rho, rounds_per_cell=1000)
-        assert np.max(np.abs(m.estimates() - qcore.pauli_traces(rho.matrix))) < 1e-15
+        table = ew.honest_strategy(rho).outcome_table.reshape(16, 4) * 1000
+        tr = ew.Transcript(np.round(table).astype(np.int64), np.full((4, 4), 1 / 16),
+                           ew.werner_witness().weights, seed=0)
+        assert np.max(np.abs(ew.accumulate(tr) - exact_moments(rho))) < 1e-15
 
     def test_incomplete_support_raises_with_cell_list(self):
         # diagonal-only label distribution leaves 12 cells unplayed
@@ -36,52 +46,40 @@ class TestMoments:
 
     def test_accumulate_from_uniform_run(self):
         tr = honest_transcript(ew.bell_psi_plus(), 1_000_000, seed=13)
-        m = ew.accumulate(tr)
-        assert m.counts.sum() == 1_000_000
+        r_hat = ew.accumulate(tr)
+        assert tr.counts.sum() == 1_000_000
+        assert r_hat.shape == (4, 4) and r_hat.dtype == np.float64
+        assert not r_hat.flags.writeable
         # cell (1,1) has r = 1; binomial error at n ~ 62500 rounds
-        assert m.estimates()[1, 1] == pytest.approx(1.0, abs=0.02)
+        assert r_hat[1, 1] == pytest.approx(1.0, abs=0.02)
 
-    def test_standard_errors_shrink_with_rounds(self):
-        small = ew.accumulate(honest_transcript(ew.make_werner(0.5), 10_000, seed=3))
-        large = ew.accumulate(honest_transcript(ew.make_werner(0.5), 1_000_000, seed=3))
+    def test_standard_errors_shrink_with_rounds(self, capsys):
+        small = np.array(tomography_payload(capsys, 10_000, 3)["standard_errors"])[:, 2]
+        large = np.array(tomography_payload(capsys, 1_000_000, 3)["standard_errors"])[:, 2]
         # radically more data: every noisy cell tightens
-        noisy = small.standard_errors() > 0
-        assert np.all(large.standard_errors()[noisy] < small.standard_errors()[noisy])
+        noisy = small > 0
+        assert np.all(large[noisy] < small[noisy])
 
     def test_incomplete_moments_cannot_be_built(self):
-        counts = np.full((4, 4), 10)
-        counts[0, 1] = counts[2, 3] = 0
+        pi = np.full((4, 4), 1 / 14)
+        pi[0, 1] = pi[2, 3] = 0.0
+        w = ew.werner_witness().weights
+        tr = ew.run_game(ew.GameConfig(pi, 5_000, 0), ew.honest_strategy(ew.make_werner(0.5)), w)
         with pytest.raises(ew.IncompleteTomographyError) as err:
-            tomography.Moments(counts, np.zeros((4, 4)))
+            ew.accumulate(tr)
         assert err.value.missing == [(0, 1), (2, 3)]
         assert str(err.value) == "no rounds for 2 label cells: [(0, 1), (2, 3)]"
 
-    def test_tables_are_read_only_copies(self):
-        counts, sums = np.full((4, 4), 10), np.ones((4, 4))
-        m = tomography.Moments(counts, sums)
-        counts[0, 0] = 0
-        assert m.counts[0, 0] == 10
-        for table in (m.counts, m.parity_sums):
-            with pytest.raises(ValueError):
-                table[0, 0] = 0
-
-    @pytest.mark.parametrize("count", [10.5, -3, np.nan, True])
-    def test_counts_are_nonnegative_integers(self, count):
-        with pytest.raises(ValueError, match="counts must be nonnegative integers"):
-            tomography.Moments(np.full((4, 4), count), np.full((4, 4), 6.0))
-
-    def test_integral_float_counts(self):
-        m = tomography.Moments(np.full((4, 4), 10.0), np.ones((4, 4)))
-        assert m.counts.dtype == np.int64 and np.all(m.counts == 10)
-
-    def test_rejects_wrong_shapes(self):
-        with pytest.raises(ValueError, match="4x4"):
-            tomography.Moments(np.ones((4, 3)), np.ones((4, 4)))
-
     def test_reconstruct_scans_for_missing_cells_once(self, cell_scans):
-        m = ew.accumulate(honest_transcript(ew.make_werner(0.5), 20_000, seed=1))
-        ew.reconstruct(m)
-        m.estimates(), m.standard_errors()
+        # a complete transcript is never scanned; an incomplete one once, to
+        # name its unplayed cells
+        ew.reconstruct(ew.accumulate(honest_transcript(ew.make_werner(0.5), 20_000, seed=1)))
+        assert cell_scans == []
+        w = ew.werner_witness().weights
+        tr = ew.run_game(ew.GameConfig.support_only(w, 5_000, seed=0),
+                         ew.honest_strategy(ew.make_werner(0.5)), w)
+        with pytest.raises(ew.IncompleteTomographyError):
+            ew.accumulate(tr)
         assert cell_scans == [(4, 4)]
 
     def test_rejects_three_party_transcript(self):
@@ -93,17 +91,16 @@ class TestMoments:
 
 class TestLinearInversion:
     def test_exact_bell_roundtrip(self):
-        m = exact_moments(ew.bell_psi_plus())
-        raw = ew.linear_inversion(m)
+        raw = ew.reconstruct(exact_moments(ew.bell_psi_plus())).raw
         assert np.max(np.abs(raw - ew.bell_psi_plus().matrix)) < 1e-12
 
     def test_exact_mixed_roundtrip(self):
-        m = exact_moments(ew.maximally_mixed(2))
-        assert np.max(np.abs(ew.linear_inversion(m) - np.eye(4) / 4)) < 1e-12
+        raw = ew.reconstruct(exact_moments(ew.maximally_mixed(2))).raw
+        assert np.max(np.abs(raw - np.eye(4) / 4)) < 1e-12
 
     def test_noisy_inversion_is_hermitian_unit_trace(self):
-        m = ew.accumulate(honest_transcript(ew.make_werner(0.5), 20_000, seed=21))
-        raw = ew.linear_inversion(m)
+        r_hat = ew.accumulate(honest_transcript(ew.make_werner(0.5), 20_000, seed=21))
+        raw = ew.reconstruct(r_hat).raw
         assert np.max(np.abs(raw - raw.conj().T)) < 1e-12
         assert np.trace(raw).real == pytest.approx(1.0, abs=1e-10)
 
@@ -132,8 +129,8 @@ class TestProjectPsd:
         assert np.max(np.abs(proj.matrix - expect)) < 1e-10
 
     def test_idempotent(self, rng):
-        m = ew.accumulate(honest_transcript(ew.make_werner(0.3), 5_000, seed=5))
-        once = tomography.project_psd(ew.linear_inversion(m))
+        r_hat = ew.accumulate(honest_transcript(ew.make_werner(0.3), 5_000, seed=5))
+        once = ew.reconstruct(r_hat).projected
         twice = tomography.project_psd(once.matrix)
         assert np.max(np.abs(twice.matrix - once.matrix)) < 1e-12
 
@@ -147,9 +144,8 @@ class TestProjectPsd:
         truth = ew.bell_psi_plus()
         good = 0
         for seed in range(100):
-            m = ew.accumulate(honest_transcript(truth, 5_000, seed=seed))
-            raw = ew.linear_inversion(m)
-            proj = tomography.project_psd(raw)
+            est = ew.reconstruct(ew.accumulate(honest_transcript(truth, 5_000, seed=seed)))
+            raw, proj = est.raw, est.projected
             d_raw = ew.trace_distance(raw, truth.matrix)
             d_proj = ew.trace_distance(proj, truth)
             good += d_proj <= d_raw + 1e-12
@@ -173,13 +169,10 @@ class TestReconstruction:
         # errors shrink roughly like 1/sqrt(rounds): a factor ~10 here
         assert 3.0 < err4 / err6 < 33.0
 
-    def test_estimate_carries_cell_errors(self):
-        # the per-cell errors live on the moments, the estimate holds the states
-        moments = ew.accumulate(honest_transcript(ew.make_werner(0.5), 20_000, seed=2))
-        est = ew.reconstruct(moments)
+    def test_estimate_holds_the_states(self):
+        # the per-cell errors are the command line's; the estimate holds the states
+        est = ew.reconstruct(ew.accumulate(honest_transcript(ew.make_werner(0.5), 20_000, seed=2)))
         assert [f.name for f in fields(est)] == ["raw", "projected"]
-        assert moments.standard_errors().shape == (4, 4)
-        assert np.all(moments.standard_errors() >= 0)
         m = est.projected.matrix
         assert np.trace(m @ m).real <= 1.0 + 1e-12
 
