@@ -61,4 +61,4 @@ from .witness import (
     xz_chsh_observables,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

@@ -1,16 +1,15 @@
 """Command-line front end.
 
 Subcommands: payoff, simulate, tomography, geometry, chsh, witness make,
-witness check.  Exit codes form a stable scripting contract: 0 for success or
-a positive detection, 1 for a clean negative result, 2 for any error.  The
-EWGAME_SEED environment variable overrides --seed when set.
+witness check.  Every input is a flag.  Exit codes form a stable scripting
+contract: 0 for success or a positive detection, 1 for a clean negative
+result, 2 for any error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -18,24 +17,9 @@ import numpy as np
 from . import game, geometry, serialize, tomography, witness
 from .serialize import float17
 
-ENV_SEED = "EWGAME_SEED"
-
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
-
-
-def _resolve_seed(seed, source: str | None = None) -> int:
-    """The EWGAME_SEED override when it is set, else seed, checked by
-    game.validate_seed; source names the run spec seed came from, if any."""
-    env = os.environ.get(ENV_SEED)
-    if env is not None and env.strip():
-        try:
-            seed, source = int(env), ENV_SEED
-        except ValueError:
-            raise ValueError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    with serialize.naming(source):
-        return game.validate_seed(seed)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -58,48 +42,17 @@ def cmd_payoff(args) -> int:
     return EXIT_OK if value > 0.0 else EXIT_NEGATIVE
 
 
-# simulate's fields in the order they are checked, each with its default
-# (None: the field must be given)
-_SIMULATE_DEFAULTS = {"seed": 0, "state": None, "witness": None, "pi": "uniform",
-                      "rounds": 100_000, "strategy": "honest"}
-
-
 def cmd_simulate(args) -> int:
     want_csv = args.format == "csv"
     if want_csv and args.out is None:
         raise ValueError("--format csv needs --out for the transcript file")
-    spec = serialize.load_run_spec(args.config) if args.config is not None else {}
-    # each field is its flag when given, else the run spec's (named by the
-    # run spec's path when it is bad), else its default
-    value, source = {}, {}
-    for key, default in _SIMULATE_DEFAULTS.items():
-        if getattr(args, key) is not None:
-            value[key], source[key] = getattr(args, key), None
-        elif key in spec:
-            value[key], source[key] = spec[key], args.config
-        else:
-            value[key], source[key] = default, None
-    if value["state"] is None or value["witness"] is None:
-        raise ValueError("simulate needs --state and --witness (flags or config file)")
-    seed = _resolve_seed(value["seed"], source["seed"])
-    with serialize.naming(source["state"]):
-        rho = serialize.parse_state_spec(value["state"])
-    with serialize.naming(source["witness"]):
-        wit = serialize.parse_witness_spec(value["witness"])
-    # neither value is wrong on its own, so the error names no source
+    seed = game.validate_seed(args.seed)
+    rho = serialize.parse_state_spec(args.state)
+    wit = serialize.parse_witness_spec(args.witness)
     if rho.n_qubits != wit.n_qubits:
         raise ValueError(f"state has {rho.n_qubits} qubits but the witness has {wit.n_qubits}")
-    # pi with a placeholder round count and seed, then the config with the
-    # real ones, so that an error in either names its own source
-    with serialize.naming(source["pi"]):
-        pi = serialize.parse_pi_spec(value["pi"], wit.weights, 1, 0).pi
-    with serialize.naming(source["rounds"]):
-        config = game.GameConfig(pi, value["rounds"], seed)
-    with serialize.naming(source["strategy"]):
-        if value["strategy"] not in ("honest", "cheat"):
-            raise ValueError(f"unknown strategy {value['strategy']!r}; use honest or cheat")
-
-    if value["strategy"] == "honest":
+    config = serialize.parse_pi_spec(args.pi, wit.weights, args.rounds, seed)
+    if args.strategy == "honest":
         strategy = game.honest_strategy(rho)
     else:
         if wit.n_qubits != 2:
@@ -126,7 +79,7 @@ def cmd_tomography(args) -> int:
     rho = serialize.parse_state_spec(args.state)
     if rho.n_qubits != 2:
         raise ValueError("tomography is defined for two-qubit states")
-    seed = _resolve_seed(args.seed)
+    seed = game.validate_seed(args.seed)
     # payments never reach the estimates; the werner weights keep --pi's meaning
     weights = witness.werner_witness().weights
     config = serialize.parse_pi_spec(args.pi, weights, args.rounds, seed)
@@ -202,7 +155,7 @@ def cmd_witness_make(args) -> int:
 def cmd_witness_check(args) -> int:
     rho = serialize.parse_state_spec(args.state)
     wit = serialize.parse_witness_spec(args.witness)
-    rng = np.random.default_rng(_resolve_seed(args.seed))
+    rng = np.random.default_rng(game.validate_seed(args.seed))
     report = witness.check_witness(wit, rho, args.samples, rng)
     payload = {
         "payoff_on_target": report.payoff_on_target,
@@ -238,6 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--witness", required=True,
                        help=f"witness spec: {serialize.WITNESS_NAMES}")
 
+    def add_run(p, pi_help):
+        p.add_argument("--rounds", type=int, default=100_000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--pi", default="uniform", help=pi_help)
+
     def add_out_format(p, formats):
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--format", choices=formats, default=formats[0])
@@ -248,21 +206,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_payoff)
 
     p = sub.add_parser("simulate", help="play the game and report the empirical payoff")
-    p.add_argument("--config", help="JSON run spec; flags override its fields")
-    p.add_argument("--state")
-    p.add_argument("--witness")
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--pi", help="uniform | support-only | JSON file")
-    p.add_argument("--strategy", choices=("honest", "cheat"))
+    add_state(p)
+    add_witness(p)
+    add_run(p, "uniform | support-only | JSON file")
+    p.add_argument("--strategy", choices=("honest", "cheat"), default="honest")
     add_out_format(p, ("text", "structured", "csv"))
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("tomography", help="reconstruct the state from an honest run")
     add_state(p)
-    p.add_argument("--rounds", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pi", default="uniform", help="uniform | JSON file (must reach all cells)")
+    add_run(p, "uniform | JSON file (must reach all cells)")
     add_out_format(p, ("text", "structured", "csv"))
     p.set_defaults(func=cmd_tomography)
 

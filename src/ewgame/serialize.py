@@ -1,13 +1,15 @@
-"""Text formats shared by the command line and scripts: state, witness, pi
-and run specs, weight files with exact symbolic constants, and summaries.
+"""Text formats shared by the command line and scripts: state, witness and
+pi specs, weight files with exact symbolic constants, and summaries.
 
 States are named constructors ("werner(0.5)", "bell_psi_plus", "ghz") or a
 path to a JSON file {"dim": d, "entries": [[re, im], ...]} listing the dense
 matrix row-major.  Witnesses are named constructors ("werner", "chsh",
 "chsh-strengthened", "ghz") or a path to a JSON file {"n": 2, "weights":
 [[s, t, w], ...]} where w is a number or a token like "1/sqrt(3)" or
-"-1/sqrt(2)", resolved to full double precision.  _load reads every spec
-file; each error in one is a ValueError that starts with the file's path.
+"-1/sqrt(2)", resolved to full double precision.  Label distributions are
+"uniform", "support-only" or a path to a JSON file of probabilities.  _load
+reads every spec file; each error in one is a ValueError that starts with
+the file's path.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import json
 import math
 import os
 import re
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -61,31 +62,20 @@ def _json_number(value, what: str = "an entry") -> float:
     return float(value)
 
 
-@contextmanager
-def naming(source: str | None, errors=ValueError):
-    """Re-raise an error of the types errors raised inside as a ValueError
-    prefixed with "{source}: ", the file, field or variable the value at
-    fault came from; None (a flag or a default) passes it through unchanged."""
-    try:
-        yield
-    except errors as exc:
-        if source is None:
-            raise
-        raise ValueError(f"{source}: {exc}") from None
-
-
 def _load(path: str, parse):
     """Decode the JSON file at path and return parse(document).  Every
     failure on the way, from a bad byte to a bad field, is one ValueError
     that names the file."""
-    with naming(path, (ValueError, TypeError, ArithmeticError, RecursionError)):
+    try:
         with open(path, encoding="utf-8") as fh:
             return parse(json.load(fh))
+    except (ValueError, TypeError, ArithmeticError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _check_keys(data, required: tuple, optional: tuple = ()) -> None:
     """data is a JSON object with every required key and no unknown one."""
-    keys = " and ".join(map(repr, required)) or f"keys from {list(optional)}"
+    keys = " and ".join(map(repr, required))
     if not isinstance(data, dict) or not set(required) <= set(data):
         raise ValueError(f"expected a JSON object with {keys}")
     unknown = sorted(set(data) - set(required + optional))
@@ -109,7 +99,11 @@ def parse_state_spec(spec: str) -> qcore.DensityMatrix:
     text = spec.strip()
     m = _WERNER_RE.match(text)
     if m:
-        return qcore.make_werner(float(m.group(1)))
+        try:
+            z = float(m.group(1))
+        except ValueError:
+            raise ValueError(f"werner parameter must be a number, got {m.group(1)!r}") from None
+        return qcore.make_werner(z)
     if text == "bell_psi_plus":
         return qcore.bell_psi_plus()
     if text == "ghz":
@@ -193,8 +187,7 @@ def _json_numbers(value):
 
 def _pi_table(data, n: int) -> np.ndarray:
     """Label probabilities read from JSON: 4^n numbers, flat or nested, or
-    (in a file) an object holding them under "pi", checked by
-    ``game.pi_table``."""
+    an object holding them under "pi", checked by ``game.pi_table``."""
     if isinstance(data, dict):
         _check_keys(data, ("pi",))
         data = data["pi"]
@@ -205,42 +198,17 @@ def _pi_table(data, n: int) -> np.ndarray:
     return pi_table(table)
 
 
-def parse_pi_spec(spec: str | list, weights: witness.PauliWeights, rounds: int, seed: int):
-    """Build a game config from "uniform", "support-only", a JSON file
-    holding the label probabilities (flat or nested, or under a "pi" key),
-    or such a table given inline as a run spec's "pi" field."""
+def parse_pi_spec(spec: str, weights: witness.PauliWeights, rounds: int, seed: int):
+    """Build a game config from "uniform", "support-only", or a JSON file
+    holding the label probabilities (flat or nested, or under a "pi" key)."""
     n = weights.n_qubits
-    text = spec.strip() if isinstance(spec, str) else None
+    text = spec.strip()
     if text == "uniform":
         return GameConfig.uniform(rounds, seed, n_parties=n)
     if text == "support-only":
         return GameConfig.support_only(weights, rounds, seed)
-    # a table is checked where it is read, so that an error in it names its
-    # file or field; rounds and seed are checked after, so that theirs do not
-    if text is None:
-        with naming("config field 'pi'"):
-            pi = _pi_table(spec, n)
-    elif os.path.exists(text):
-        pi = _load(text, lambda data: _pi_table(data, n))
-    else:
+    if not os.path.exists(text):
         raise ValueError(f"unknown pi spec {spec!r}; expected uniform, support-only, or a file")
-    return GameConfig(pi, rounds, seed)
-
-
-def load_run_spec(path: str) -> dict:
-    """Read a ``simulate --config`` run spec: string state, witness and
-    strategy, integer rounds and seed, and pi a spec string or a table."""
-    return _load(path, _run_spec_from_json)
-
-
-def _run_spec_from_json(data) -> dict:
-    _check_keys(data, (), ("state", "witness", "rounds", "seed", "pi", "strategy"))
-    for key in ("state", "witness", "strategy"):
-        if not isinstance(data.get(key, ""), str):
-            raise ValueError(f"config field {key!r} must be a string, got {data[key]!r}")
-    for key in ("rounds", "seed"):
-        if key in data:
-            data[key] = json_int(data[key], f"config field {key!r}")
-    if not isinstance(data.get("pi", ""), (str, list)):
-        raise ValueError(f"config field 'pi' must be a spec string or a list, got {data['pi']!r}")
-    return data
+    # the table is checked where it is read, so that an error in it names its
+    # file; rounds and seed are checked after, so that theirs do not
+    return GameConfig(_load(text, lambda data: _pi_table(data, n)), rounds, seed)

@@ -26,6 +26,12 @@ class PPTStateError(ValueError):
     transpose (for two qubits: a separable state)."""
 
 
+def _check_n_qubits(n_qubits) -> None:
+    if (isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer))
+            or not 1 <= n_qubits <= 3):
+        raise ValueError(f"n_qubits must be 1, 2 or 3, got {n_qubits!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class PauliWeights:
     """Real coefficient table over Pauli label tuples, shape (4,)*n."""
@@ -34,6 +40,7 @@ class PauliWeights:
     table: np.ndarray
 
     def __post_init__(self):
+        _check_n_qubits(self.n_qubits)
         t = np.array(self.table, dtype=np.float64)
         if t.shape != (4,) * self.n_qubits:
             raise ValueError(f"expected shape {(4,) * self.n_qubits}, got {t.shape}")
@@ -206,9 +213,7 @@ def _product_mixtures(rng: np.random.Generator, ks, n_qubits: int) -> np.ndarray
     stack.  The vectors are built component-last, so every elementwise step
     runs over all components at once rather than over pairs of amplitudes.
     """
-    if (isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer))
-            or not 1 <= n_qubits <= 3):
-        raise ValueError(f"n_qubits must be 1, 2 or 3, got {n_qubits!r}")
+    _check_n_qubits(n_qubits)
     ks = np.asarray(ks, dtype=np.int64)
     total = int(ks.sum())
     starts = np.cumsum(ks) - ks

@@ -43,7 +43,6 @@ def test_bash_commands_run_in_order(capsys, monkeypatch, tmp_path):
     # witness check reads the wit.json that witness make writes before it;
     # every command is a success or a positive detection, exit code 0
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(cli.ENV_SEED, raising=False)
     listed = commands()
     assert len(listed) == 10
     for argv, output in listed:
