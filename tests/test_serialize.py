@@ -260,12 +260,6 @@ class TestPiSpecs:
         path.write_text(json.dumps({"pi": pi.tolist()}))
         cfg = serialize.parse_pi_spec(str(path), w, 10, 0)
         assert np.allclose(cfg.pi, 1 / 16)
-        # a three-party table, flat or nested
-        flat = [1 / 64] * 64
-        for table in (flat, np.reshape(flat, (4, 4, 4)).tolist()):
-            path.write_text(json.dumps(table))
-            assert np.array_equal(serialize.parse_pi_spec(str(path), ew.ghz_witness().weights,
-                                                          10, 0).pi, np.full((4, 4, 4), 1 / 64))
 
     @pytest.mark.parametrize("entry", ["0.0625", True, False, None, [0.0625], {"p": 1}])
     def test_pi_entries_must_be_numbers(self, tmp_path, entry):
@@ -275,6 +269,16 @@ class TestPiSpecs:
         path.write_text(json.dumps(pi))
         with pytest.raises(ValueError, match=re.escape(f"{path}: pi must be a list of 16")):
             serialize.parse_pi_spec(str(path), w, 10, 0)
+
+    def test_inline_pi(self, tmp_path):
+        # a three-party table written as a bare list, flat or nested
+        w = ew.ghz_witness().weights
+        path = tmp_path / "pi.json"
+        flat = [1 / 64] * 64
+        for table in (flat, np.reshape(flat, (4, 4, 4)).tolist()):
+            path.write_text(json.dumps(table))
+            assert np.array_equal(serialize.parse_pi_spec(str(path), w, 10, 0).pi,
+                                  np.full((4, 4, 4), 1 / 64))
 
     def test_unknown_pi(self):
         with pytest.raises(ValueError, match="unknown pi spec"):
