@@ -49,8 +49,7 @@ def cmd_simulate(args) -> int:
     seed = game.validate_seed(args.seed)
     rho = serialize.parse_state_spec(args.state)
     wit = serialize.parse_witness_spec(args.witness)
-    if rho.n_qubits != wit.n_qubits:
-        raise ValueError(f"state has {rho.n_qubits} qubits but the witness has {wit.n_qubits}")
+    witness.check_qubit_counts(rho, wit)
     config = serialize.parse_pi_spec(args.pi, wit.weights, args.rounds, seed)
     if args.strategy == "honest":
         strategy = game.honest_strategy(rho)
@@ -62,12 +61,13 @@ def cmd_simulate(args) -> int:
     # keep_records never changes the moments; only the csv transcript needs records
     tr = game.run_game(config, strategy, wit.weights, keep_records=want_csv)
     mean, se = game.empirical_payoff(tr)
-    line = f"mean={float17(mean)} std_error={float17(se)} rounds={tr.rounds} seed={tr.seed}\n"
+    line = (f"mean={float17(mean)} std_error={float17(se)} rounds={tr.rounds} "
+            f"seed={tr.config.seed}\n")
     if want_csv:
         tr.to_csv(args.out)
         sys.stdout.write(line)
     elif args.format == "structured":
-        summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.seed,
+        summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.config.seed,
                    "strategy": strategy.name}
         _emit(json.dumps(summary, indent=2) + "\n", args.out)
     else:
@@ -101,7 +101,7 @@ def cmd_tomography(args) -> int:
     else:
         payload = {
             "rounds": tr.rounds,
-            "seed": tr.seed,
+            "seed": tr.config.seed,
             "correlations": [[s, t, r_hat[s, t]] for s in range(4) for t in range(4)],
             "standard_errors": [[s, t, se[s, t]] for s in range(4) for t in range(4)],
             "raw": {"dim": 4, "entries": [[z.real, z.imag] for z in est.raw.ravel()]},
@@ -111,7 +111,7 @@ def cmd_tomography(args) -> int:
         if args.format == "structured":
             _emit(json.dumps(payload, indent=2) + "\n", args.out)
         else:
-            text = [f"rounds={tr.rounds} seed={tr.seed}",
+            text = [f"rounds={tr.rounds} seed={tr.config.seed}",
                     f"trace_distance_to_input={float17(err)}", "r_hat:"]
             for s in range(4):
                 text.append("  " + " ".join(f"{r_hat[s, t]:+.6f}" for t in range(4)))

@@ -6,8 +6,8 @@ Honest players answer by measuring their shared state; the built-in cheating
 strategy answers from shared classical randomness instead and reproduces the
 maximally entangled state's diagonal correlations.  Either way a strategy
 enters the game only through its joint answer distribution per label cell,
-its outcome table.  Runs are reproducible: a (config, strategy, weights,
-seed) tuple always yields the same transcript.
+its outcome table.  Runs are reproducible: a (config, strategy, weights)
+triple always yields the same transcript, since the config holds the seed.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ def validate_seed(seed) -> int:
 
 @dataclass(frozen=True, eq=False)
 class GameConfig:
-    """Label distribution, round count and RNG seed for one game run."""
+    """Label distribution, round count and RNG seed for one game run.  The
+    round count and seed are stored as Python ints."""
 
     pi: np.ndarray
     rounds: int
@@ -133,8 +134,9 @@ class GameConfig:
             raise ValueError("rounds must be positive")
         if self.rounds > MAX_ROUNDS:
             raise ValueError(f"rounds must be at most 2**63 - 1, got {self.rounds}")
-        validate_seed(self.seed)
         object.__setattr__(self, "pi", p)
+        object.__setattr__(self, "rounds", int(self.rounds))
+        object.__setattr__(self, "seed", validate_seed(self.seed))
 
     @classmethod
     def uniform(cls, rounds: int, seed: int, n_parties: int = 2) -> "GameConfig":
@@ -203,25 +205,28 @@ def _outcome_probabilities(table) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Transcript:
-    """One game run, stored as what it decided: count matrix, pi, weights
-    and seed.  count_matrix[cell, outcome] counts the rounds that landed on
-    each raveled label cell and joint outcome (int64); payments[cell,
-    outcome], each such round's payment, is built from pi and the weights
-    once (``payoff_table``).  joint, set by ``run_game`` alone, holds each
-    round's cell * 2^n + outcome in the order played, or None when the run
-    streamed.  All are read-only; every other quantity is derived from them.
+    """One game run, stored as what it decided: the count matrix, the
+    GameConfig it was played under (pi, rounds, seed) and the weights.
+    count_matrix[cell, outcome] counts the rounds that landed on each raveled
+    label cell and joint outcome (int64); payments[cell, outcome], each such
+    round's payment, is built from pi and the weights once
+    (``payoff_table``).  joint, set by ``run_game`` alone, holds each round's
+    cell * 2^n + outcome in the order played, or None when the run streamed.
+    All are read-only; every other quantity is derived from them.
     """
 
     count_matrix: np.ndarray
-    pi: np.ndarray
+    config: GameConfig
     weights: PauliWeights
-    seed: int
     payments: np.ndarray = field(init=False, repr=False)
     joint: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
+        config = self.config
+        if not isinstance(config, GameConfig):
+            raise ValueError(f"config must be a GameConfig, got {type(config).__name__}")
         counts = count_table(self.count_matrix)
-        pi = pi_table(self.pi)
+        pi = config.pi
         _check_support(pi, self.weights)
         # a row per label cell of pi, a column per joint outcome
         shape = (pi.size, 2 ** pi.ndim)
@@ -230,20 +235,24 @@ class Transcript:
                              f"got {counts.shape}")
         if counts[pi.ravel() == 0.0].any():
             raise ValueError("count matrix has rounds in cells pi never draws")
+        # the int64 sum wraps past 2^63 - 1, so a float sum, far from that
+        # bound on either side at float precision, rules the wrap out
+        if (counts.sum() != config.rounds
+                or counts.sum(dtype=np.float64) >= 1.5 * 2.0 ** 63):
+            raise ValueError(f"count matrix holds {sum(counts.ravel().tolist())} rounds "
+                             f"but the config plays {config.rounds}")
         pays = payoff_table(pi, self.weights)
         pays.setflags(write=False)
         object.__setattr__(self, "count_matrix", counts)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "seed", validate_seed(self.seed))
         object.__setattr__(self, "payments", pays)
 
     @property
     def n_parties(self) -> int:
-        return self.pi.ndim
+        return self.config.pi.ndim
 
     @property
     def rounds(self) -> int:
-        return int(self.count_matrix.sum())
+        return self.config.rounds
 
     @property
     def counts(self) -> np.ndarray:
@@ -432,7 +441,7 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
     count_matrix = rng.multinomial(rng.multinomial(config.rounds, pi / pi.sum()),
                                    _table_rows(strategy.outcome_table))
     # checks the weights before any work that grows with the rounds
-    tr = Transcript(count_matrix, config.pi, weights, config.seed)
+    tr = Transcript(count_matrix, config, weights)
     if keep_records:
         # joint = cell * 2^n + outcome, one entry per round
         joint = np.repeat(np.arange(count_matrix.size), count_matrix.ravel())
@@ -476,7 +485,9 @@ class ChshReport:
 
 
 def chsh_value(rho: qcore.DensityMatrix, a, a2, b, b2) -> ChshReport:
-    """Expectation of A(x)B + A'(x)B + A(x)B' - A'(x)B' on rho."""
+    """Expectation of A(x)B + A'(x)B + A(x)B' - A'(x)B' on a two-qubit rho."""
+    if rho.dim != 4:
+        raise ValueError("chsh is defined for two-qubit states")
     obs = [qcore.validate_spin_observable(o, n) for o, n in
            ((a, "A"), (a2, "A'"), (b, "B"), (b2, "B'"))]
     a, a2, b, b2 = obs

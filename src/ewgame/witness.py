@@ -75,10 +75,6 @@ class Witness:
         return self.weights.n_qubits
 
     @classmethod
-    def from_weights(cls, weights: PauliWeights) -> "Witness":
-        return cls(weights)
-
-    @classmethod
     def from_operator(cls, op) -> "Witness":
         traces = qcore.pauli_traces(op)
         n = traces.ndim
@@ -116,7 +112,7 @@ def werner_witness() -> Witness:
     w[1, 1] = -f
     w[2, 2] = f
     w[3, 3] = -f
-    return Witness.from_weights(PauliWeights(2, w))
+    return Witness(PauliWeights(2, w))
 
 
 def xz_chsh_observables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -133,7 +129,7 @@ def fixed_chsh_witness() -> Witness:
     w[0, 0] = 1.0
     w[1, 1] = -1.0 / np.sqrt(2.0)
     w[3, 3] = -1.0 / np.sqrt(2.0)
-    return Witness.from_weights(PauliWeights(2, w))
+    return Witness(PauliWeights(2, w))
 
 
 @lru_cache(maxsize=1)
@@ -145,7 +141,7 @@ def strengthened_chsh_witness() -> Witness:
     w[0, 0] = f
     w[1, 1] = -f
     w[3, 3] = -f
-    return Witness.from_weights(PauliWeights(2, w))
+    return Witness(PauliWeights(2, w))
 
 
 @lru_cache(maxsize=1)
@@ -182,8 +178,15 @@ def ppt_witness(rho: qcore.DensityMatrix) -> Witness:
 # Payoff and separability checks
 # ---------------------------------------------------------------------------
 
+def check_qubit_counts(rho: qcore.DensityMatrix, witness: Witness) -> None:
+    """rho and the witness act on the same number of qubits."""
+    if rho.n_qubits != witness.n_qubits:
+        raise ValueError(f"state has {rho.n_qubits} qubits but the witness has {witness.n_qubits}")
+
+
 def expected_payoff(rho: qcore.DensityMatrix, witness: Witness) -> float:
     """Exact average payoff -Tr(rho W)."""
+    check_qubit_counts(rho, witness)
     return -float(qcore.expectations(rho.matrix, witness.operator))
 
 

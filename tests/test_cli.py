@@ -570,6 +570,23 @@ def test_empty_out_is_an_error(capsys, command):
     assert run_cli(capsys, *command, "--out", "") == (2, "", "error: --out '' names no file\n")
 
 
+@pytest.mark.parametrize("command,message", [
+    (("payoff", "--state", "ghz", "--witness", "werner"),
+     "state has 3 qubits but the witness has 2"),
+    (("simulate", "--state", "ghz", "--witness", "werner", "--rounds", "100"),
+     "state has 3 qubits but the witness has 2"),
+    (("witness", "check", "--state", "ghz", "--witness", "werner", "--samples", "10"),
+     "state has 3 qubits but the witness has 2"),
+    (("payoff", "--state", "werner(0.8)", "--witness", "ghz"),
+     "state has 2 qubits but the witness has 3"),
+    (("chsh", "--state", "ghz"), "chsh is defined for two-qubit states"),
+    (("tomography", "--state", "ghz", "--rounds", "100"),
+     "tomography is defined for two-qubit states"),
+], ids=["payoff", "simulate", "witness-check", "payoff-3q-witness", "chsh", "tomography"])
+def test_qubit_count_mismatch_has_one_wording(capsys, command, message):
+    assert run_cli(capsys, *command) == (2, "", f"error: {message}\n")
+
+
 def spec_file(tmp_path, name, content):
     path = tmp_path / name
     if isinstance(content, bytes):

@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 from dataclasses import fields
@@ -174,6 +175,11 @@ class TestGameConfig:
     def test_rejects_bool_rounds(self):
         with pytest.raises(ValueError, match="integer"):
             ew.GameConfig.uniform(True, 0)
+
+    def test_stores_rounds_and_seed_as_python_ints(self):
+        cfg = ew.GameConfig.uniform(np.int64(100), seed=np.uint64(7))
+        assert type(cfg.seed) is int and type(cfg.rounds) is int
+        assert json.dumps([cfg.rounds, cfg.seed]) == "[100, 7]"
 
     def test_rejects_rounds_beyond_int64(self):
         assert ew.GameConfig.uniform(2 ** 63 - 1, 0).rounds == 2 ** 63 - 1
@@ -375,7 +381,7 @@ class TestRunGame:
         for _ in range(100):
             rho = ew.random_density_matrix(rng, 4)
             table = rng.uniform(-1, 1, size=(4, 4))
-            wit = ew.Witness.from_weights(ew.PauliWeights(2, table))
+            wit = ew.Witness(ew.PauliWeights(2, table))
             enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), wit.weights)
             assert enumerated == pytest.approx(ew.expected_payoff(rho, wit), abs=1e-12)
 
@@ -389,7 +395,7 @@ class TestRunGame:
         pi[gen.choice(4 ** n, size=dead, replace=False)] = 0.0
         pi = (pi / pi.sum()).reshape((4,) * n)
         table = np.where(pi > 0, gen.uniform(-1, 1, size=pi.shape), 0.0)
-        wit = ew.Witness.from_weights(ew.PauliWeights(n, table))
+        wit = ew.Witness(ew.PauliWeights(n, table))
         rho = ew.random_density_matrix(gen, 2 ** n)
         enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), wit.weights)
         assert enumerated == pytest.approx(ew.expected_payoff(rho, wit), abs=1e-12)
@@ -712,7 +718,8 @@ class TestEmpiricalPayoff:
         # -w * parity / pi pays +1 on outcome 0 and -1 on outcome 1
         table = np.zeros((4, 4))
         table[0, 0] = -1 / 16
-        tr = ew.Transcript(counts, UNIFORM_PI, ew.PauliWeights(2, table), seed=0)
+        tr = ew.Transcript(counts, ew.GameConfig(UNIFORM_PI, n, seed=0),
+                           ew.PauliWeights(2, table))
         assert tr.payments[0, :2].tolist() == [1.0, -1.0]
         mean, se = ew.empirical_payoff(tr)
         assert mean == pytest.approx(0.0, abs=1e-12)
@@ -721,7 +728,8 @@ class TestEmpiricalPayoff:
     def test_needs_two_rounds(self):
         counts = np.zeros((16, 4), dtype=np.int64)
         counts[0, 0] = 1
-        tr = ew.Transcript(counts, UNIFORM_PI, ew.werner_witness().weights, seed=0)
+        tr = ew.Transcript(counts, ew.GameConfig(UNIFORM_PI, 1, seed=0),
+                           ew.werner_witness().weights)
         with pytest.raises(ValueError):
             ew.empirical_payoff(tr)
 
@@ -744,38 +752,62 @@ class TestEmpiricalPayoff:
 
 class TestTranscript:
     @staticmethod
-    def two_rounds(counts=None, pi=UNIFORM_PI, weights=ew.werner_witness().weights, seed=0):
+    def two_rounds(counts=None, config=None, weights=ew.werner_witness().weights):
         """A transcript of two rounds in cell 0, outcome 0 of the uniform
         werner game, with any one of its inputs replaced."""
         if counts is None:
             counts = np.zeros((16, 4), dtype=np.int64)
             counts[0, 0] = 2
-        return ew.Transcript(counts, pi, weights, seed=seed)
+        if config is None:
+            config = ew.GameConfig(UNIFORM_PI, 2, seed=0)
+        return ew.Transcript(counts, config, weights)
 
     def test_stores_each_quantity_once(self):
         cfg = ew.GameConfig.uniform(2_000, seed=8)
         w = ew.werner_witness().weights
         tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(0.8)), w, keep_records=True)
-        assert [f.name for f in fields(tr) if f.init] == ["count_matrix", "pi", "weights", "seed"]
+        assert [f.name for f in fields(tr) if f.init] == ["count_matrix", "config", "weights"]
+        assert tr.config is cfg and tr.weights is w
+        assert not hasattr(tr, "pi") and not hasattr(tr, "seed")
         assert tr.count_matrix.dtype == tr.joint.dtype == np.int64
         assert tr.payments.tobytes() == game.payoff_table(cfg.pi, w).tobytes()
-        assert tr.pi.tobytes() == cfg.pi.tobytes() and tr.weights is w
-        for array in (tr.count_matrix, tr.pi, tr.payments, tr.joint):
+        for array in (tr.count_matrix, tr.payments, tr.joint):
             assert not array.flags.writeable
-        assert (tr.rounds, tr.n_parties, tr.seed) == (2_000, 2, 8)
-        for name in ("count_matrix", "payments", "joint", "counts", "payoff_sums"):
+        assert (tr.rounds, tr.n_parties, tr.config.seed) == (2_000, 2, 8)
+        for name in ("count_matrix", "config", "payments", "joint", "counts", "payoff_sums"):
             with pytest.raises(AttributeError):
                 setattr(tr, name, None)
 
-    @pytest.mark.parametrize("pi,message", [
-        (np.full((4, 4), 1 / 15), "pi must sum to 1, got 1.06666666666667"),
-        (np.full((4, 4), np.nan), "pi entries must be finite"),
-        (np.full((4, 2), 1 / 8), "pi must have shape (4, 4) or (4, 4, 4), got (4, 2)"),
-    ], ids=["sum", "nan", "shape"])
-    def test_rejects_what_pi_table_rejects(self, pi, message):
+    def test_rejects_a_config_that_is_not_a_game_config(self):
         with pytest.raises(ValueError) as err:
-            self.two_rounds(pi=pi)
-        assert str(err.value) == message
+            self.two_rounds(config=UNIFORM_PI)
+        assert str(err.value) == "config must be a GameConfig, got ndarray"
+
+    @pytest.mark.parametrize("rounds", [1, 3, 2_000])
+    def test_rejects_a_count_total_other_than_the_config_rounds(self, rounds):
+        with pytest.raises(ValueError) as err:
+            self.two_rounds(config=ew.GameConfig(UNIFORM_PI, rounds, seed=0))
+        assert str(err.value) == f"count matrix holds 2 rounds but the config plays {rounds}"
+
+    def test_count_total_does_not_wrap(self):
+        # the int64 sum of these counts wraps to 5
+        counts = np.zeros((16, 4), dtype=np.int64)
+        counts[0, :3] = [2 ** 63 - 1, 2 ** 63 - 1, 7]
+        assert counts.sum() == 5
+        with pytest.raises(ValueError) as err:
+            self.two_rounds(counts=counts, config=ew.GameConfig(UNIFORM_PI, 5, seed=0))
+        assert str(err.value) == f"count matrix holds {2 ** 64 + 5} rounds but the config plays 5"
+
+    def test_run_game_checks_pi_and_seed_only_in_game_config(self, monkeypatch):
+        cfg = ew.GameConfig.uniform(100, seed=5)
+        calls = []
+        for name in ("pi_table", "validate_seed"):
+            check = getattr(game, name)
+            monkeypatch.setattr(game, name, lambda value, check=check, name=name:
+                                calls.append(name) or check(value))
+        tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(0.8)),
+                         ew.werner_witness().weights)
+        assert calls == [] and tr.config is cfg
 
     def test_rejects_weights_that_are_not_pauli_weights(self):
         with pytest.raises(ValueError) as err:
@@ -791,7 +823,7 @@ class TestTranscript:
         pi = np.full((4, 4), 1 / 15)
         pi[1, 1] = 0.0
         with pytest.raises(ValueError) as err:
-            self.two_rounds(pi=pi)
+            self.two_rounds(config=ew.GameConfig(pi, 2, seed=0))
         assert str(err.value) == "pi is zero on cells with nonzero weight: [(1, 1)]"
 
     def test_rejects_rounds_in_a_cell_pi_never_draws(self):
@@ -800,7 +832,7 @@ class TestTranscript:
         counts = np.zeros((16, 4), dtype=np.int64)
         counts[2, 3] = 1
         with pytest.raises(ValueError) as err:
-            self.two_rounds(counts=counts, pi=pi)
+            self.two_rounds(counts=counts, config=ew.GameConfig(pi, 1, seed=0))
         assert str(err.value) == "count matrix has rounds in cells pi never draws"
 
     def test_rejects_malformed_tables(self):
@@ -817,15 +849,10 @@ class TestTranscript:
         with pytest.raises(ValueError, match="counts must be nonnegative integers"):
             self.two_rounds(counts=np.full((16, 4), count))
 
-    @pytest.mark.parametrize("seed", [-7, 1.5, True, None])
-    def test_seed_is_a_nonnegative_integer(self, seed):
-        with pytest.raises(ValueError) as err:
-            self.two_rounds(seed=seed)
-        assert str(err.value) == f"seed must be a nonnegative integer, got {seed!r}"
-
     def test_integral_float_counts(self):
-        tr = self.two_rounds(counts=np.full((16, 4), 2.0), seed=np.int64(3))
-        assert tr.count_matrix.dtype == np.int64 and tr.rounds == 128 and tr.seed == 3
+        tr = self.two_rounds(counts=np.full((16, 4), 2.0),
+                             config=ew.GameConfig(UNIFORM_PI, 128, seed=np.int64(3)))
+        assert tr.count_matrix.dtype == np.int64 and tr.rounds == 128 and tr.config.seed == 3
         assert tr.joint is None
 
     def test_run_game_rejects_weights_before_building_records(self):

@@ -89,7 +89,7 @@ class TestWernerLineIntersection:
     def test_constant_payoff_raises(self):
         table = np.zeros((4, 4))
         table[0, 0] = 1.0
-        flat = ew.Witness.from_weights(ew.PauliWeights(2, table))
+        flat = ew.Witness(ew.PauliWeights(2, table))
         with pytest.raises(ValueError, match="constant"):
             ew.werner_line_intersection(flat)
 

@@ -94,7 +94,7 @@ class TestRunGame3:
             w = ew.PauliWeights(3, table)
             enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), w)
             assert enumerated == pytest.approx(
-                ew.expected_payoff(rho, ew.Witness.from_weights(w)), abs=1e-12)
+                ew.expected_payoff(rho, ew.Witness(w)), abs=1e-12)
 
     def test_identity_labels_all_plus(self):
         cfg = ew.GameConfig.uniform(5_000, seed=1, n_parties=3)

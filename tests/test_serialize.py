@@ -63,7 +63,7 @@ class TestRoundTrips:
         weight = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
         table = np.array(data.draw(st.lists(weight, min_size=4 ** n, max_size=4 ** n)))
         table[0] = data.draw(st.floats(0.5, 2.0))  # at least one nonzero weight
-        wit = ew.Witness.from_weights(ew.PauliWeights(n, table.reshape((4,) * n)))
+        wit = ew.Witness(ew.PauliWeights(n, table.reshape((4,) * n)))
         path = tmp_path / "wit.json"
         path.write_text(json.dumps(serialize.witness_to_dict(wit)))
         back = serialize.parse_witness_spec(str(path))
@@ -75,7 +75,7 @@ class TestRoundTrips:
     def test_negative_zero_weight_is_written(self):
         table = np.zeros((4, 4))
         table[0, 0], table[1, 1] = 1.0, -0.0
-        wit = ew.Witness.from_weights(ew.PauliWeights(2, table))
+        wit = ew.Witness(ew.PauliWeights(2, table))
         rows = json.dumps(serialize.witness_to_dict(wit)["weights"])
         assert rows == "[[0, 0, 1.0], [1, 1, -0.0]]"
 

@@ -30,8 +30,8 @@ class TestMoments:
         # every cell's counts are its outcome distribution times 1000 rounds
         rho = ew.make_werner(0.6)
         table = ew.honest_strategy(rho).outcome_table.reshape(16, 4) * 1000
-        tr = ew.Transcript(np.round(table).astype(np.int64), np.full((4, 4), 1 / 16),
-                           ew.werner_witness().weights, seed=0)
+        cfg = ew.GameConfig.uniform(16_000, seed=0)
+        tr = ew.Transcript(np.round(table).astype(np.int64), cfg, ew.werner_witness().weights)
         assert np.max(np.abs(ew.accumulate(tr) - exact_moments(rho))) < 1e-15
 
     def test_incomplete_support_raises_with_cell_list(self):

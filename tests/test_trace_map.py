@@ -108,9 +108,12 @@ def test_expectations_on_a_stack(rng, shape, wit):
 
 
 def test_dimension_mismatch_is_named():
+    # raw operators are told apart by dimension; states and witnesses by qubits
     with pytest.raises(ValueError, match="^dimension mismatch: state 8, operator 4$"):
+        qcore.expectations(ew.ghz_state().matrix, ew.werner_witness().operator)
+    with pytest.raises(ValueError, match="^chsh is defined for two-qubit states$"):
         ew.chsh_value(ew.ghz_state(), *ew.xz_chsh_observables())
-    with pytest.raises(ValueError, match="^dimension mismatch: state 4, operator 8$"):
+    with pytest.raises(ValueError, match="^state has 2 qubits but the witness has 3$"):
         ew.expected_payoff(ew.bell_psi_plus(), ew.ghz_witness())
 
 

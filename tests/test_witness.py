@@ -157,7 +157,7 @@ class TestPayoffCurves:
         # traceless Pauli terms vanish on I/4
         for _ in range(20):
             table = rng.uniform(-1, 1, size=(4, 4))
-            wit = ew.Witness.from_weights(ew.PauliWeights(2, table))
+            wit = ew.Witness(ew.PauliWeights(2, table))
             p = ew.expected_payoff(ew.maximally_mixed(2), wit)
             assert p == pytest.approx(-table[0, 0], abs=1e-12)
 
@@ -368,6 +368,6 @@ class TestWitnessTypes:
 
     def test_from_operator_roundtrip(self, rng):
         table = rng.uniform(-1, 1, size=(4, 4))
-        op = ew.Witness.from_weights(ew.PauliWeights(2, table)).operator
+        op = ew.Witness(ew.PauliWeights(2, table)).operator
         back = ew.Witness.from_operator(op)
         assert np.max(np.abs(back.weights.table - table)) < 1e-12
