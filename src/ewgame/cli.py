@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import game, geometry, serialize, tomography, witness
+from . import game, geometry, qcore, serialize, tomography, witness
 from .serialize import float17
 
 EXIT_OK = 0
@@ -46,11 +46,10 @@ def cmd_simulate(args) -> int:
     want_csv = args.format == "csv"
     if want_csv and args.out is None:
         raise ValueError("--format csv needs --out for the transcript file")
-    seed = game.validate_seed(args.seed)
     rho = serialize.parse_state_spec(args.state)
     wit = serialize.parse_witness_spec(args.witness)
     witness.check_qubit_counts(rho, wit)
-    config = serialize.parse_pi_spec(args.pi, wit.weights, args.rounds, seed)
+    config = serialize.parse_pi_spec(args.pi, wit.weights, args.rounds, args.seed)
     if args.strategy == "honest":
         strategy = game.honest_strategy(rho)
     else:
@@ -79,10 +78,9 @@ def cmd_tomography(args) -> int:
     rho = serialize.parse_state_spec(args.state)
     if rho.n_qubits != 2:
         raise ValueError("tomography is defined for two-qubit states")
-    seed = game.validate_seed(args.seed)
     # payments never reach the estimates; the werner weights keep --pi's meaning
     weights = witness.werner_witness().weights
-    config = serialize.parse_pi_spec(args.pi, weights, args.rounds, seed)
+    config = serialize.parse_pi_spec(args.pi, weights, args.rounds, args.seed)
     tr = game.run_game(config, game.honest_strategy(rho), weights)
     r_hat = tomography.accumulate(tr)
     est = tomography.reconstruct(r_hat)
@@ -155,7 +153,7 @@ def cmd_witness_make(args) -> int:
 def cmd_witness_check(args) -> int:
     rho = serialize.parse_state_spec(args.state)
     wit = serialize.parse_witness_spec(args.witness)
-    rng = np.random.default_rng(game.validate_seed(args.seed))
+    rng = np.random.default_rng(qcore.check_int(args.seed, "seed", 0))
     report = witness.check_witness(wit, rho, args.samples, rng)
     payload = {
         "payoff_on_target": report.payoff_on_target,

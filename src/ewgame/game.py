@@ -109,34 +109,20 @@ def pi_table(pi) -> np.ndarray:
     return p
 
 
-def validate_seed(seed) -> int:
-    """seed as an int: a nonnegative integer, not a bool, as
-    ``default_rng`` takes it."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
-
-
 @dataclass(frozen=True, eq=False)
 class GameConfig:
-    """Label distribution, round count and RNG seed for one game run.  The
-    round count and seed are stored as Python ints."""
+    """Label distribution, round count and RNG seed for one game run, checked
+    in that order.  The round count and seed are stored as Python ints; the
+    seed is any nonnegative integer, as ``default_rng`` takes it."""
 
     pi: np.ndarray
     rounds: int
     seed: int
 
     def __post_init__(self):
-        p = pi_table(self.pi)
-        if isinstance(self.rounds, bool) or not isinstance(self.rounds, (int, np.integer)):
-            raise ValueError(f"rounds must be an integer, got {self.rounds!r}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be positive")
-        if self.rounds > MAX_ROUNDS:
-            raise ValueError(f"rounds must be at most 2**63 - 1, got {self.rounds}")
-        object.__setattr__(self, "pi", p)
-        object.__setattr__(self, "rounds", int(self.rounds))
-        object.__setattr__(self, "seed", validate_seed(self.seed))
+        object.__setattr__(self, "pi", pi_table(self.pi))
+        object.__setattr__(self, "rounds", qcore.check_int(self.rounds, "rounds", 1, MAX_ROUNDS))
+        object.__setattr__(self, "seed", qcore.check_int(self.seed, "seed", 0))
 
     @classmethod
     def uniform(cls, rounds: int, seed: int, n_parties: int = 2) -> "GameConfig":

@@ -50,7 +50,7 @@ def subspace_hyperplane(witness: Witness, axes) -> tuple[np.ndarray, float]:
     the subspace axes; then Tr(rho W) = offset + normal . coords with
     normal[k] = w[axes[k]] and offset = w[0,...,0].
     """
-    axes = tuple(tuple(int(l) for l in ax) for ax in axes)
+    axes = tuple(tuple(qcore.check_int(l, "label", 0, 3) for l in ax) for ax in axes)
     n = witness.n_qubits
     support = {tuple(ix) for ix in np.argwhere(witness.weights.table != 0.0)}
     allowed = set(axes) | {(0,) * n}
@@ -220,8 +220,7 @@ def export_figure_data(which: str, resolution: int = 20) -> FigureData:
     xx/zz plane with both squares, the two CHSH witness lines and the Werner
     diagonal.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    resolution = qcore.check_int(resolution, "resolution", 2)
     if which == "fig2":
         return _figure_diagonal(resolution)
     if which == "fig3":

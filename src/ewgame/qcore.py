@@ -32,16 +32,26 @@ PAULIS = np.array(
 PAULIS.setflags(write=False)
 
 
+def check_int(value, name: str, low: int, high: int | None = None) -> int:
+    """value as a Python int: an int or numpy integer, never a bool, with
+    low <= value (<= high when high is given).  The one rule for every
+    integer input of the package: round, sample and qubit counts, seeds,
+    sizes and labels."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bounds = f">= {low}" if high is None else f"from {low} to {high}"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
 def pauli_string(labels) -> np.ndarray:
     """Tensor product of single-qubit Paulis, e.g. (1, 3) -> sigma_x (x) sigma_z.
 
     Labels index {0: I, 1: x, 2: y, 3: z}; one to three labels are supported.
     """
-    labels = tuple(int(l) for l in labels)
+    labels = tuple(check_int(l, "label", 0, 3) for l in labels)
     if not 1 <= len(labels) <= 3:
         raise ValueError(f"need 1 to 3 labels, got {len(labels)}")
-    if any(l not in (0, 1, 2, 3) for l in labels):
-        raise ValueError(f"labels must be in 0..3, got {labels}")
     out = PAULIS[labels[0]]
     for l in labels[1:]:
         out = np.kron(out, PAULIS[l])
@@ -266,12 +276,13 @@ def ghz_state() -> DensityMatrix:
 
 
 def maximally_mixed(n_qubits: int) -> DensityMatrix:
-    d = 2 ** n_qubits
+    d = 2 ** check_int(n_qubits, "n_qubits", 1, 3)
     return DensityMatrix(np.eye(d, dtype=np.complex128) / d)
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
     """Hilbert-Schmidt random state: G G^dag / Tr for complex Gaussian G."""
+    dim = check_int(dim, "dim", 2, 8)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())

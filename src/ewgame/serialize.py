@@ -44,14 +44,13 @@ def float17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def json_int(value, what: str) -> int:
+def json_int(value, what: str, low: int, high: int | None = None) -> int:
     """An integer field read from JSON, which may write it as an integral
-    float such as 1e6, but never as a bool, a fraction or anything else."""
+    float such as 1e6, but never as a bool, a fraction or anything else;
+    ``qcore.check_int`` checks it against [low, high]."""
     if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+        value = int(value)
+    return qcore.check_int(value, what, low, high)
 
 
 def _json_number(value, what: str = "an entry") -> float:
@@ -118,13 +117,13 @@ def parse_state_spec(spec: str) -> qcore.DensityMatrix:
 
 def _state_from_json(data) -> qcore.DensityMatrix:
     _check_keys(data, ("dim", "entries"))
-    dim = json_int(data["dim"], "'dim'")
+    dim = json_int(data["dim"], "'dim'", 1)
     pairs = data["entries"]
     if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise ValueError("'entries' must be a list of [re, im] number pairs")
     what = "each part of the [re, im] number pairs in 'entries'"
     entries = [complex(_json_number(re_, what), _json_number(im, what)) for re_, im in pairs]
-    if dim < 1 or dim * dim != len(entries):
+    if dim * dim != len(entries):
         raise ValueError(f"{len(entries)} entries do not fill a {dim}x{dim} matrix")
     return qcore.DensityMatrix(np.array(entries).reshape(dim, dim))
 
@@ -149,9 +148,7 @@ def parse_witness_spec(spec: str) -> witness.Witness:
 def _witness_from_json(data) -> witness.Witness:
     _check_keys(data, ("n", "weights"), ("payoff_on_state",))  # as `witness make` writes
     _json_number(data.get("payoff_on_state", 0.0), "'payoff_on_state'")
-    n = json_int(data["n"], "'n'")
-    if n not in (2, 3):
-        raise ValueError(f"n must be 2 or 3, got {n}")
+    n = json_int(data["n"], "'n'", 2, 3)
     if not isinstance(data["weights"], list):
         raise ValueError("'weights' must be a list of rows")
     table = np.zeros((4,) * n)
@@ -160,9 +157,7 @@ def _witness_from_json(data) -> witness.Witness:
         if not isinstance(row, list) or len(row) != n + 1:
             raise ValueError(f"weights row {row!r} is not {n} labels and a weight")
         *labels, value = row
-        labels = tuple(json_int(l, "label") for l in labels)
-        if any(l not in (0, 1, 2, 3) for l in labels):
-            raise ValueError(f"bad label tuple {labels}")
+        labels = tuple(json_int(l, "label", 0, 3) for l in labels)
         if labels in seen:
             raise ValueError(f"duplicate label tuple {labels}")
         seen.add(labels)

@@ -26,24 +26,19 @@ class PPTStateError(ValueError):
     transpose (for two qubits: a separable state)."""
 
 
-def _check_n_qubits(n_qubits) -> None:
-    if (isinstance(n_qubits, bool) or not isinstance(n_qubits, (int, np.integer))
-            or not 1 <= n_qubits <= 3):
-        raise ValueError(f"n_qubits must be 1, 2 or 3, got {n_qubits!r}")
-
-
 @dataclass(frozen=True, eq=False)
 class PauliWeights:
-    """Real coefficient table over Pauli label tuples, shape (4,)*n."""
+    """Real coefficient table over Pauli label tuples, shape (4,)*n; n is
+    stored as a Python int."""
 
     n_qubits: int
     table: np.ndarray
 
     def __post_init__(self):
-        _check_n_qubits(self.n_qubits)
+        n = qcore.check_int(self.n_qubits, "n_qubits", 1, 3)
         t = np.array(self.table, dtype=np.float64)
-        if t.shape != (4,) * self.n_qubits:
-            raise ValueError(f"expected shape {(4,) * self.n_qubits}, got {t.shape}")
+        if t.shape != (4,) * n:
+            raise ValueError(f"expected shape {(4,) * n}, got {t.shape}")
         # one reduction decides both checks: NaN and inf make it non-finite
         top = abs(t).max()
         if not top < np.inf:
@@ -51,6 +46,7 @@ class PauliWeights:
         if top == 0.0:
             raise ValueError("weights must have at least one nonzero entry")
         t.setflags(write=False)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "table", t)
 
     def __getitem__(self, labels) -> float:
@@ -190,12 +186,6 @@ def expected_payoff(rho: qcore.DensityMatrix, witness: Witness) -> float:
     return -float(qcore.expectations(rho.matrix, witness.operator))
 
 
-def _positive_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-    return int(value)
-
-
 def _product_mixtures(rng: np.random.Generator, ks, n_qubits: int) -> np.ndarray:
     """Stack of len(ks) unvalidated separable states, shape (len(ks), d, d):
     state i is a Dirichlet(1,...,1)-weighted mixture of ks[i] products of
@@ -215,8 +205,8 @@ def _product_mixtures(rng: np.random.Generator, ks, n_qubits: int) -> np.ndarray
     so state i is A[i]^T conj(A[i]), and one batched matmul builds the
     stack.  The vectors are built component-last, so every elementwise step
     runs over all components at once rather than over pairs of amplitudes.
+    The callers have checked ks and n_qubits.
     """
-    _check_n_qubits(n_qubits)
     ks = np.asarray(ks, dtype=np.int64)
     total = int(ks.sum())
     starts = np.cumsum(ks) - ks
@@ -241,7 +231,8 @@ def random_separable(rng: np.random.Generator, k: int, n_qubits: int = 2
     Each component is a tensor product of Haar-random single-qubit pure
     states; the mixing weights are uniform on the simplex.
     """
-    k = _positive_int(k, "k")
+    k = qcore.check_int(k, "k", 1)
+    n_qubits = qcore.check_int(n_qubits, "n_qubits", 1, 3)
     return qcore.DensityMatrix(_product_mixtures(rng, [k], n_qubits)[0])
 
 
@@ -256,7 +247,7 @@ def check_witness(witness: Witness, rho: qcore.DensityMatrix, n_samples: int,
     payoff is positive and no sampled separable state drove Tr(sigma W)
     below -1e-9.
     """
-    n_samples = _positive_int(n_samples, "n_samples")
+    n_samples = qcore.check_int(n_samples, "n_samples", 1)
     payoff = expected_payoff(rho, witness)
     min_val = np.inf
     for start in range(0, n_samples, SAMPLE_CHUNK):

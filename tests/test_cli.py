@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ewgame as ew
-from ewgame import cli, game, serialize
+from ewgame import cli, game, qcore, serialize
 
 RT3 = np.sqrt(3.0)
 
@@ -140,7 +140,7 @@ class TestSimulate:
         ("--state", "ab", "unknown state spec 'ab'"),
         ("--witness", "ab", "unknown witness spec 'ab'"),
         ("--pi", "ab", "unknown pi spec 'ab'"),
-        ("--rounds", "0", "rounds must be positive"),
+        ("--rounds", "0", "rounds must be an integer"),
     ])
     def test_bad_flag_keeps_its_message(self, capsys, flag, value, message):
         code, out, err = run_cli(capsys, "simulate", "--state", "werner(0.8)",
@@ -166,7 +166,31 @@ class TestSimulate:
                         ("witness", "check", "--witness", "werner", "--samples", "10"),
                         ("tomography", "--rounds", "100")):
             code, out, err = run_cli(capsys, *command, "--state", "werner(0.8)", "--seed", "-1")
-            assert (code, out, err) == (2, "", "error: seed must be a nonnegative integer, got -1\n")
+            assert (code, out, err) == (2, "", "error: seed must be an integer >= 0, got -1\n")
+
+    @pytest.mark.parametrize("command", [("simulate", "--witness", "werner"), ("tomography",)],
+                             ids=["simulate", "tomography"])
+    def test_each_run_checks_its_seed_once(self, capsys, monkeypatch, command):
+        names, check_int = [], qcore.check_int
+        monkeypatch.setattr(qcore, "check_int", lambda value, name, *bounds:
+                            names.append(name) or check_int(value, name, *bounds))
+        code, out, err = run_cli(capsys, *command, "--state", "werner(0.8)",
+                                 "--rounds", "2000", "--seed", "3")
+        assert (code, err) == (0, "") and "seed" in out
+        assert names.count("seed") == 1
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--state", "ab", "unknown state spec 'ab'"),
+        ("--witness", "ab", "unknown witness spec 'ab'"),
+        ("--witness", "ghz", "state has 2 qubits but the witness has 3"),
+        ("--pi", "ab", "unknown pi spec 'ab'"),
+        ("--rounds", "0", "rounds must be an integer from 1 to"),
+    ], ids=["state", "witness", "qubits", "pi", "rounds"])
+    def test_seed_error_comes_after_the_other_inputs(self, capsys, flag, value, message):
+        code, out, err = run_cli(capsys, "simulate", "--state", "werner(0.8)",
+                                 "--witness", "werner", "--rounds", "1000", "--seed", "-1",
+                                 flag, value)
+        assert (code, out) == (2, "") and err.startswith(f"error: {message}")
 
     def test_csv_without_out_fails_before_any_work(self, capsys, monkeypatch):
         def no_game(*args, **kwargs):
@@ -361,7 +385,8 @@ class TestPiInput:
         path = tmp_path / "pi.json"
         path.write_text(json.dumps([1 / 16] * 16))
         code, out, err = run_cli(capsys, *command, "--rounds", "0", "--pi", str(path))
-        assert (code, out, err) == (2, "", "error: rounds must be positive\n")
+        assert (code, out, err) == (
+            2, "", "error: rounds must be an integer from 1 to 9223372036854775807, got 0\n")
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

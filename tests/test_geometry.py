@@ -111,6 +111,12 @@ class TestDistanceIdentity:
         with pytest.raises(ValueError, match="outside the subspace"):
             geometry.subspace_hyperplane(ew.werner_witness(), geometry.XZ_AXES)
 
+    def test_hyperplane_axes_are_integer_labels(self):
+        # an axis is never truncated: (1.9, 1) is not (1, 1)
+        with pytest.raises(ValueError) as err:
+            geometry.subspace_hyperplane(ew.werner_witness(), ((1.9, 1), (2, 2), (3, 3)))
+        assert str(err.value) == "label must be an integer from 0 to 3, got 1.9"
+
 
 class TestFigureExport:
     def test_fig2_hyperplane_points_on_plane(self):
@@ -178,3 +184,10 @@ class TestFigureExport:
             ew.export_figure_data("fig9")
         with pytest.raises(ValueError):
             ew.export_figure_data("fig2", resolution=1)
+
+    @pytest.mark.parametrize("resolution", [1, 2.5, np.float64(3.0), True, "3"])
+    def test_rejects_a_bad_resolution(self, resolution):
+        # a ValueError, never a TypeError from inside the point loops
+        with pytest.raises(ValueError) as err:
+            ew.export_figure_data("fig3", resolution=resolution)
+        assert str(err.value) == f"resolution must be an integer >= 2, got {resolution!r}"

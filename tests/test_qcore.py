@@ -31,6 +31,13 @@ class TestPauliString:
         with pytest.raises(ValueError):
             ew.pauli_string((0, 0, 0, 0))
 
+    @pytest.mark.parametrize("label", [1.5, True, "1", -1])
+    def test_label_must_be_an_integer(self, label):
+        # a label is never truncated: (1.5, 3) is not sigma_x (x) sigma_z
+        with pytest.raises(ValueError) as err:
+            ew.pauli_string((label, 3))
+        assert str(err.value) == f"label must be an integer from 0 to 3, got {label!r}"
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_orthogonality_exhaustive(self, n):
         basis = qcore.pauli_basis(n)
@@ -68,12 +75,49 @@ class TestNamedStates:
         with pytest.raises(ValueError):
             ew.make_werner(z)
 
+    @pytest.mark.parametrize("n_qubits", [True, 0, 4, 2.0, np.float64(2.0)],
+                             ids=["bool", "zero", "four", "float", "numpy float"])
+    def test_maximally_mixed_rejects_a_bad_qubit_count(self, n_qubits):
+        # True is no qubit count, not even 1
+        with pytest.raises(ValueError) as err:
+            ew.maximally_mixed(n_qubits)
+        assert str(err.value) == f"n_qubits must be an integer from 1 to 3, got {n_qubits!r}"
+
+
+INTEGER_LIKE = st.one_of(
+    st.integers(-10, 10), st.booleans(), st.floats(-10, 10), st.none(), st.text(max_size=2),
+    st.sampled_from([np.int8, np.int64, np.uint8, np.uint64]).flatmap(
+        lambda t: st.integers(0, 10).map(t)),
+    st.integers(-10, 10).map(np.float64), st.just(np.bool_(True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=INTEGER_LIKE, low=st.integers(-5, 5), span=st.none() | st.integers(0, 6))
+def test_check_int_accepts_exactly_the_integers_in_range(value, low, span):
+    high = None if span is None else low + span
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integer and low <= value and (high is None or value <= high):
+        got = qcore.check_int(value, "x", low, high)
+        assert type(got) is int and got == value
+        return
+    bounds = f">= {low}" if high is None else f"from {low} to {high}"
+    with pytest.raises(ValueError) as err:
+        qcore.check_int(value, "x", low, high)
+    assert str(err.value) == f"x must be an integer {bounds}, got {value!r}"
+
 
 class TestDensityMatrixValidation:
     def test_random_states_always_valid(self, rng):
         for _ in range(1000):
             dim = int(rng.choice([2, 4, 8]))
             ew.random_density_matrix(rng, dim)  # raises on any violation
+
+    @pytest.mark.parametrize("dim", [2.5, True, 1, 16])
+    def test_random_state_dimension_is_an_integer_in_range(self, rng, dim):
+        # a ValueError, never numpy's TypeError for a float shape
+        with pytest.raises(ValueError) as err:
+            ew.random_density_matrix(rng, dim)
+        assert str(err.value) == f"dim must be an integer from 2 to 8, got {dim!r}"
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4

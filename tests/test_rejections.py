@@ -147,11 +147,14 @@ CASES = [
      "weights must be finite"),
     ("PauliWeights", "negative entry", -WEIGHTS.table, None),
     ("PauliWeights", "empty", np.zeros(0), "expected shape (4, 4), got (0,)"),
-    ("PauliWeights, qubit count", "zero", 0, "n_qubits must be 1, 2 or 3, got 0"),
-    ("PauliWeights, qubit count", "negative", -1, "n_qubits must be 1, 2 or 3, got -1"),
-    ("PauliWeights, qubit count", "four", 4, "n_qubits must be 1, 2 or 3, got 4"),
-    ("PauliWeights, qubit count", "bool", True, "n_qubits must be 1, 2 or 3, got True"),
-    ("PauliWeights, qubit count", "float", 2.0, "n_qubits must be 1, 2 or 3, got 2.0"),
+    ("PauliWeights, qubit count", "zero", 0, "n_qubits must be an integer from 1 to 3, got 0"),
+    ("PauliWeights, qubit count", "negative", -1,
+     "n_qubits must be an integer from 1 to 3, got -1"),
+    ("PauliWeights, qubit count", "four", 4, "n_qubits must be an integer from 1 to 3, got 4"),
+    ("PauliWeights, qubit count", "bool", True,
+     "n_qubits must be an integer from 1 to 3, got True"),
+    ("PauliWeights, qubit count", "float", 2.0,
+     "n_qubits must be an integer from 1 to 3, got 2.0"),
     ("Witness", "nan", np.full((4, 4), NAN), "matrix contains non-finite entries"),
     ("Witness", "+inf", put(OPERATOR, ((1, 1), INF)), "matrix contains non-finite entries"),
     ("Witness", "-inf", put(OPERATOR, ((1, 1), -INF)), "matrix contains non-finite entries"),

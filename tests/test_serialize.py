@@ -143,13 +143,25 @@ class TestWitnessSpecs:
 class TestIntegerFields:
     @pytest.mark.parametrize("value,expect", [(3, 3), (3.0, 3), (1e6, 10 ** 6), (-2, -2)])
     def test_json_int_accepts_integers(self, value, expect):
-        got = serialize.json_int(value, "field")
+        got = serialize.json_int(value, "field", -2)
         assert got == expect and type(got) is int
+        assert serialize.json_int(value, "field", expect, expect) == expect
 
     @pytest.mark.parametrize("value", [2.7, True, False, "3", None, [3], float("nan")])
     def test_json_int_rejects_other_values(self, value):
-        with pytest.raises(ValueError, match="field must be an integer"):
-            serialize.json_int(value, "field")
+        with pytest.raises(ValueError) as err:
+            serialize.json_int(value, "field", 0)
+        assert str(err.value) == f"field must be an integer >= 0, got {value!r}"
+
+    @pytest.mark.parametrize("value,low,high,message", [
+        (4.0, 0, 3, "field must be an integer from 0 to 3, got 4"),
+        (-1, 0, 3, "field must be an integer from 0 to 3, got -1"),
+        (0.0, 1, None, "field must be an integer >= 1, got 0"),
+    ])
+    def test_json_int_checks_the_range(self, value, low, high, message):
+        with pytest.raises(ValueError) as err:
+            serialize.json_int(value, "field", low, high)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("dim", [4.5, True, "4", -2, 0])
     def test_state_file_bad_dim(self, tmp_path, dim):
@@ -158,8 +170,9 @@ class TestIntegerFields:
         if dim == -2:
             entries = entries[:4]
         path.write_text(json.dumps({"dim": dim, "entries": entries}))
-        with pytest.raises(ValueError, match=re.escape(str(path))):
+        with pytest.raises(ValueError) as err:
             serialize.parse_state_spec(str(path))
+        assert str(err.value) == f"{path}: 'dim' must be an integer >= 1, got {dim!r}"
 
     @pytest.mark.parametrize("entry", [[True, False], ["0.5", "0"], [0.5, None], [0.5, [0]]])
     def test_state_file_entries_must_be_numbers(self, tmp_path, entry):
@@ -194,6 +207,9 @@ class TestIntegerFields:
         ({"n": 2, "weights": [[1, 1, "one"]]}, "cannot parse weight"),
         ({"n": 2, "weights": [[0, 0, True], [1, 1, -0.5]]}, "weight must be a number"),
         ({"n": 2, "weights": [[1, 1, False]]}, "weight must be a number"),
+        ({"n": 4, "weights": [[0, 0, 1.0]]}, "'n' must be an integer from 2 to 3, got 4"),
+        ({"n": 2, "weights": [[0, 4, 1.0]]}, "label must be an integer from 0 to 3, got 4"),
+        ({"n": 2, "weights": [[-1, 0, 1.0]]}, "label must be an integer from 0 to 3, got -1"),
     ])
     def test_witness_file_bad_fields(self, tmp_path, payload, message):
         path = tmp_path / "wit.json"

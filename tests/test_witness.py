@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import ewgame as ew
-from ewgame import qcore, witness
+from ewgame import qcore, serialize, witness
 from ewgame.witness import SAMPLE_CHUNK, SEPARABLE_FLOOR
 
 from conftest import builtin_witnesses
@@ -221,6 +222,15 @@ class TestPptWitness:
             ew.ppt_witness(ew.maximally_mixed(3))
 
 
+class TestPauliWeights:
+    def test_numpy_qubit_count_is_stored_as_an_int(self):
+        # witness_to_dict writes n_qubits, and json writes no numpy integer
+        weights = ew.PauliWeights(np.int64(2), ew.werner_witness().weights.table)
+        assert type(weights.n_qubits) is int and weights.n_qubits == 2
+        payload = json.loads(json.dumps(serialize.witness_to_dict(ew.Witness(weights))))
+        assert payload["n"] == 2
+
+
 class TestRandomSeparable:
     def test_single_component_is_pure(self, rng):
         for _ in range(50):
@@ -269,8 +279,9 @@ class TestRandomSeparable:
     @pytest.mark.parametrize("n_qubits", [0, 4, 2.0, True])
     def test_rejects_bad_qubit_count_before_drawing(self, n_qubits):
         gen = np.random.default_rng(0)
-        with pytest.raises(ValueError, match="n_qubits must be 1, 2 or 3"):
+        with pytest.raises(ValueError) as err:
             ew.random_separable(gen, 2, n_qubits=n_qubits)
+        assert str(err.value) == f"n_qubits must be an integer from 1 to 3, got {n_qubits!r}"
         assert gen.random() == np.random.default_rng(0).random()
 
 
