@@ -102,8 +102,8 @@ def cmd_tomography(args) -> int:
             "seed": tr.config.seed,
             "correlations": [[s, t, r_hat[s, t]] for s in range(4) for t in range(4)],
             "standard_errors": [[s, t, se[s, t]] for s in range(4) for t in range(4)],
-            "raw": {"dim": 4, "entries": [[z.real, z.imag] for z in est.raw.ravel()]},
-            "projected": serialize.state_to_dict(est.projected),
+            "raw": serialize.matrix_to_dict(est.raw),
+            "projected": serialize.matrix_to_dict(est.projected.matrix),
             "trace_distance_to_input": err,
         }
         if args.format == "structured":

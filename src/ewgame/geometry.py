@@ -5,14 +5,13 @@ hyperplanes, and plot-ready figure data.
 
 from __future__ import annotations
 
-import csv
 import io
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
 from . import qcore
+from .serialize import float17
 from .witness import (Witness, expected_payoff, fixed_chsh_witness,
                       strengthened_chsh_witness, werner_witness)
 
@@ -26,6 +25,9 @@ OCTAHEDRON_VERTICES = np.array(
     dtype=np.float64)
 SQUARE_VERTICES = np.array([(1, 1), (-1, 1), (-1, -1), (1, -1)], dtype=np.float64)
 DIAMOND_VERTICES = np.array([(1, 0), (0, 1), (-1, 0), (0, -1)], dtype=np.float64)
+
+# fig2's hyperplane patch holds (r + 1)(r + 2)/2 points: 125,751 at this bound
+MAX_RESOLUTION = 500
 
 
 def werner_line_intersection(witness: Witness) -> float:
@@ -84,23 +86,15 @@ class FigureData:
         return np.array(pts)
 
     def to_csv(self) -> str:
+        pad = "," * (3 - self.dimension)
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        coord_cols = ["x1", "y1", "z1", "x2", "y2", "z2"]
-        writer.writerow(["series", "kind", "index", "werner_z"] + coord_cols)
-
-        def fmt(x):
-            return f"{x:.17g}"
-
-        def pad(p):
-            p = list(p)
-            return [fmt(v) for v in p] + [""] * (3 - len(p))
-
+        buf.write("series,kind,index,werner_z,x1,y1,z1,x2,y2,z2\n")
         for i, (series, p, q) in enumerate(self.edges):
-            writer.writerow([series, "edge", i, ""] + pad(p) + pad(q))
+            buf.write(f"{series},edge,{i},,{','.join(map(float17, p))}{pad},"
+                      f"{','.join(map(float17, q))}{pad}\n")
         for i, (series, p, z) in enumerate(self.points):
-            zcol = "" if z is None else fmt(z)
-            writer.writerow([series, "point", i, zcol] + pad(p) + [""] * 3)
+            zcol = "" if z is None else float17(z)
+            buf.write(f"{series},point,{i},{zcol},{','.join(map(float17, p))}{pad},,,\n")
         return buf.getvalue()
 
     def to_dict(self) -> dict:
@@ -119,17 +113,13 @@ class FigureData:
         }
 
 
-def _polytope_edges(vertices: np.ndarray) -> list:
+def _polytope_edges(series: str, vertices: np.ndarray) -> list:
     # For the four regular solids used here, the edge set is exactly the
     # vertex pairs that are not antipodal through the centroid.
-
-    center = vertices.mean(axis=0)
-    edges = []
-    for i, j in combinations(range(len(vertices)), 2):
-        if np.allclose(vertices[i] - center, -(vertices[j] - center), atol=1e-9):
-            continue
-        edges.append((vertices[i].copy(), vertices[j].copy()))
-    return edges
+    centered = vertices - vertices.mean(axis=0)
+    i, j = np.triu_indices(len(vertices), 1)
+    keep = ~np.isclose(centered[i], -centered[j], atol=1e-9).all(axis=1)
+    return [(series, p, q) for p, q in zip(vertices[i[keep]], vertices[j[keep]])]
 
 
 def _clip_line_to_square(normal: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
@@ -160,51 +150,56 @@ def _line_points(p: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
     return (1.0 - lam) * p[None, :] + lam * q[None, :]
 
 
+def _triangle_grid(vertices: np.ndarray, resolution: int) -> np.ndarray:
+    """Points l1*v1 + l2*v2 + l3*v3 with barycentric weights (i/r, j/r,
+    1 - i/r - j/r), i major and j minor.  Built one coordinate at a time, so
+    no temporary is larger than a column: freeing a larger one raises
+    glibc's mmap threshold, and the CSV text that follows then grows on the
+    heap and leaves a hole that lifts the CLI's peak RSS."""
+    steps = np.arange(resolution + 1)
+    i, j = np.nonzero(steps[:, None] <= resolution - steps)
+    l1 = i / resolution
+    l2 = j / resolution
+    l3 = 1.0 - l1 - l2
+    return np.stack([l1 * a + l2 * b + l3 * c for a, b, c in vertices.T], axis=1)
+
+
+def _werner_segment(direction: np.ndarray, resolution: int) -> list:
+    zs = np.linspace(0.0, 1.0, resolution)
+    return [("werner_line", p, z) for p, z in zip(zs[:, None] * direction, zs.tolist())]
+
+
 def _figure_diagonal(resolution: int) -> FigureData:
     fig = FigureData(figure="fig2", dimension=3)
-    for p, q in _polytope_edges(TETRAHEDRON_VERTICES):
-        fig.edges.append(("tetrahedron", p, q))
-    for p, q in _polytope_edges(OCTAHEDRON_VERTICES):
-        fig.edges.append(("octahedron", p, q))
+    fig.edges.extend(_polytope_edges("tetrahedron", TETRAHEDRON_VERTICES))
+    fig.edges.extend(_polytope_edges("octahedron", OCTAHEDRON_VERTICES))
 
     normal, offset = subspace_hyperplane(werner_witness(), DIAGONAL_AXES)
-    on_plane = [v for v in OCTAHEDRON_VERTICES
-                if abs(offset + normal @ v) < 1e-12]
+    on_plane = OCTAHEDRON_VERTICES[np.abs(offset + OCTAHEDRON_VERTICES @ normal) < 1e-12]
     if len(on_plane) != 3:
         raise ValueError("witness plane is not an octahedron face")
-    v1, v2, v3 = on_plane
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            l1 = i / resolution
-            l2 = j / resolution
-            l3 = 1.0 - l1 - l2
-            fig.points.append(("hyperplane", l1 * v1 + l2 * v2 + l3 * v3, None))
+    fig.points.extend(("hyperplane", p, None) for p in _triangle_grid(on_plane, resolution))
 
     z_star = werner_line_intersection(werner_witness())
     werner_dir = np.array([1.0, -1.0, 1.0])
-    for z in np.linspace(0.0, 1.0, resolution):
-        fig.points.append(("werner_line", z * werner_dir, float(z)))
+    fig.points.extend(_werner_segment(werner_dir, resolution))
     fig.points.append(("intersection", z_star * werner_dir, z_star))
     return fig
 
 
 def _figure_xz(resolution: int) -> FigureData:
     fig = FigureData(figure="fig3", dimension=2)
-    for p, q in _polytope_edges(SQUARE_VERTICES):
-        fig.edges.append(("black_square", p, q))
-    for p, q in _polytope_edges(DIAMOND_VERTICES):
-        fig.edges.append(("blue_square", p, q))
+    fig.edges.extend(_polytope_edges("black_square", SQUARE_VERTICES))
+    fig.edges.extend(_polytope_edges("blue_square", DIAMOND_VERTICES))
 
     for series, wit in (("chsh_line", fixed_chsh_witness()),
                         ("strengthened_line", strengthened_chsh_witness())):
         normal, offset = subspace_hyperplane(wit, XZ_AXES)
         p, q = _clip_line_to_square(normal, offset)
-        for pt in _line_points(p, q, resolution):
-            fig.points.append((series, pt, None))
+        fig.points.extend((series, pt, None) for pt in _line_points(p, q, resolution))
 
     werner_dir = np.array([1.0, 1.0])
-    for z in np.linspace(0.0, 1.0, resolution):
-        fig.points.append(("werner_line", z * werner_dir, float(z)))
+    fig.points.extend(_werner_segment(werner_dir, resolution))
     for series, wit in (("intersection_chsh", fixed_chsh_witness()),
                         ("intersection_strengthened", strengthened_chsh_witness())):
         z_star = werner_line_intersection(wit)
@@ -218,9 +213,9 @@ def export_figure_data(which: str, resolution: int = 20) -> FigureData:
     "fig2": diagonal-correlation 3-space with the tetrahedron, octahedron,
     the witness plane x - y + z = 1 and the Werner segment.  "fig3": the
     xx/zz plane with both squares, the two CHSH witness lines and the Werner
-    diagonal.
+    diagonal.  ``resolution`` is an integer from 2 to MAX_RESOLUTION.
     """
-    resolution = qcore.check_int(resolution, "resolution", 2)
+    resolution = qcore.check_int(resolution, "resolution", 2, MAX_RESOLUTION)
     if which == "fig2":
         return _figure_diagonal(resolution)
     if which == "fig3":

@@ -128,10 +128,13 @@ def _state_from_json(data) -> qcore.DensityMatrix:
     return qcore.DensityMatrix(np.array(entries).reshape(dim, dim))
 
 
-def state_to_dict(rho: qcore.DensityMatrix) -> dict:
+def matrix_to_dict(matrix: np.ndarray) -> dict:
+    """A square matrix in the layout of a state file, {"dim": d, "entries":
+    [[re, im], ...]} row-major; it need not be a state (tomography's raw
+    estimate can be unphysical)."""
     return {
-        "dim": rho.dim,
-        "entries": [[z.real, z.imag] for z in rho.matrix.ravel()],
+        "dim": matrix.shape[0],
+        "entries": [[z.real, z.imag] for z in matrix.ravel()],
     }
 
 

@@ -236,22 +236,22 @@ def random_separable(rng: np.random.Generator, k: int, n_qubits: int = 2
     return qcore.DensityMatrix(_product_mixtures(rng, [k], n_qubits)[0])
 
 
-def check_witness(witness: Witness, rho: qcore.DensityMatrix, n_samples: int,
+def check_witness(witness: Witness, rho: qcore.DensityMatrix, samples: int,
                   rng: np.random.Generator) -> CheckReport:
     """Evaluate a witness on its target and on sampled separable states.
 
     The samples are drawn SAMPLE_CHUNK at a time, each chunk as its
     component counts (1 to 4 per sample), then the mixtures; every chunk is
     validated as density matrices before it is scored, so memory does not
-    grow with n_samples.  The verdict is positive only when the target
+    grow with the sample count.  The verdict is positive only when the target
     payoff is positive and no sampled separable state drove Tr(sigma W)
     below -1e-9.
     """
-    n_samples = qcore.check_int(n_samples, "n_samples", 1)
+    samples = qcore.check_int(samples, "samples", 1)
     payoff = expected_payoff(rho, witness)
     min_val = np.inf
-    for start in range(0, n_samples, SAMPLE_CHUNK):
-        ks = rng.integers(1, 5, min(SAMPLE_CHUNK, n_samples - start))
+    for start in range(0, samples, SAMPLE_CHUNK):
+        ks = rng.integers(1, 5, min(SAMPLE_CHUNK, samples - start))
         sigmas = qcore.validate_density_matrices(
             _product_mixtures(rng, ks, witness.n_qubits))
         values = qcore.expectations(sigmas, witness.operator)
@@ -259,6 +259,6 @@ def check_witness(witness: Witness, rho: qcore.DensityMatrix, n_samples: int,
     return CheckReport(
         payoff_on_target=payoff,
         min_separable_value=min_val,
-        n_samples=n_samples,
+        n_samples=samples,
         verdict=bool(payoff > 0.0 and min_val >= -SEPARABLE_FLOOR),
     )

@@ -112,7 +112,7 @@ class TestSimulate:
     def test_honest_separable_state_stays_flat(self, capsys, tmp_path):
         rho = ew.random_separable(np.random.default_rng(4), k=2)
         state = tmp_path / "sep.json"
-        state.write_text(json.dumps(serialize.state_to_dict(rho)))
+        state.write_text(json.dumps(serialize.matrix_to_dict(rho.matrix)))
         code, out, _ = run_cli(capsys, "simulate", "--state", str(state),
                                "--witness", "werner", "--rounds", "200000", "--seed", "8")
         fields = dict(kv.split("=") for kv in out.split())
@@ -500,6 +500,10 @@ class TestGeometry:
         payload = json.loads(out)
         assert payload["figure"] == "fig3"
 
+    def test_resolution_above_the_bound(self, capsys):
+        assert run_cli(capsys, "geometry", "fig2", "--resolution", "501") == (
+            2, "", "error: resolution must be an integer from 2 to 500, got 501\n")
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "fig2.csv"
         code, out, _ = run_cli(capsys, "geometry", "fig2", "--out", str(target))
@@ -542,6 +546,11 @@ class TestWitnessCommands:
                                "--seed", "0")
         assert code == 0
         assert "verdict=True" in out
+
+    def test_check_names_the_samples_flag(self, capsys):
+        assert run_cli(capsys, "witness", "check", "--state", "werner(0.9)",
+                       "--witness", "werner", "--samples", "0") == (
+            2, "", "error: samples must be an integer >= 1, got 0\n")
 
     def test_check_rejects_undetecting_witness(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "check", "--state", "werner(0.6)",
@@ -666,7 +675,7 @@ class TestSpecFileErrors:
 
 def base_doc(kind):
     if kind == "state":
-        return serialize.state_to_dict(ew.make_werner(0.8))
+        return serialize.matrix_to_dict(ew.make_werner(0.8).matrix)
     return {"n": 2, "weights": [[0, 0, "1/sqrt(3)"], [1, 1, -0.5773502691896258],
                                 [2, 2, 0.5773502691896258], [3, 3, "-1/sqrt(3)"]]}
 

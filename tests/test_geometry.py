@@ -1,5 +1,7 @@
 import csv
 import io
+import itertools
+import json
 
 import numpy as np
 import pytest
@@ -185,9 +187,80 @@ class TestFigureExport:
         with pytest.raises(ValueError):
             ew.export_figure_data("fig2", resolution=1)
 
-    @pytest.mark.parametrize("resolution", [1, 2.5, np.float64(3.0), True, "3"])
+    @pytest.mark.parametrize("resolution", [1, 2.5, np.float64(3.0), True, "3",
+                                            geometry.MAX_RESOLUTION + 1])
     def test_rejects_a_bad_resolution(self, resolution):
-        # a ValueError, never a TypeError from inside the point loops
+        # a ValueError, never a TypeError from inside the point arithmetic
         with pytest.raises(ValueError) as err:
             ew.export_figure_data("fig3", resolution=resolution)
-        assert str(err.value) == f"resolution must be an integer >= 2, got {resolution!r}"
+        assert str(err.value) == (
+            f"resolution must be an integer from 2 to 500, got {resolution!r}")
+
+    @pytest.mark.parametrize("which,dimension", [("fig2", 3), ("fig3", 2)])
+    @pytest.mark.parametrize("resolution", [2, 3, 16, 101])
+    def test_exports_match_the_per_point_builder(self, which, dimension, resolution):
+        fig = ew.export_figure_data(which, resolution)
+        edges, points = reference_figure(which, resolution)
+        assert fig.to_csv() == reference_csv(edges, points)
+        reference = geometry.FigureData(which, dimension, edges, points)
+        assert json.dumps(fig.to_dict()) == json.dumps(reference.to_dict())
+
+
+def reference_figure(which, r):
+    """Edges and points of a figure built one point at a time, in the order
+    and with the float operations of the loops the array expressions in
+    geometry replaced; kept as the oracle for their bytes."""
+    def polytope_edges(series, vertices):
+        center = vertices.mean(axis=0)
+        return [(series, vertices[i].copy(), vertices[j].copy())
+                for i, j in itertools.combinations(range(len(vertices)), 2)
+                if not np.allclose(vertices[i] - center, -(vertices[j] - center), atol=1e-9)]
+
+    edges, points = [], []
+    chsh, strengthened = ew.fixed_chsh_witness(), ew.strengthened_chsh_witness()
+    if which == "fig2":
+        edges += polytope_edges("tetrahedron", geometry.TETRAHEDRON_VERTICES)
+        edges += polytope_edges("octahedron", geometry.OCTAHEDRON_VERTICES)
+        normal, offset = geometry.subspace_hyperplane(ew.werner_witness(), DIAG)
+        v1, v2, v3 = [v for v in geometry.OCTAHEDRON_VERTICES
+                      if abs(offset + normal @ v) < 1e-12]
+        for i in range(r + 1):
+            for j in range(r + 1 - i):
+                l1 = i / r
+                l2 = j / r
+                l3 = 1.0 - l1 - l2
+                points.append(("hyperplane", l1 * v1 + l2 * v2 + l3 * v3, None))
+        werner_dir = np.array([1.0, -1.0, 1.0])
+        crossings = [("intersection", ew.werner_witness())]
+    else:
+        edges += polytope_edges("black_square", geometry.SQUARE_VERTICES)
+        edges += polytope_edges("blue_square", geometry.DIAMOND_VERTICES)
+        for series, wit in (("chsh_line", chsh), ("strengthened_line", strengthened)):
+            normal, offset = geometry.subspace_hyperplane(wit, geometry.XZ_AXES)
+            p, q = geometry._clip_line_to_square(normal, offset)
+            for lam in np.linspace(0.0, 1.0, r):
+                points.append((series, (1.0 - lam) * p + lam * q, None))
+        werner_dir = np.array([1.0, 1.0])
+        crossings = [("intersection_chsh", chsh), ("intersection_strengthened", strengthened)]
+    for z in np.linspace(0.0, 1.0, r):
+        points.append(("werner_line", z * werner_dir, float(z)))
+    for series, wit in crossings:
+        z_star = geometry.werner_line_intersection(wit)
+        points.append((series, z_star * werner_dir, z_star))
+    return edges, points
+
+
+def reference_csv(edges, points):
+    """The csv-module writer FigureData.to_csv replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["series", "kind", "index", "werner_z", "x1", "y1", "z1", "x2", "y2", "z2"])
+
+    def pad(p):
+        return [f"{v:.17g}" for v in p] + [""] * (3 - len(p))
+
+    for i, (series, p, q) in enumerate(edges):
+        writer.writerow([series, "edge", i, ""] + pad(p) + pad(q))
+    for i, (series, p, z) in enumerate(points):
+        writer.writerow([series, "point", i, "" if z is None else f"{z:.17g}"] + pad(p) + [""] * 3)
+    return buf.getvalue()

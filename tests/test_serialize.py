@@ -34,7 +34,7 @@ class TestStateSpecs:
     def test_matrix_file_round_trip(self, tmp_path):
         rho = ew.make_werner(0.7)
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(serialize.state_to_dict(rho)))
+        path.write_text(json.dumps(serialize.matrix_to_dict(rho.matrix)))
         back = serialize.parse_state_spec(str(path))
         assert np.max(np.abs(back.matrix - rho.matrix)) < 1e-15
 
@@ -54,7 +54,7 @@ class TestRoundTrips:
     def test_state_file_round_trip_is_exact(self, tmp_path, seed, n):
         rho = ew.random_density_matrix(np.random.default_rng(seed), 2 ** n)
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(serialize.state_to_dict(rho)))
+        path.write_text(json.dumps(serialize.matrix_to_dict(rho.matrix)))
         assert serialize.parse_state_spec(str(path)).matrix.tobytes() == rho.matrix.tobytes()
 
     @FILE_FIXTURE
@@ -186,7 +186,7 @@ class TestIntegerFields:
 
     def test_state_file_integral_float_dim(self, tmp_path):
         path = tmp_path / "state.json"
-        data = serialize.state_to_dict(ew.make_werner(0.7))
+        data = serialize.matrix_to_dict(ew.make_werner(0.7).matrix)
         data["dim"] = 4.0
         path.write_text(json.dumps(data))
         assert serialize.parse_state_spec(str(path)).dim == 4

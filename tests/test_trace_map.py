@@ -59,7 +59,7 @@ class TestEdgeState:
     ], ids=lambda c: " ".join(c[:2]))
     def test_cli_prints_a_value(self, capsys, tmp_path, command):
         path = tmp_path / "edge.json"
-        path.write_text(json.dumps(serialize.state_to_dict(ew.DensityMatrix(edge_state()))))
+        path.write_text(json.dumps(serialize.matrix_to_dict(edge_state())))
         code = cli.main([*command, "--state", str(path)])
         captured = capsys.readouterr()
         assert code in (0, 1) and captured.err == ""
