@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain, islice
 
 import numpy as np
 
@@ -22,12 +23,21 @@ EXIT_NEGATIVE = 1
 EXIT_ERROR = 2
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write an iterable of strings to --out, or to stdout, as they arrive."""
     if out is not None:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _emit_json(payload, out: str | None) -> None:
+    """Write json.dumps(payload, indent=2) and a newline, never held whole, in blocks
+    of tokens: an unbuffered stdout (PYTHONUNBUFFERED) makes a syscall per write."""
+    tokens = json.JSONEncoder(indent=2).iterencode(payload)
+    blocks = iter(lambda: "".join(islice(tokens, game.CSV_BLOCK_ROWS)), "")
+    _emit(chain(blocks, ["\n"]), out)
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +78,9 @@ def cmd_simulate(args) -> int:
     elif args.format == "structured":
         summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.config.seed,
                    "strategy": strategy.name}
-        _emit(json.dumps(summary, indent=2) + "\n", args.out)
+        _emit_json(summary, args.out)
     else:
-        _emit(line, args.out)
+        _emit([line], args.out)
     return EXIT_OK if mean > 0.0 else EXIT_NEGATIVE
 
 
@@ -95,7 +105,7 @@ def cmd_tomography(args) -> int:
             for t in range(4):
                 lines.append(f"{s},{t},{float17(r_hat[s, t])},"
                              f"{float17(se[s, t])},{counts[s, t]}")
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit(["\n".join(lines) + "\n"], args.out)
     else:
         payload = {
             "rounds": tr.rounds,
@@ -107,29 +117,28 @@ def cmd_tomography(args) -> int:
             "trace_distance_to_input": err,
         }
         if args.format == "structured":
-            _emit(json.dumps(payload, indent=2) + "\n", args.out)
+            _emit_json(payload, args.out)
         else:
             text = [f"rounds={tr.rounds} seed={tr.config.seed}",
                     f"trace_distance_to_input={float17(err)}", "r_hat:"]
             for s in range(4):
                 text.append("  " + " ".join(f"{r_hat[s, t]:+.6f}" for t in range(4)))
-            _emit("\n".join(text) + "\n", args.out)
+            _emit(["\n".join(text) + "\n"], args.out)
     return EXIT_OK
 
 
 def cmd_geometry(args) -> int:
     fig = geometry.export_figure_data(args.figure, resolution=args.resolution)
     if args.format == "structured":
-        _emit(json.dumps(fig.to_dict(), indent=2) + "\n", args.out)
+        _emit_json(fig.to_dict(), args.out)
     else:
-        _emit(fig.to_csv(), args.out)
+        _emit(fig.csv_lines(), args.out)
     return EXIT_OK
 
 
 def cmd_chsh(args) -> int:
     rho = serialize.parse_state_spec(args.state)
-    obs = witness.xz_chsh_observables()
-    report = game.chsh_value(rho, *obs)
+    report = game.chsh_value(rho)
     print(f"S={float17(report.value)}")
     print(f"abs_S={float17(abs(report.value))}")
     print(f"violates_classical_bound={report.violates_classical}")
@@ -146,7 +155,7 @@ def cmd_witness_make(args) -> int:
         return EXIT_NEGATIVE
     payload = serialize.witness_to_dict(wit)
     payload["payoff_on_state"] = witness.expected_payoff(rho, wit)
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
@@ -162,10 +171,10 @@ def cmd_witness_check(args) -> int:
         "verdict": report.verdict,
     }
     if args.format == "structured":
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
+        _emit_json(payload, args.out)
     else:
-        _emit("".join(f"{k}={v if not isinstance(v, float) else float17(v)}\n"
-                      for k, v in payload.items()), args.out)
+        _emit((f"{k}={v if not isinstance(v, float) else float17(v)}\n"
+               for k, v in payload.items()), args.out)
     return EXIT_OK if report.verdict else EXIT_NEGATIVE
 
 

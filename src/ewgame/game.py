@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 
 from . import qcore
-from .witness import PauliWeights
+from .witness import PauliWeights, xz_chsh_observables
 
 PI_SUM_TOL = 1e-12
 OUTCOME_TOL = 1e-10
@@ -470,15 +470,20 @@ class ChshReport:
     violates_strengthened: bool
 
 
-def chsh_value(rho: qcore.DensityMatrix, a, a2, b, b2) -> ChshReport:
-    """Expectation of A(x)B + A'(x)B + A(x)B' - A'(x)B' on a two-qubit rho."""
+@lru_cache(maxsize=1)
+def _xz_bell_operator() -> np.ndarray:
+    a, a2, b, b2 = xz_chsh_observables()
+    bell = np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
+    bell.setflags(write=False)
+    return bell
+
+
+def chsh_value(rho: qcore.DensityMatrix) -> ChshReport:
+    """Expectation of A(x)B + A'(x)B + A(x)B' - A'(x)B' on a two-qubit rho,
+    for the x/z observables of ``witness.xz_chsh_observables``."""
     if rho.dim != 4:
         raise ValueError("chsh is defined for two-qubit states")
-    obs = [qcore.validate_spin_observable(o, n) for o, n in
-           ((a, "A"), (a2, "A'"), (b, "B"), (b2, "B'"))]
-    a, a2, b, b2 = obs
-    bell = np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
-    s = float(qcore.expectations(rho.matrix, bell))
+    s = float(qcore.expectations(rho.matrix, _xz_bell_operator()))
     return ChshReport(
         value=s,
         violates_classical=bool(abs(s) > 2.0),

@@ -5,12 +5,14 @@ hyperplanes, and plot-ready figure data.
 
 from __future__ import annotations
 
-import io
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import count, repeat
 
 import numpy as np
 
 from . import qcore
+from .game import CSV_BLOCK_ROWS
 from .serialize import float17
 from .witness import (Witness, expected_payoff, fixed_chsh_witness,
                       strengthened_chsh_witness, werner_witness)
@@ -70,56 +72,58 @@ def subspace_hyperplane(witness: Witness, axes) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class FigureData:
-    """Plot-ready geometry: polytope edges as point pairs and labeled point
-    series (hyperplane patches, witness lines, the Werner segment and its
-    zero-payoff intersections)."""
+    """Plot-ready geometry, one array per series in insertion order:
+    ``edges[series]`` is a (k, 2, dimension) array of endpoint pairs, and
+    ``points[series]`` is a (k, dimension) coordinate array with a (k,) array
+    of Werner parameters z, or with None for a series off the Werner line."""
 
     figure: str
     dimension: int
-    edges: list = field(default_factory=list)    # (series, point, point)
-    points: list = field(default_factory=list)   # (series, point, werner_z | None)
+    edges: dict[str, np.ndarray] = field(default_factory=dict)
+    points: dict[str, tuple[np.ndarray, np.ndarray | None]] = field(default_factory=dict)
 
     def series_points(self, series: str) -> np.ndarray:
-        pts = [p for s, p, _ in self.points if s == series]
-        if not pts:
+        if series not in self.points:
             raise KeyError(f"no point series {series!r} in {self.figure}")
-        return np.array(pts)
+        return self.points[series][0]
 
-    def to_csv(self) -> str:
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV table as text, in blocks of at most CSV_BLOCK_ROWS rows."""
         pad = "," * (3 - self.dimension)
-        buf = io.StringIO()
-        buf.write("series,kind,index,werner_z,x1,y1,z1,x2,y2,z2\n")
-        for i, (series, p, q) in enumerate(self.edges):
-            buf.write(f"{series},edge,{i},,{','.join(map(float17, p))}{pad},"
-                      f"{','.join(map(float17, q))}{pad}\n")
-        for i, (series, p, z) in enumerate(self.points):
-            zcol = "" if z is None else float17(z)
-            buf.write(f"{series},point,{i},{zcol},{','.join(map(float17, p))}{pad},,,\n")
-        return buf.getvalue()
+        yield "series,kind,index,werner_z,x1,y1,z1,x2,y2,z2\n"
+        edges = [(s, ",".join(map(float17, p)), ",".join(map(float17, q)))
+                 for s, pairs in self.edges.items() for p, q in pairs.tolist()]
+        yield "".join(f"{s},edge,{i},,{p}{pad},{q}{pad}\n" for i, (s, p, q) in enumerate(edges))
+        index = 0
+        for series, (coords, zs) in self.points.items():
+            for start in range(0, len(coords), CSV_BLOCK_ROWS):
+                block = coords[start:start + CSV_BLOCK_ROWS].tolist()
+                zcol = repeat("") if zs is None else map(float17, zs[start:start + len(block)])
+                yield "".join(f"{series},point,{i},{z},{','.join(map(float17, p))}{pad},,,\n"
+                              for i, z, p in zip(count(index), zcol, block))
+                index += len(block)
 
     def to_dict(self) -> dict:
         return {
             "figure": self.figure,
             "dimension": self.dimension,
-            "edges": [
-                {"series": s, "from": list(map(float, p)), "to": list(map(float, q))}
-                for s, p, q in self.edges
-            ],
+            "edges": [{"series": s, "from": p, "to": q}
+                      for s, pairs in self.edges.items() for p, q in pairs.tolist()],
             "points": [
-                {"series": s, "coords": list(map(float, p)),
-                 **({} if z is None else {"werner_z": float(z)})}
-                for s, p, z in self.points
+                {"series": s, "coords": p, **({} if zs is None else {"werner_z": z})}
+                for s, (coords, zs) in self.points.items()
+                for p, z in zip(coords.tolist(), repeat(None) if zs is None else zs.tolist())
             ],
         }
 
 
-def _polytope_edges(series: str, vertices: np.ndarray) -> list:
+def _polytope_edges(vertices: np.ndarray) -> np.ndarray:
     # For the four regular solids used here, the edge set is exactly the
     # vertex pairs that are not antipodal through the centroid.
     centered = vertices - vertices.mean(axis=0)
     i, j = np.triu_indices(len(vertices), 1)
     keep = ~np.isclose(centered[i], -centered[j], atol=1e-9).all(axis=1)
-    return [(series, p, q) for p, q in zip(vertices[i[keep]], vertices[j[keep]])]
+    return np.stack([vertices[i[keep]], vertices[j[keep]]], axis=1)
 
 
 def _clip_line_to_square(normal: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
@@ -152,10 +156,8 @@ def _line_points(p: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
 
 def _triangle_grid(vertices: np.ndarray, resolution: int) -> np.ndarray:
     """Points l1*v1 + l2*v2 + l3*v3 with barycentric weights (i/r, j/r,
-    1 - i/r - j/r), i major and j minor.  Built one coordinate at a time, so
-    no temporary is larger than a column: freeing a larger one raises
-    glibc's mmap threshold, and the CSV text that follows then grows on the
-    heap and leaves a hole that lifts the CLI's peak RSS."""
+    1 - i/r - j/r), i major and j minor.  The exported bytes depend on
+    these float operations and their order."""
     steps = np.arange(resolution + 1)
     i, j = np.nonzero(steps[:, None] <= resolution - steps)
     l1 = i / resolution
@@ -164,46 +166,43 @@ def _triangle_grid(vertices: np.ndarray, resolution: int) -> np.ndarray:
     return np.stack([l1 * a + l2 * b + l3 * c for a, b, c in vertices.T], axis=1)
 
 
-def _werner_segment(direction: np.ndarray, resolution: int) -> list:
-    zs = np.linspace(0.0, 1.0, resolution)
-    return [("werner_line", p, z) for p, z in zip(zs[:, None] * direction, zs.tolist())]
-
-
 def _figure_diagonal(resolution: int) -> FigureData:
     fig = FigureData(figure="fig2", dimension=3)
-    fig.edges.extend(_polytope_edges("tetrahedron", TETRAHEDRON_VERTICES))
-    fig.edges.extend(_polytope_edges("octahedron", OCTAHEDRON_VERTICES))
+    fig.edges["tetrahedron"] = _polytope_edges(TETRAHEDRON_VERTICES)
+    fig.edges["octahedron"] = _polytope_edges(OCTAHEDRON_VERTICES)
 
     normal, offset = subspace_hyperplane(werner_witness(), DIAGONAL_AXES)
     on_plane = OCTAHEDRON_VERTICES[np.abs(offset + OCTAHEDRON_VERTICES @ normal) < 1e-12]
     if len(on_plane) != 3:
         raise ValueError("witness plane is not an octahedron face")
-    fig.points.extend(("hyperplane", p, None) for p in _triangle_grid(on_plane, resolution))
+    fig.points["hyperplane"] = (_triangle_grid(on_plane, resolution), None)
 
     z_star = werner_line_intersection(werner_witness())
     werner_dir = np.array([1.0, -1.0, 1.0])
-    fig.points.extend(_werner_segment(werner_dir, resolution))
-    fig.points.append(("intersection", z_star * werner_dir, z_star))
+    zs = np.linspace(0.0, 1.0, resolution)
+    fig.points["werner_line"] = (zs[:, None] * werner_dir, zs)
+    fig.points["intersection"] = ((z_star * werner_dir)[None, :], np.array([z_star]))
     return fig
 
 
 def _figure_xz(resolution: int) -> FigureData:
     fig = FigureData(figure="fig3", dimension=2)
-    fig.edges.extend(_polytope_edges("black_square", SQUARE_VERTICES))
-    fig.edges.extend(_polytope_edges("blue_square", DIAMOND_VERTICES))
+    fig.edges["black_square"] = _polytope_edges(SQUARE_VERTICES)
+    fig.edges["blue_square"] = _polytope_edges(DIAMOND_VERTICES)
 
     for series, wit in (("chsh_line", fixed_chsh_witness()),
                         ("strengthened_line", strengthened_chsh_witness())):
         normal, offset = subspace_hyperplane(wit, XZ_AXES)
         p, q = _clip_line_to_square(normal, offset)
-        fig.points.extend((series, pt, None) for pt in _line_points(p, q, resolution))
+        fig.points[series] = (_line_points(p, q, resolution), None)
 
     werner_dir = np.array([1.0, 1.0])
-    fig.points.extend(_werner_segment(werner_dir, resolution))
+    zs = np.linspace(0.0, 1.0, resolution)
+    fig.points["werner_line"] = (zs[:, None] * werner_dir, zs)
     for series, wit in (("intersection_chsh", fixed_chsh_witness()),
                         ("intersection_strengthened", strengthened_chsh_witness())):
         z_star = werner_line_intersection(wit)
-        fig.points.append((series, z_star * werner_dir, z_star))
+        fig.points[series] = ((z_star * werner_dir)[None, :], np.array([z_star]))
     return fig
 
 

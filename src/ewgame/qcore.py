@@ -286,16 +286,3 @@ def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())
-
-
-def validate_spin_observable(op, name: str = "observable") -> np.ndarray:
-    """Check a single-qubit observable is Hermitian with spectrum {-1, +1}."""
-    if np.shape(op) != (2, 2):
-        raise ValueError(f"{name} must be 2x2, got {np.shape(op)}")
-    m = _as_operator(op, name)
-    _hermitian_part(m, name)
-    if not abs(m @ m - np.eye(2)).max() <= 1e-9:
-        raise ValueError(f"{name} must square to the identity")
-    if not abs(m.trace()) <= 1e-9:
-        raise ValueError(f"{name} must be traceless (eigenvalues -1 and +1)")
-    return m

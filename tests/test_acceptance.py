@@ -154,13 +154,12 @@ def test_criterion_09_tomography_scaling(warm_kernels):
 
 
 def test_criterion_10_chsh_relation():
-    obs = ew.xz_chsh_observables()
     for z in np.linspace(0.0, 1.0, 21):
-        rep = ew.chsh_value(ew.make_werner(float(z)), *obs)
+        rep = ew.chsh_value(ew.make_werner(float(z)))
         assert abs(abs(rep.value) - 2 * RT2 * z) <= 1e-12
     eps = 1e-9
-    assert not ew.chsh_value(ew.make_werner(RT2 / 2 - eps), *obs).violates_classical
-    assert ew.chsh_value(ew.make_werner(RT2 / 2 + eps), *obs).violates_classical
+    assert not ew.chsh_value(ew.make_werner(RT2 / 2 - eps)).violates_classical
+    assert ew.chsh_value(ew.make_werner(RT2 / 2 + eps)).violates_classical
     report(10, "|S| = 2*sqrt(2)*z to 1e-12 and the violation flag flips at "
                "z = sqrt(2)/2 +- 1e-9")
 
@@ -185,7 +184,7 @@ def test_criterion_12_geometry():
     assert np.allclose(line[-1], [1, -1, 1], atol=1e-15)
     cross = fig2.series_points("intersection")[0]
     assert np.allclose(cross, [1 / 3, -1 / 3, 1 / 3], atol=1e-12)
-    z_rows = [z for s, _, z in fig2.points if s == "intersection"]
+    z_rows = fig2.points["intersection"][1]
     assert abs(z_rows[0] - 1 / 3) <= 1e-12
 
     fig3 = ew.export_figure_data("fig3", resolution=16)

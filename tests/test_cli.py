@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -510,6 +511,20 @@ class TestGeometry:
         assert code == 0
         assert target.exists()
         assert out == ""
+
+    def test_csv_at_the_bound_streams(self, tmp_path):
+        # the 10 MB of CSV text is written a block at a time, never held whole
+        target = tmp_path / "fig2.csv"
+        tracemalloc.start()
+        try:
+            code = cli.main(["geometry", "fig2", "--resolution", "500", "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+        with open(target) as fh:
+            assert sum(1 for _ in fh) == 1 + 18 + 501 * 502 // 2 + 500 + 1
 
 
 class TestChsh:

@@ -907,31 +907,26 @@ class TestTranscriptCsv:
 class TestChshValue:
     @pytest.mark.parametrize("z", [0.0, 0.3, 1 / RT2, 0.8, 1.0])
     def test_werner_value(self, z):
-        rep = ew.chsh_value(ew.make_werner(z), *ew.xz_chsh_observables())
+        rep = ew.chsh_value(ew.make_werner(z))
         assert abs(rep.value) == pytest.approx(2 * RT2 * z, abs=1e-12)
 
     def test_flags_flip_at_thresholds(self):
         eps = 1e-9
-        below = ew.chsh_value(ew.make_werner(1 / RT2 - eps), *ew.xz_chsh_observables())
-        above = ew.chsh_value(ew.make_werner(1 / RT2 + eps), *ew.xz_chsh_observables())
+        below = ew.chsh_value(ew.make_werner(1 / RT2 - eps))
+        above = ew.chsh_value(ew.make_werner(1 / RT2 + eps))
         assert not below.violates_classical
         assert above.violates_classical
-        below_s = ew.chsh_value(ew.make_werner(0.5 - eps), *ew.xz_chsh_observables())
-        above_s = ew.chsh_value(ew.make_werner(0.5 + eps), *ew.xz_chsh_observables())
+        below_s = ew.chsh_value(ew.make_werner(0.5 - eps))
+        above_s = ew.chsh_value(ew.make_werner(0.5 + eps))
         assert not below_s.violates_strengthened
         assert above_s.violates_strengthened
 
     def test_product_state_respects_classical_bound(self):
         ket00 = np.zeros((4, 4), dtype=complex)
         ket00[0, 0] = 1.0
-        rep = ew.chsh_value(ew.DensityMatrix(ket00), *ew.xz_chsh_observables())
+        rep = ew.chsh_value(ew.DensityMatrix(ket00))
         assert abs(rep.value) <= 2.0 + 1e-12
 
     def test_maximally_mixed_is_zero(self):
-        rep = ew.chsh_value(ew.maximally_mixed(2), *ew.xz_chsh_observables())
+        rep = ew.chsh_value(ew.maximally_mixed(2))
         assert rep.value == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_invalid_observables(self):
-        a, a2, b, b2 = ew.xz_chsh_observables()
-        with pytest.raises(ValueError):
-            ew.chsh_value(ew.make_werner(1.0), 2 * a, a2, b, b2)

@@ -141,8 +141,8 @@ class TestFigureExport:
 
     def test_fig2_edge_counts(self):
         fig = ew.export_figure_data("fig2", resolution=5)
-        assert sum(1 for s, _, _ in fig.edges if s == "tetrahedron") == 6
-        assert sum(1 for s, _, _ in fig.edges if s == "octahedron") == 12
+        assert len(fig.edges["tetrahedron"]) == 6
+        assert len(fig.edges["octahedron"]) == 12
 
     def test_fig3_lines(self):
         fig = ew.export_figure_data("fig3", resolution=15)
@@ -157,12 +157,12 @@ class TestFigureExport:
 
     def test_fig3_edge_counts(self):
         fig = ew.export_figure_data("fig3", resolution=5)
-        assert sum(1 for s, _, _ in fig.edges if s == "black_square") == 4
-        assert sum(1 for s, _, _ in fig.edges if s == "blue_square") == 4
+        assert len(fig.edges["black_square"]) == 4
+        assert len(fig.edges["blue_square"]) == 4
 
     def test_csv_round_trip(self):
         fig = ew.export_figure_data("fig2", resolution=6)
-        rows = list(csv.DictReader(io.StringIO(fig.to_csv())))
+        rows = list(csv.DictReader(io.StringIO("".join(fig.csv_lines()))))
         cross = [r for r in rows if r["series"] == "intersection"]
         assert len(cross) == 1
         assert float(cross[0]["werner_z"]) == pytest.approx(1 / 3, abs=1e-12)
@@ -201,9 +201,9 @@ class TestFigureExport:
     def test_exports_match_the_per_point_builder(self, which, dimension, resolution):
         fig = ew.export_figure_data(which, resolution)
         edges, points = reference_figure(which, resolution)
-        assert fig.to_csv() == reference_csv(edges, points)
-        reference = geometry.FigureData(which, dimension, edges, points)
-        assert json.dumps(fig.to_dict()) == json.dumps(reference.to_dict())
+        assert "".join(fig.csv_lines()) == reference_csv(edges, points)
+        assert json.dumps(fig.to_dict()) == json.dumps(
+            reference_dict(which, dimension, edges, points))
 
 
 def reference_figure(which, r):
@@ -250,8 +250,21 @@ def reference_figure(which, r):
     return edges, points
 
 
+def reference_dict(which, dimension, edges, points):
+    """The structured export, built from the per-point lists."""
+    return {
+        "figure": which,
+        "dimension": dimension,
+        "edges": [{"series": s, "from": list(map(float, p)), "to": list(map(float, q))}
+                  for s, p, q in edges],
+        "points": [{"series": s, "coords": list(map(float, p)),
+                    **({} if z is None else {"werner_z": float(z)})}
+                   for s, p, z in points],
+    }
+
+
 def reference_csv(edges, points):
-    """The csv-module writer FigureData.to_csv replaced."""
+    """The table FigureData.csv_lines must yield, written with the csv module."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["series", "kind", "index", "werner_z", "x1", "y1", "z1", "x2", "y2", "z2"])

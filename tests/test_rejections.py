@@ -192,26 +192,6 @@ def test_witness_rejects_non_finite_operator(value):
 
 
 @pytest.mark.parametrize("value", NON_FINITE)
-@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
-def test_spin_observable_rejects_non_finite(value, where):
-    with pytest.raises(ValueError, match="A contains non-finite entries"):
-        qcore.validate_spin_observable(put(np.eye(2), (where, value)), "A")
-    sx, sz, b, b2 = ew.xz_chsh_observables()
-    with pytest.raises(ValueError, match="non-finite"):
-        ew.chsh_value(ew.make_werner(1.0), put(sx, (where, value)), sz, b, b2)
-
-
-@pytest.mark.parametrize("op,message", [
-    (np.eye(4), "A must be 2x2, got (4, 4)"),
-    (np.eye(2), "A must be traceless (eigenvalues -1 and +1)"),
-], ids=["4x4", "identity"])
-def test_spin_observable_rules(op, message):
-    with pytest.raises(ValueError) as err:
-        qcore.validate_spin_observable(op, "A")
-    assert str(err.value) == message
-
-
-@pytest.mark.parametrize("value", NON_FINITE)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pauli_traces_rejects_non_finite(value, n):
     m = put(np.eye(2 ** n) / 2 ** n, ((0, 0), value))

@@ -50,7 +50,7 @@ class TestEdgeState:
         rho = ew.DensityMatrix(edge_state())
         assert ew.expected_payoff(rho, ew.werner_witness()) == \
             pytest.approx(-1 / np.sqrt(3), abs=1e-15)
-        assert ew.chsh_value(rho, *ew.xz_chsh_observables()).value == pytest.approx(0, abs=1e-15)
+        assert ew.chsh_value(rho).value == pytest.approx(0, abs=1e-15)
 
     @pytest.mark.parametrize("command", [
         ("payoff", "--witness", "werner"),
@@ -112,7 +112,7 @@ def test_dimension_mismatch_is_named():
     with pytest.raises(ValueError, match="^dimension mismatch: state 8, operator 4$"):
         qcore.expectations(ew.ghz_state().matrix, ew.werner_witness().operator)
     with pytest.raises(ValueError, match="^chsh is defined for two-qubit states$"):
-        ew.chsh_value(ew.ghz_state(), *ew.xz_chsh_observables())
+        ew.chsh_value(ew.ghz_state())
     with pytest.raises(ValueError, match="^state has 2 qubits but the witness has 3$"):
         ew.expected_payoff(ew.bell_psi_plus(), ew.ghz_witness())
 
