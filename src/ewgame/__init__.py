@@ -61,4 +61,4 @@ from .witness import (
     xz_chsh_observables,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"

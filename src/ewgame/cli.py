@@ -3,7 +3,9 @@
 Subcommands: payoff, simulate, tomography, geometry, chsh, witness make,
 witness check.  Every input is a flag.  Exit codes form a stable scripting
 contract: 0 for success or a positive detection, 1 for a clean negative
-result, 2 for any error.
+result, 2 for any error.  ``simulate`` detects only when its mean payoff
+exceeds ``game.detection_threshold``, a margin that a run whose expected
+payoff is <= 0 exceeds with probability at most ``game.DETECTION_ALPHA``.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ def cmd_simulate(args) -> int:
     # keep_records never changes the moments; only the csv transcript needs records
     tr = game.run_game(config, strategy, wit.weights, keep_records=want_csv)
     mean, se = game.empirical_payoff(tr)
+    threshold = game.detection_threshold(tr)
     line = (f"mean={float17(mean)} std_error={float17(se)} rounds={tr.rounds} "
             f"seed={tr.config.seed}\n")
     if want_csv:
@@ -77,11 +80,12 @@ def cmd_simulate(args) -> int:
         sys.stdout.write(line)
     elif args.format == "structured":
         summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.config.seed,
-                   "strategy": strategy.name}
+                   "strategy": strategy.name, "lower_bound": mean - threshold,
+                   "alpha": game.DETECTION_ALPHA}
         _emit_json(summary, args.out)
     else:
         _emit([line], args.out)
-    return EXIT_OK if mean > 0.0 else EXIT_NEGATIVE
+    return EXIT_OK if mean > threshold else EXIT_NEGATIVE
 
 
 def cmd_tomography(args) -> int:

@@ -1,6 +1,7 @@
 """The referee/player protocol: sample label pairs from a distribution Pi,
 collect +/-1 answers from a strategy, pay -w[s,t]*a*b/Pi(s,t), and estimate
-the average payoff.
+the average payoff.  A party asked label 0 measures the identity, so its
+answer is never paid on.
 
 Honest players answer by measuring their shared state; the built-in cheating
 strategy answers from shared classical randomness instead and reproduces the
@@ -23,8 +24,8 @@ from . import qcore
 from .witness import PauliWeights, xz_chsh_observables
 
 PI_SUM_TOL = 1e-12
-OUTCOME_TOL = 1e-10
 MAX_ROUNDS = 2 ** 63 - 1  # numpy's multinomial takes its count as a C long
+DETECTION_ALPHA = 1e-3  # the largest chance that a game whose payoff is <= 0 certifies
 CSV_BLOCK_ROWS = 4096
 
 # Joint outcomes are indexed 0..2^n-1; party j's answer is the j-th bit from
@@ -52,10 +53,14 @@ def _label_table(n_parties: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4)
-def outcome_parity(n_parties: int) -> np.ndarray:
-    """Product of all answers for each joint outcome index: -1 when an odd
-    number of answer bits are set.  The array is shared and read-only."""
-    parity = _answer_table(n_parties).prod(axis=1, dtype=np.int64)
+def parity_table(n_parties: int) -> np.ndarray:
+    """The answer product the referee pays on, shape (4^n, 2^n), int64:
+    for each raveled label cell and joint outcome, the product of the
+    answers of the parties whose label is nonzero.  Label 0 measures the
+    identity, so its answer is never read.  The array is shared and
+    read-only."""
+    asked = _label_table(n_parties)[:, None, :] != 0
+    parity = np.where(asked, _answer_table(n_parties), 1).prod(axis=2, dtype=np.int64)
     parity.setflags(write=False)
     return parity
 
@@ -161,7 +166,10 @@ class Strategy:
     """How the players answer: outcome_table[labels + (k,)] is the
     probability of joint outcome k for each label cell, shape
     (4,)*n + (2^n,).  The players see only their labels and randomness, so
-    this distribution describes any strategy completely."""
+    this distribution describes any strategy completely.  The stored rows
+    are the rows ``run_game`` samples and ``exact_average_payoff`` sums
+    over: cleaned of Born-rule round-off and renormalised once
+    (``_outcome_probabilities``)."""
 
     name: str
     outcome_table: np.ndarray
@@ -172,19 +180,32 @@ class Strategy:
 
 def _outcome_probabilities(table) -> np.ndarray:
     """An outcome table as a read-only float64 copy of shape
-    (4,)*n + (2^n,) whose rows are probability distributions."""
+    (4,)*n + (2^n,) whose rows are probability distributions.
+
+    The only place an answer table is cleaned.  DensityMatrix tolerates
+    eigenvalues down to -PSD_TOL and one outcome probability sums up to 2^n
+    of them, so entries in [-2^n PSD_TOL, 0) are Born-rule round-off and
+    are set to 0; anything more negative is rejected.  The raw rows must sum
+    to 1 within TRACE_TOL, as an honest row sums to Tr rho.  Every row is
+    then divided by its sum, once.
+    """
     t = np.array(table, dtype=np.float64)
     n = t.ndim - 1
     if n < 1 or t.shape != (4,) * n + (2 ** n,):
         raise ValueError(f"outcome table must have shape (4,)*n + (2^n,), got {t.shape}")
     # NaN and -inf fail the minimum, +inf the row sums
     low = t.min()
-    if not low >= -OUTCOME_TOL:
+    if not low >= -(2 ** n) * qcore.PSD_TOL:
         _check_finite(t, "outcome probabilities must be finite")
         raise ValueError(f"negative outcome probability {low:.3e}")
-    if not abs(t.sum(axis=-1) - 1.0).max() <= OUTCOME_TOL:
+    sums = t.sum(axis=-1, keepdims=True)
+    if not abs(sums - 1.0).max() <= qcore.TRACE_TOL:
         _check_finite(t, "outcome probabilities must be finite")
         raise ValueError("outcome probabilities must sum to 1 in every label cell")
+    if low < 0.0:
+        np.maximum(t, 0.0, out=t)
+        sums = t.sum(axis=-1, keepdims=True)
+    t /= sums
     t.setflags(write=False)
     return t
 
@@ -247,8 +268,9 @@ class Transcript:
 
     @property
     def parity_sums(self) -> np.ndarray:
-        """Sum of the answer products per raveled label cell."""
-        return self.count_matrix @ outcome_parity(self.n_parties)
+        """Sum of the paid answer products (``parity_table``) per raveled
+        label cell."""
+        return (self.count_matrix * parity_table(self.n_parties)).sum(axis=1)
 
     @property
     def payoff_sums(self) -> np.ndarray:
@@ -289,6 +311,28 @@ def empirical_payoff(tr: Transcript) -> tuple[float, float]:
     dev = tr.payments - mean
     var = (tr.count_matrix * (dev * dev)).sum() / (n - 1)
     return float(mean), math.sqrt(var / n)
+
+
+def detection_threshold(tr: Transcript) -> float:
+    """The margin t that a run's mean payoff must exceed to certify that
+    the expected payoff is positive, at level DETECTION_ALPHA.
+
+    A round pays +/-w_c/pi_c in the cell c it draws, so for every strategy
+    a payment's size is at most M = max_c |w_c|/pi_c and its second moment
+    is V = sum_c w_c^2/pi_c.  With L = ln(1/alpha), Bernstein's inequality
+    (Boucheron, Lugosi and Massart, Concentration Inequalities, sec. 2.8)
+    makes P(mean > t) <= alpha whenever the expected payoff is <= 0, for
+    t = sqrt(2 V L / n) + 4 M L / (3 n) after n rounds.  No variance is
+    estimated, so the bound holds at any round count.
+    """
+    pi = tr.config.pi.ravel()
+    live = pi > 0.0
+    w = abs(tr.weights.table.ravel()[live])
+    ratio = w / pi[live]
+    log_alpha = math.log(1.0 / DETECTION_ALPHA)
+    n = tr.rounds
+    return (math.sqrt(2.0 * float(ratio @ w) * log_alpha / n)
+            + 4.0 * float(ratio.max()) * log_alpha / (3.0 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -339,34 +383,20 @@ def outcome_table(rho: qcore.DensityMatrix) -> np.ndarray:
     return table.reshape((4,) * n + (2 ** n,))
 
 
-def _table_rows(table: np.ndarray) -> np.ndarray:
-    """Outcome table as one probability row per raveled label cell, clipped
-    at 0 and renormalised."""
-    flat = np.maximum(table.reshape(-1, table.shape[-1]), 0.0)
-    return flat / flat.sum(axis=1, keepdims=True)
-
-
 def honest_strategy(rho: qcore.DensityMatrix) -> Strategy:
     """Players measure the Pauli operators named by their labels on a shared
-    copy of rho and report the outcomes.
-
-    DensityMatrix tolerates eigenvalues down to -PSD_TOL, and one outcome
-    probability sums up to 2^n of them, so entries in [-2^n PSD_TOL, 0) are
-    Born-rule round-off: they are set to 0 and their rows renormalised.
-    Anything more negative is left for Strategy to reject.
-    """
-    table = outcome_table(rho)
-    if table.min() < 0.0:
-        noise = (table < 0.0) & (table >= -(2 ** rho.n_qubits) * qcore.PSD_TOL)
-        table[noise] = 0.0
-        rows = noise.any(axis=-1)
-        table[rows] /= table[rows].sum(axis=-1, keepdims=True)
-    return Strategy(name="honest", outcome_table=table)
+    copy of rho and report the outcomes."""
+    return Strategy("honest", outcome_table(rho))
 
 
-def cheat_outcome_table() -> np.ndarray:
-    """Exact joint answer distribution of the classical cheat, enumerated
-    over its eight equally likely shared bit patterns."""
+@lru_cache(maxsize=1)
+def classical_cheat_strategy() -> Strategy:
+    """Answer from three fresh shared random bits per round: both parties use
+    bit 1 for label 1 and bit 3 for label 3, while on label 2 Bob flips
+    bit 2.  This reproduces the (+1, -1, +1) diagonal correlations of the
+    maximally entangled state without any shared entanglement.  The table
+    is enumerated exactly over the eight equally likely bit patterns.  Built
+    once and shared: the strategy is frozen and its table read-only."""
     table = np.zeros((4, 4, 4), dtype=np.float64)
     for b1, b2, b3 in product((1, -1), repeat=3):
         alice = (1, b1, b2, b3)
@@ -375,17 +405,7 @@ def cheat_outcome_table() -> np.ndarray:
             for t in range(4):
                 # outcome index: Alice's answer is the high bit, 1 meaning -1
                 table[s, t, 2 * (alice[s] < 0) + (bob[t] < 0)] += 1.0 / 8.0
-    return table
-
-
-@lru_cache(maxsize=1)
-def classical_cheat_strategy() -> Strategy:
-    """Answer from three fresh shared random bits per round: both parties use
-    bit 1 for label 1 and bit 3 for label 3, while on label 2 Bob flips
-    bit 2.  This reproduces the (+1, -1, +1) diagonal correlations of the
-    maximally entangled state without any shared entanglement.  Built once
-    and shared: the strategy is frozen and its table read-only."""
-    return Strategy(name="cheat", outcome_table=cheat_outcome_table())
+    return Strategy(name="cheat", outcome_table=table)
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +413,14 @@ def classical_cheat_strategy() -> Strategy:
 # ---------------------------------------------------------------------------
 
 def payoff_table(pi: np.ndarray, weights: PauliWeights) -> np.ndarray:
-    """Per-cell, per-outcome payment -w[cell] * parity(outcome) / pi[cell],
-    zero on cells that pi never draws."""
-    parity = outcome_parity(pi.ndim)
+    """Per-cell, per-outcome payment -w[cell] * parity[cell, outcome] / pi[cell],
+    zero on cells that pi never draws; the parity reads no answer of a party
+    whose label is 0 (``parity_table``)."""
+    parity = parity_table(pi.ndim)
     flat_pi = pi.ravel()[:, None]
     # one masked division; the cells it skips keep the +0.0 of out
     return np.divide(-weights.table.ravel()[:, None] * parity, flat_pi,
-                     out=np.zeros((flat_pi.size, parity.size)), where=flat_pi > 0.0)
+                     out=np.zeros(parity.shape), where=flat_pi > 0.0)
 
 
 def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
@@ -425,7 +446,7 @@ def run_game(config: GameConfig, strategy: Strategy, weights: PauliWeights,
     rng = np.random.default_rng(config.seed)
     pi = config.pi.ravel()
     count_matrix = rng.multinomial(rng.multinomial(config.rounds, pi / pi.sum()),
-                                   _table_rows(strategy.outcome_table))
+                                   strategy.outcome_table.reshape(pi.size, -1))
     # checks the weights before any work that grows with the rounds
     tr = Transcript(count_matrix, config, weights)
     if keep_records:
@@ -444,9 +465,10 @@ def exact_average_payoff(pi: np.ndarray, outcome_table: np.ndarray,
     This is the exact expectation of the per-round payment for any strategy
     described by its outcome table; for honest play it reproduces
     -Tr(rho W) through the importance weighting by 1/Pi.
-    pi, and the outcome table's rows, must be probability distributions
-    (``pi_table``, ``Strategy``) over the same label cells, and pi must draw
-    every cell the weights weigh, as ``run_game`` requires.
+    pi must be a probability distribution (``pi_table``) that draws every
+    cell the weights weigh, as ``run_game`` requires.  The outcome table is
+    cleaned as ``Strategy`` cleans it, so the table of a state enumerates
+    the rows its honest strategy samples.
     """
     pi = pi_table(pi)
     table = _outcome_probabilities(outcome_table)

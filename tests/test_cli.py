@@ -158,9 +158,10 @@ class TestSimulate:
         assert exit_.value.code == 2
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         monkeypatch.setenv("EWGAME_SEED", "3")
+        # enough rounds for werner(0.8) to certify, so that the exit code is 0
         code, out, err = run_cli(capsys, "simulate", "--state", "werner(0.8)",
-                                 "--witness", "werner", "--rounds", "100", "--seed", "42")
-        assert (code, err) == (0, "") and out.endswith(" rounds=100 seed=42\n")
+                                 "--witness", "werner", "--rounds", "10000", "--seed", "42")
+        assert (code, err) == (0, "") and out.endswith(" rounds=10000 seed=42\n")
 
     def test_negative_seed_flag(self, capsys):
         for command in (("simulate", "--witness", "werner", "--rounds", "100"),
@@ -207,12 +208,12 @@ class TestSimulate:
     def test_csv_transcript(self, capsys, tmp_path):
         out_file = tmp_path / "rounds.csv"
         code, out, _ = run_cli(capsys, "simulate", "--state", "werner(1)",
-                               "--witness", "werner", "--rounds", "500", "--seed", "0",
+                               "--witness", "werner", "--rounds", "5000", "--seed", "0",
                                "--format", "csv", "--out", str(out_file))
         assert code == 0
         lines = out_file.read_text().strip().split("\n")
         assert lines[0] == "s,t,a,b,payoff"
-        assert len(lines) == 501
+        assert len(lines) == 5001
 
     def test_csv_prints_the_same_mean(self, capsys, tmp_path):
         # above the record limit the text run streams and the csv run keeps
@@ -233,6 +234,34 @@ class TestSimulate:
         assert payload["rounds"] == 10000
         assert payload["seed"] == 5
         assert payload["strategy"] == "honest"
+
+    def test_structured_summary_reports_the_certified_bound(self, capsys):
+        argv = ("simulate", "--state", "werner(0.8)", "--witness", "werner",
+                "--rounds", "20000", "--seed", "6")
+        code, out, _ = run_cli(capsys, *argv, "--format", "structured")
+        payload = json.loads(out)
+        assert list(payload) == ["mean", "std_error", "rounds", "seed", "strategy",
+                                 "lower_bound", "alpha"]
+        assert payload["alpha"] == game.DETECTION_ALPHA == 1e-3
+        tr = ew.run_game(ew.GameConfig.uniform(20000, seed=6),
+                         ew.honest_strategy(ew.make_werner(0.8)), ew.werner_witness().weights)
+        mean, _ = ew.empirical_payoff(tr)
+        assert payload["lower_bound"] == mean - game.detection_threshold(tr)
+        assert code == 0 and payload["lower_bound"] > 0.0
+
+    def test_exit_code_follows_the_certified_bound(self, capsys, monkeypatch):
+        # werner(1/3) has payoff ~0: a positive mean alone does not certify
+        argv = ("simulate", "--state", "werner(0.3333333333333333)", "--witness", "werner",
+                "--rounds", "100000", "--seed", "0")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1 and float(out.split()[0].split("=")[1]) > 0.0
+        # the exit code moves with the threshold alone; the output does not
+        monkeypatch.setattr(game, "detection_threshold", lambda tr: 0.0)
+        assert run_cli(capsys, *argv) == (0, out, "")
+        monkeypatch.undo()
+        # werner(1) certifies at 10^4 rounds
+        assert run_cli(capsys, "simulate", "--state", "werner(1)", "--witness", "werner",
+                       "--rounds", "10000", "--seed", "0")[0] == 0
 
     def test_rounds_beyond_int64_is_an_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--state", "werner(1)",

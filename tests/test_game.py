@@ -41,6 +41,13 @@ def decode_answers(outcome, n):
     return tuple(1 - 2 * ((outcome >> (n - 1 - j)) & 1) for j in range(n))
 
 
+def paid_parity(cell, outcome, n):
+    """Independent oracle for the payment's parity: the product of the
+    answers of the parties whose label in the raveled cell is nonzero."""
+    labels = np.unravel_index(cell, (4,) * n)
+    return int(np.prod([a for a, l in zip(decode_answers(outcome, n), labels) if l]))
+
+
 def sample_cheat_answers(rng, rounds):
     """Independent sampler for the classical cheat: three fresh shared bits per
     round; Alice answers (1, b1, b2, b3)[s], Bob (1, b1, -b2, b3)[t].
@@ -114,11 +121,14 @@ class TestOutcomeDistribution:
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_outcome_parity_is_product_of_answers(n):
-    parity = game.outcome_parity(n)
-    expect = [int(np.prod(decode_answers(k, n))) for k in range(2 ** n)]
+def test_parity_table_multiplies_the_answers_of_asked_parties(n):
+    parity = game.parity_table(n)
+    expect = [[paid_parity(c, k, n) for k in range(2 ** n)] for c in range(4 ** n)]
     assert parity.tolist() == expect
-    assert not parity.flags.writeable
+    assert parity.dtype == np.int64 and not parity.flags.writeable
+    # the all-identity cell reads no answer; a cell asking everyone reads all
+    assert parity[0].tolist() == [1] * 2 ** n
+    assert parity[-1].tolist() == [int(np.prod(decode_answers(k, n))) for k in range(2 ** n)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -134,9 +144,54 @@ def test_payoff_table_matches_the_cell_formula_bit_for_bit(seed, n, dead):
     expect = np.zeros((4 ** n, 2 ** n))
     for cell, k in product(range(4 ** n), range(2 ** n)):
         if pi[cell] > 0.0:
-            expect[cell, k] = -w[cell] * game.outcome_parity(n)[k] / pi[cell]
+            expect[cell, k] = -w[cell] * paid_parity(cell, k, n) / pi[cell]
     table = game.payoff_table(pi.reshape((4,) * n), ew.PauliWeights(n, w.reshape((4,) * n)))
     assert table.tobytes() == expect.tobytes()
+
+
+class TestLabelZero:
+    """Label 0 measures the identity, whose only outcome is +1: the payment
+    reads no answer of a party asked label 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3]))
+    def test_exact_payoff_ignores_the_answers_to_label_0(self, seed, n):
+        gen = np.random.default_rng(seed)
+        pi = gen.dirichlet(np.ones(4 ** n)).reshape((4,) * n)
+        w = ew.PauliWeights(n, gen.normal(size=(4,) * n))
+        table = gen.dirichlet(np.ones(2 ** n), size=4 ** n)
+        # flip the answers of a random subset of each cell's label-0 parties:
+        # party j's answer is bit n-1-j of the outcome index
+        labels = game._label_table(n)
+        flips = ((labels == 0) & (gen.integers(0, 2, size=labels.shape) == 1)) @ (
+            1 << np.arange(n - 1, -1, -1))
+        flipped = table[np.arange(4 ** n)[:, None], np.arange(2 ** n) ^ flips[:, None]]
+        shape = (4,) * n + (2 ** n,)
+        assert ew.exact_average_payoff(pi, flipped.reshape(shape), w) == pytest.approx(
+            ew.exact_average_payoff(pi, table.reshape(shape), w), rel=1e-12, abs=1e-12)
+
+    def test_answering_minus_one_to_label_0_earns_nothing(self):
+        # Alice answers -1 on label 0 and +1 elsewhere, Bob always +1: paid on
+        # every answer this earned 2/sqrt(3), the largest honest payoff
+        table = np.zeros((4, 4, 4))
+        table[0, :, 2] = 1.0
+        table[1:, :, 0] = 1.0
+        w = ew.werner_witness().weights
+        assert ew.exact_average_payoff(UNIFORM_PI, table, w) == 0.0
+        tr = ew.run_game(ew.GameConfig.uniform(100_000, seed=4), ew.Strategy("label0", table), w)
+        mean, se = ew.empirical_payoff(tr)
+        assert abs(mean) <= 4 * se
+
+    def test_honest_and_cheat_tables_never_answer_minus_one_to_label_0(self, rng):
+        # so the payments the rule changes are never drawn by either
+        tables = [ew.classical_cheat_strategy().outcome_table]
+        for n in (2, 3):
+            tables += [ew.honest_strategy(ew.random_density_matrix(rng, 2 ** n)).outcome_table
+                       for _ in range(5)]
+        for table in tables:
+            n = table.ndim - 1
+            minus = (game._label_table(n)[:, None, :] == 0) & (game._answer_table(n) == -1)
+            assert np.all(table.reshape(4 ** n, -1)[minus.any(axis=2)] == 0.0)
 
 
 class TestGameConfig:
@@ -298,23 +353,40 @@ class TestHonestStrategy:
         untouched = np.all(raw >= 0.0, axis=-1)
         assert table[untouched].tobytes() == raw[untouched].tobytes()
 
-    def test_tables_without_negative_entries_are_unchanged(self, rng):
-        checked = 0
+    def test_stored_table_is_the_born_table_renormalised_once(self, rng):
+        # round-off set to 0, then one division of every row by its sum
+        moved = 0
         for n in (2, 3):
             for _ in range(10):
                 rho = ew.random_density_matrix(rng, 2 ** n)
                 raw = game.outcome_table(rho)
-                if raw.min() >= 0.0:
-                    assert ew.honest_strategy(rho).outcome_table.tobytes() == raw.tobytes()
-                    checked += 1
-        assert checked >= 10
+                clean = np.where(raw < 0.0, 0.0, raw)
+                expect = clean / clean.sum(axis=-1, keepdims=True)
+                table = ew.honest_strategy(rho).outcome_table
+                assert table.tobytes() == expect.tobytes()
+                moved += int((table != raw).sum())
+        assert moved > 0
+        # the Bell state's and the GHZ state's rows
+        for rho in (ew.bell_psi_plus(), ew.ghz_state()):
+            raw = game.outcome_table(rho)
+            expect = raw / raw.sum(axis=-1, keepdims=True)
+            assert ew.honest_strategy(rho).outcome_table.tobytes() == expect.tobytes()
+
+    def test_exact_payoff_enumerates_the_sampled_rows(self, rng):
+        # exact_average_payoff cleans a raw Born table as Strategy does
+        for n in (2, 3):
+            rho = ew.random_density_matrix(rng, 2 ** n)
+            pi = rng.dirichlet(np.ones(4 ** n)).reshape((4,) * n)
+            w = ew.PauliWeights(n, rng.normal(size=(4,) * n))
+            rows = ew.honest_strategy(rho).outcome_table.reshape(4 ** n, -1)
+            expect = np.einsum("c,ck,ck->", pi.ravel(), rows, game.payoff_table(pi, w))
+            assert ew.exact_average_payoff(pi, game.outcome_table(rho), w) == float(expect)
 
 
 class TestCheatStrategy:
     def test_enumerated_correlation_pattern(self):
         table = ew.classical_cheat_strategy().outcome_table
-        parity = game.outcome_parity(2)
-        corr = np.einsum("stk,k->st", table, parity.astype(float))
+        corr = (table.reshape(16, 4) * game.parity_table(2)).sum(axis=1).reshape(4, 4)
         assert corr[1, 1] == pytest.approx(1.0, abs=1e-15)
         assert corr[2, 2] == pytest.approx(-1.0, abs=1e-15)
         assert corr[3, 3] == pytest.approx(1.0, abs=1e-15)
@@ -328,6 +400,12 @@ class TestCheatStrategy:
         honest = game.outcome_table(ew.bell_psi_plus())
         cheat = ew.classical_cheat_strategy().outcome_table
         assert np.max(np.abs(honest - cheat)) < 1e-12
+
+    def test_honest_bell_strategy_stores_the_cheat_table(self):
+        # renormalised once, the Bell state's Born rows are the enumerated
+        # quarters, halves and ones of the cheat, bit for bit
+        honest = ew.honest_strategy(ew.bell_psi_plus()).outcome_table
+        assert honest.tobytes() == ew.classical_cheat_strategy().outcome_table.tobytes()
 
     def test_exact_expectation_equals_honest_bell_value(self):
         pi = np.full((4, 4), 1 / 16)
@@ -498,9 +576,9 @@ class TestRunGame:
 
 def parity_pair_game(gen, n, dead):
     """Random pi with dead cells, weights on the live cells, and a table that
-    gives each cell one even- and one odd-parity outcome.  A cell's count
-    matrix row is then recoverable from its count and parity sum."""
-    parity = game.outcome_parity(n)
+    gives each cell two outcomes, one with an even and one with an odd
+    number of -1 answers."""
+    parity = game.parity_table(n)[-1]  # the cell that asks every party
     even, odd = np.flatnonzero(parity == 1), np.flatnonzero(parity == -1)
     cells = 4 ** n
     pi = gen.dirichlet(np.ones(cells))
@@ -528,13 +606,12 @@ class TestStreamedCounts:
         live = pi.ravel() > 0
         assert np.all(tr.counts[~live] == 0)
         assert tr.counts.sum() == rounds
-        # each cell has one even- and one odd-parity outcome, so its row of
-        # the count matrix is (count + parity sum) / 2 on the even outcome
+        # (count + parity sum) / 2 of a cell's rounds paid on parity +1
         table = strat.outcome_table.reshape(4 ** n, -1)
-        even = game.outcome_parity(n) == 1
+        even = game.parity_table(n) == 1
         got = np.stack([tr.counts + tr.parity_sums, tr.counts - tr.parity_sums], axis=1) // 2
         q = pi.ravel()[:, None] * np.stack(
-            [table[:, even].sum(axis=1), table[:, ~even].sum(axis=1)], axis=1)
+            [(table * even).sum(axis=1), (table * ~even).sum(axis=1)], axis=1)
         se = np.sqrt(rounds * q * (1 - q))
         assert np.all(np.abs(got - rounds * q) <= 4 * se)
         # payment -w * parity / pi per round
@@ -680,6 +757,20 @@ class TestStrategy:
         with pytest.raises(ValueError, match="negative"):
             ew.Strategy(name="bad", outcome_table=table)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_round_off_down_to_two_to_the_n_psd_tol_is_set_to_0(self, n):
+        # the round-off an honest table may carry: 2^n eigenvalues of -PSD_TOL
+        bound = 2 ** n * qcore.PSD_TOL
+        table = np.full((4,) * n + (2 ** n,), 1.0 / 2 ** n)
+        table[(1,) * n] = [-bound, 2.0 / 2 ** n + bound] + [1.0 / 2 ** n] * (2 ** n - 2)
+        rows = ew.Strategy("edge", table).outcome_table
+        assert rows[(1,) * n][0] == 0.0 and rows.min() == 0.0
+        assert abs(rows.sum(axis=-1) - 1.0).max() <= 1e-15
+        table[(1,) * n][:2] = [-1.01 * bound, 2.0 / 2 ** n + 1.01 * bound]
+        with pytest.raises(ValueError) as err:
+            ew.Strategy("edge", table)
+        assert str(err.value) == f"negative outcome probability {-1.01 * bound:.3e}"
+
     def test_rejects_rows_not_summing_to_one(self):
         table = np.full((4, 4, 4), 0.25)
         table[3, 0, 1] = 0.3
@@ -714,13 +805,13 @@ class TestEmpiricalPayoff:
     def test_alternating_signs(self):
         n = 10_000
         counts = np.zeros((16, 4), dtype=np.int64)
-        counts[0, :2] = n // 2
-        # -w * parity / pi pays +1 on outcome 0 and -1 on outcome 1
+        counts[5, :2] = n // 2
+        # in cell (1, 1), -w * parity / pi pays +1 on outcome 0 and -1 on outcome 1
         table = np.zeros((4, 4))
-        table[0, 0] = -1 / 16
+        table[1, 1] = -1 / 16
         tr = ew.Transcript(counts, ew.GameConfig(UNIFORM_PI, n, seed=0),
                            ew.PauliWeights(2, table))
-        assert tr.payments[0, :2].tolist() == [1.0, -1.0]
+        assert tr.payments[5, :2].tolist() == [1.0, -1.0]
         mean, se = ew.empirical_payoff(tr)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert se == pytest.approx(1 / np.sqrt(n), rel=1e-3)

@@ -27,6 +27,11 @@ For the separable sampler (``separable-v1``):
 - the mean of Tr(sigma W) over samples tends to Tr(W)/d, because Haar
   product components average to I/d.
 
+``simulate``'s detection verdict is a law as well: over seeded runs of
+games whose exact payoff is <= 0, the share with a mean above
+``game.detection_threshold`` stays within a binomial bound of
+``game.DETECTION_ALPHA``.
+
 The seeds are fixed, so every test is deterministic.  Thresholds are
 computed here with numpy, not scipy: Wilson-Hilferty for chi-square
 quantiles, and a normal quantile found by bisection on ``math.erfc``.  Each
@@ -35,6 +40,7 @@ law is also shown to fail on a broken sampler made in the test.
 
 import copy
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -238,15 +244,16 @@ GAMES = {
 COUNT_ROUNDS = 1_000_000
 
 
-def counted(name: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def counted(name: str, played=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A streamed run's count matrix N, with pi as a column and the outcome
-    table as rows, both laid out like N."""
+    table as rows, both laid out like N.  The run plays the game's strategy,
+    or the strategy played in its place."""
     strategy, wit, support_only = GAMES[name]
     if support_only:
         cfg = ew.GameConfig.support_only(wit.weights, COUNT_ROUNDS, seed=5)
     else:
         cfg = ew.GameConfig.uniform(COUNT_ROUNDS, seed=5, n_parties=wit.weights.n_qubits)
-    tr = ew.run_game(cfg, strategy, wit.weights)
+    tr = ew.run_game(cfg, strategy if played is None else played, wit.weights)
     return (tr.count_matrix, cfg.pi.reshape(-1, 1),
             strategy.outcome_table.reshape(tr.count_matrix.shape))
 
@@ -264,10 +271,13 @@ def test_counts_follow_pi_times_table(name):
 
 
 @pytest.mark.parametrize("name", GAMES)
-def test_count_law_fails_on_rows_rotated_by_one_cell(monkeypatch, name):
-    rows = game._table_rows
-    monkeypatch.setattr(game, "_table_rows", lambda table: np.roll(rows(table), 1, axis=0))
-    counts, pi, table = counted(name)
+def test_count_law_fails_on_rows_rotated_by_one_cell(name):
+    # the strategy's rows moved one label cell on, checked against the
+    # rows as they were
+    table = GAMES[name][0].outcome_table
+    rows = table.reshape(-1, table.shape[-1])
+    rolled = ew.Strategy("rolled", np.roll(rows, 1, axis=0).reshape(table.shape))
+    counts, pi, table = counted(name, rolled)
     chi2, dof = chi2_against(counts, COUNT_ROUNDS * pi * table)
     assert chi2 > chi2_quantile(TAIL, dof)
 
@@ -356,3 +366,66 @@ def test_pair_law_fails_on_rounds_shuffled_two_at_a_time(monkeypatch, n):
     shuffled_as(monkeypatch, lambda rng, joint: rng.shuffle(joint.reshape(-1, 2)))
     chi2, dof = pair_chi2(recorded_cells(n), n)
     assert chi2 > chi2_quantile(TAIL, dof)
+
+
+# ---------------------------------------------------------------------------
+# The detection verdict: a payoff <= 0 certifies at rate <= alpha
+# ---------------------------------------------------------------------------
+
+VERDICT_RUNS = 10_000
+VERDICT_ROUNDS = (50, 200, 1_000, 5_000)
+
+
+@lru_cache(maxsize=1)
+def null_runs() -> tuple:
+    """(mean, transcript) of VERDICT_RUNS seeded honest werner-witness games
+    on states whose exact payoff is <= 0: werner(1/3), at the separable
+    boundary, and random separable states, under uniform and support-only
+    pi and a few small round counts."""
+    gen = np.random.default_rng(31)
+    wit = ew.werner_witness()
+    boundary = ew.honest_strategy(ew.make_werner(1.0 / 3.0))
+    runs = []
+    for j in range(VERDICT_RUNS):
+        if j % 2:
+            rho = ew.random_separable(gen, k=int(gen.integers(1, 5)))
+            strategy = ew.honest_strategy(rho)
+            assert ew.expected_payoff(rho, wit) <= 1e-12
+        else:
+            strategy = boundary
+        # the state alternates, the round count cycles every 8 runs, and pi every 16
+        rounds, seed = VERDICT_ROUNDS[j // 2 % 4], int(gen.integers(1 << 31))
+        if j // 8 % 2 == 0:
+            cfg = ew.GameConfig.uniform(rounds, seed)
+        else:
+            cfg = ew.GameConfig.support_only(wit.weights, rounds, seed)
+        tr = ew.run_game(cfg, strategy, wit.weights)
+        runs.append((ew.empirical_payoff(tr)[0], tr))
+    return tuple(runs)
+
+
+def certified(threshold) -> int:
+    """How many null runs exit 0 under ``simulate``'s rule, mean > t."""
+    return sum(mean > threshold(tr) for mean, tr in null_runs())
+
+
+def binomial_ceiling(n: int, p: float) -> float:
+    """Upper TAIL bound on a Binomial(n, p) count, by the normal approximation."""
+    return n * p + normal_quantile(TAIL) * math.sqrt(n * p * (1.0 - p))
+
+
+def test_null_runs_certify_at_rate_at_most_alpha():
+    assert certified(game.detection_threshold) <= binomial_ceiling(VERDICT_RUNS,
+                                                                   game.DETECTION_ALPHA)
+
+
+def test_verdict_law_fails_on_the_sign_rule():
+    # t = 0 exits 0 whenever the mean is positive: about half the werner(1/3) runs
+    assert certified(lambda tr: 0.0) > binomial_ceiling(VERDICT_RUNS, game.DETECTION_ALPHA)
+
+
+def test_werner_one_certifies_at_ten_thousand_rounds():
+    strategy, weights = ew.honest_strategy(ew.make_werner(1.0)), ew.werner_witness().weights
+    for seed in range(100):
+        tr = ew.run_game(ew.GameConfig.uniform(10_000, seed), strategy, weights)
+        assert ew.empirical_payoff(tr)[0] > game.detection_threshold(tr), seed
