@@ -39,7 +39,6 @@ from .qcore import (
 )
 from .tomography import (
     Estimate,
-    IncompleteTomographyError,
     accumulate,
     project_psd,
     reconstruct,
@@ -58,7 +57,6 @@ from .witness import (
     random_separable,
     strengthened_chsh_witness,
     werner_witness,
-    xz_chsh_observables,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"

@@ -11,6 +11,7 @@ payoff is <= 0 exceeds with probability at most ``game.DETECTION_ALPHA``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from itertools import chain, islice
@@ -28,7 +29,7 @@ EXIT_ERROR = 2
 def _emit(chunks, out: str | None) -> None:
     """Write an iterable of strings to --out, or to stdout, as they arrive."""
     if out is not None:
-        with open(out, "w") as fh:
+        with open(out, "w", newline="") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -76,7 +77,7 @@ def cmd_simulate(args) -> int:
     line = (f"mean={float17(mean)} std_error={float17(se)} rounds={tr.rounds} "
             f"seed={tr.config.seed}\n")
     if want_csv:
-        tr.to_csv(args.out)
+        _emit(tr.csv_lines(), args.out)
         sys.stdout.write(line)
     elif args.format == "structured":
         summary = {"mean": mean, "std_error": se, "rounds": tr.rounds, "seed": tr.config.seed,
@@ -168,12 +169,7 @@ def cmd_witness_check(args) -> int:
     wit = serialize.parse_witness_spec(args.witness)
     rng = np.random.default_rng(qcore.check_int(args.seed, "seed", 0))
     report = witness.check_witness(wit, rho, args.samples, rng)
-    payload = {
-        "payoff_on_target": report.payoff_on_target,
-        "min_separable_value": report.min_separable_value,
-        "n_samples": report.n_samples,
-        "verdict": report.verdict,
-    }
+    payload = dataclasses.asdict(report)
     if args.format == "structured":
         _emit_json(payload, args.out)
     else:
@@ -248,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the witness JSON to this file")
     p.set_defaults(func=cmd_witness_make)
 
-    p = wsub.add_parser("check", help="probe a witness against separable samples")
+    p = wsub.add_parser("check", help="probe a witness against sampled product states")
     add_state(p)
     add_witness(p)
     p.add_argument("--samples", type=int, default=10_000)

@@ -14,14 +14,15 @@ triple always yields the same transcript, since the config holds the seed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from . import qcore
-from .witness import PauliWeights, xz_chsh_observables
+from .witness import PauliWeights, fixed_chsh_witness
 
 PI_SUM_TOL = 1e-12
 MAX_ROUNDS = 2 ** 63 - 1  # numpy's multinomial takes its count as a C long
@@ -167,9 +168,8 @@ class Strategy:
     probability of joint outcome k for each label cell, shape
     (4,)*n + (2^n,).  The players see only their labels and randomness, so
     this distribution describes any strategy completely.  The stored rows
-    are the rows ``run_game`` samples and ``exact_average_payoff`` sums
-    over: cleaned of Born-rule round-off and renormalised once
-    (``_outcome_probabilities``)."""
+    are the rows ``run_game`` samples: cleaned of Born-rule round-off and
+    renormalised once (``_outcome_probabilities``)."""
 
     name: str
     outcome_table: np.ndarray
@@ -277,9 +277,11 @@ class Transcript:
         """Sum of the payments per raveled label cell."""
         return (self.count_matrix * self.payments).sum(axis=1)
 
-    def to_csv(self, path) -> None:
-        """Write one row per round; columns s,t,a,b,payoff (plus c for three
-        parties, with labels i,j,k)."""
+    def csv_lines(self) -> Iterator[str]:
+        """The per-round CSV text: the header, then blocks of at most
+        CSV_BLOCK_ROWS rows; columns s,t,a,b,payoff (plus c for three
+        parties, with labels i,j,k).  A streamed transcript raises here,
+        before any text is made."""
         if self.joint is None:
             raise ValueError("transcript was streamed; per-round records were discarded")
         n = self.n_parties
@@ -291,10 +293,10 @@ class Transcript:
         rows = np.array([fmt % (*labels[k >> n], *answers[k & (len(answers) - 1)], pay)
                          for k, pay in enumerate(self.payments.ravel().tolist())],
                         dtype=object)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(label_cols + answer_cols + ["payoff"]) + "\n")
-            for start in range(0, self.joint.size, CSV_BLOCK_ROWS):
-                fh.write("".join(rows[self.joint[start:start + CSV_BLOCK_ROWS]].tolist()))
+        joint = self.joint
+        blocks = ("".join(rows[joint[start:start + CSV_BLOCK_ROWS]].tolist())
+                  for start in range(0, joint.size, CSV_BLOCK_ROWS))
+        return chain([",".join(label_cols + answer_cols + ["payoff"]) + "\n"], blocks)
 
 
 def empirical_payoff(tr: Transcript) -> tuple[float, float]:
@@ -492,20 +494,15 @@ class ChshReport:
     violates_strengthened: bool
 
 
-@lru_cache(maxsize=1)
-def _xz_bell_operator() -> np.ndarray:
-    a, a2, b, b2 = xz_chsh_observables()
-    bell = np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
-    bell.setflags(write=False)
-    return bell
-
-
 def chsh_value(rho: qcore.DensityMatrix) -> ChshReport:
-    """Expectation of A(x)B + A'(x)B + A(x)B' - A'(x)B' on a two-qubit rho,
-    for the x/z observables of ``witness.xz_chsh_observables``."""
+    """Expectation of the Bell operator A(x)B + A'(x)B + A(x)B' - A'(x)B' on
+    a two-qubit rho, for the x/z setting A = x, A' = z, B = -(x+z)/sqrt(2),
+    B' = (z-x)/sqrt(2).  That operator is -sqrt(2) (xx + zz), read off the
+    CHSH witness as 2 (W - I) for W = ``witness.fixed_chsh_witness()``."""
     if rho.dim != 4:
         raise ValueError("chsh is defined for two-qubit states")
-    s = float(qcore.expectations(rho.matrix, _xz_bell_operator()))
+    bell = 2.0 * (fixed_chsh_witness().operator - np.eye(4))
+    s = float(qcore.expectations(rho.matrix, bell))
     return ChshReport(
         value=s,
         violates_classical=bool(abs(s) > 2.0),

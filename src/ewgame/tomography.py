@@ -13,17 +13,6 @@ from . import qcore
 from .game import Transcript
 
 
-class IncompleteTomographyError(ValueError):
-    """Raised when some label cells were never played, so the correlation
-    table cannot be filled."""
-
-    def __init__(self, missing):
-        self.missing = list(missing)
-        super().__init__(
-            f"no rounds for {len(self.missing)} label cells: {self.missing}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class Estimate:
     """Reconstruction output: the raw linear inversion (possibly unphysical)
@@ -38,14 +27,14 @@ def accumulate(tr: Transcript) -> np.ndarray:
     transcript, as a read-only float64 4x4 table.
 
     Requires a two-party transcript whose label distribution reached all 16
-    cells; missing cells raise IncompleteTomographyError.
+    cells; a ValueError names the cells that were never played.
     """
     if tr.n_parties != 2:
         raise ValueError("tomography is defined for the two-qubit game")
     counts = tr.counts
     if not counts.all():
-        raise IncompleteTomographyError(
-            tuple(ix) for ix in np.argwhere(counts.reshape(4, 4) == 0).tolist())
+        missing = [tuple(ix) for ix in np.argwhere(counts.reshape(4, 4) == 0).tolist()]
+        raise ValueError(f"no rounds for {len(missing)} label cells: {missing}")
     r_hat = (tr.parity_sums / counts).reshape(4, 4)
     r_hat.setflags(write=False)
     return r_hat

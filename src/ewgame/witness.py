@@ -80,7 +80,7 @@ class Witness:
 @dataclass(frozen=True)
 class CheckReport:
     """Result of probing a witness against its target state and a sample of
-    separable states."""
+    pure product states."""
 
     payoff_on_target: float
     min_separable_value: float
@@ -111,16 +111,12 @@ def werner_witness() -> Witness:
     return Witness(PauliWeights(2, w))
 
 
-def xz_chsh_observables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The x/z-plane setting A = x, A' = z, B = -(x+z)/sqrt(2), B' = (z-x)/sqrt(2)."""
-    sx, sz = qcore.PAULIS[1], qcore.PAULIS[3]
-    rt2 = np.sqrt(2.0)
-    return sx, sz, -(sx + sz) / rt2, (sz - sx) / rt2
-
-
 @lru_cache(maxsize=1)
 def fixed_chsh_witness() -> Witness:
-    """I - (xx + zz)/sqrt(2): half the CHSH witness of the x/z observables."""
+    """I - (xx + zz)/sqrt(2): half the CHSH witness 2I + Bell of the x/z
+    setting A = x, A' = z, B = -(x+z)/sqrt(2), B' = (z-x)/sqrt(2), whose
+    Bell operator A(x)B + A'(x)B + A(x)B' - A'(x)B' is -sqrt(2) (xx + zz);
+    ``game.chsh_value`` reads Bell off this witness as 2 (W - I)."""
     w = np.zeros((4, 4))
     w[0, 0] = 1.0
     w[1, 1] = -1.0 / np.sqrt(2.0)
@@ -186,41 +182,38 @@ def expected_payoff(rho: qcore.DensityMatrix, witness: Witness) -> float:
     return -float(qcore.expectations(rho.matrix, witness.operator))
 
 
-def _product_mixtures(rng: np.random.Generator, ks, n_qubits: int) -> np.ndarray:
-    """Stack of len(ks) unvalidated separable states, shape (len(ks), d, d):
-    state i is a Dirichlet(1,...,1)-weighted mixture of ks[i] products of
+def _product_mixtures(rng: np.random.Generator, count: int, k: int, n_qubits: int
+                      ) -> np.ndarray:
+    """Stack of count unvalidated separable states, shape (count, d, d):
+    each is a Dirichlet(1,...,1)-weighted mixture of k products of
     Haar-random single-qubit pure states.
 
     Draws, in order: one standard exponential per component (normalised per
     state, these are the Dirichlet weights), then the normals of shape
-    (components, n_qubits, 2, 2) holding each qubit's real parts and then
+    (count * k, n_qubits, 2, 2) holding each qubit's real parts and then
     its imaginary parts.  For one state this is the stream of
     ``rng.dirichlet(np.ones(k))`` followed by k * n_qubits draws of
     ``normal(size=2) + 1j * normal(size=2)``.
 
     The mixtures are one Gram product.  Each product vector psi_j is left
     unnormalised; its squared norm, the product of its qubits' squared
-    norms, is folded into its weight w_j.  Row j of state i's block of a
-    zero-padded (len(ks), max(ks), d) array A is sqrt(w_j) psi_j / |psi_j|,
-    so state i is A[i]^T conj(A[i]), and one batched matmul builds the
-    stack.  The vectors are built component-last, so every elementwise step
-    runs over all components at once rather than over pairs of amplitudes.
-    The callers have checked ks and n_qubits.
+    norms, is folded into its weight w_j.  Row j of the (count, k, d) array
+    A holds sqrt(w_j) psi_j / |psi_j| for component j of state i, so state
+    i is A[i]^T conj(A[i]), and one batched matmul builds the stack.  The
+    vectors are built component-last, so every elementwise step runs over
+    all components at once rather than over pairs of amplitudes.  The
+    callers have checked count, k and n_qubits.
     """
-    ks = np.asarray(ks, dtype=np.int64)
-    total = int(ks.sum())
-    starts = np.cumsum(ks) - ks
-    e = rng.standard_exponential(total)
+    e = rng.standard_exponential((count, k))
     # g[j, 0, :, t] and g[j, 1, :, t]: real and imaginary parts of qubit j
     # of component t
-    g = np.ascontiguousarray(rng.normal(size=(total, n_qubits, 2, 2)).transpose(1, 2, 3, 0))
-    norms2 = np.prod(np.sum(g * g, axis=(1, 2)), axis=0)
-    scale = np.sqrt(e / (np.repeat(np.add.reduceat(e, starts), ks) * norms2))
+    g = np.ascontiguousarray(rng.normal(size=(count * k, n_qubits, 2, 2)).transpose(1, 2, 3, 0))
+    norms2 = np.prod(np.sum(g * g, axis=(1, 2)), axis=0).reshape(count, k)
+    scale = np.sqrt(e / (e.sum(axis=1, keepdims=True) * norms2)).ravel()
     psi = scale * (g[0, 0] + 1j * g[0, 1])
     for j in range(1, n_qubits):
-        psi = (psi[:, None] * (g[j, 0] + 1j * g[j, 1])).reshape(-1, total)
-    a = np.zeros((len(ks), int(ks.max()), psi.shape[0]), dtype=np.complex128)
-    a[np.repeat(np.arange(len(ks)), ks), np.arange(total) - np.repeat(starts, ks)] = psi.T
+        psi = (psi[:, None] * (g[j, 0] + 1j * g[j, 1])).reshape(-1, count * k)
+    a = psi.T.reshape(count, k, -1)
     return np.matmul(a.swapaxes(1, 2), a.conj())
 
 
@@ -233,27 +226,27 @@ def random_separable(rng: np.random.Generator, k: int, n_qubits: int = 2
     """
     k = qcore.check_int(k, "k", 1)
     n_qubits = qcore.check_int(n_qubits, "n_qubits", 1, 3)
-    return qcore.DensityMatrix(_product_mixtures(rng, [k], n_qubits)[0])
+    return qcore.DensityMatrix(_product_mixtures(rng, 1, k, n_qubits)[0])
 
 
 def check_witness(witness: Witness, rho: qcore.DensityMatrix, samples: int,
                   rng: np.random.Generator) -> CheckReport:
-    """Evaluate a witness on its target and on sampled separable states.
+    """Evaluate a witness on its target and on sampled pure product states.
 
-    The samples are drawn SAMPLE_CHUNK at a time, each chunk as its
-    component counts (1 to 4 per sample), then the mixtures; every chunk is
-    validated as density matrices before it is scored, so memory does not
-    grow with the sample count.  The verdict is positive only when the target
-    payoff is positive and no sampled separable state drove Tr(sigma W)
-    below -1e-9.
+    Tr(sigma W) is linear in sigma, so its minimum over separable states is
+    reached at a pure product state, and a mixture never scores below its
+    best component; every sample is therefore one Haar-random product.  The
+    samples are drawn SAMPLE_CHUNK at a time, and every chunk is validated
+    as density matrices before it is scored, so memory does not grow with
+    the sample count.  The verdict is positive only when the target payoff
+    is positive and no sampled product state drove Tr(sigma W) below -1e-9.
     """
     samples = qcore.check_int(samples, "samples", 1)
     payoff = expected_payoff(rho, witness)
     min_val = np.inf
     for start in range(0, samples, SAMPLE_CHUNK):
-        ks = rng.integers(1, 5, min(SAMPLE_CHUNK, samples - start))
         sigmas = qcore.validate_density_matrices(
-            _product_mixtures(rng, ks, witness.n_qubits))
+            _product_mixtures(rng, min(SAMPLE_CHUNK, samples - start), 1, witness.n_qubits))
         values = qcore.expectations(sigmas, witness.operator)
         min_val = min(min_val, float(values.min()))
     return CheckReport(

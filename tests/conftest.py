@@ -71,7 +71,7 @@ def decode_rounds(tr):
     is joint >> n, raveled over (4,)*n; the outcome is joint & (2^n - 1),
     and party j's answer its j-th bit from the left, 0 meaning +1.  Built
     without the package's lookup tables, so it can serve as an oracle for
-    ``to_csv``."""
+    ``Transcript.csv_lines``."""
     n = tr.n_parties
     labels = np.stack(np.unravel_index(tr.joint >> n, (4,) * n), axis=1)
     bits = ((tr.joint & (2 ** n - 1))[:, None] >> np.arange(n - 1, -1, -1)) & 1

@@ -604,18 +604,17 @@ class TestWitnessCommands:
 
 
 # `witness check --samples 2000 --seed 7 --format structured` (two chunks, the
-# second ragged): state, witness, exit code, verdict, min_separable_value.
+# second short): state, witness, exit code, verdict, min_separable_value.
 # "made" is the file `witness make --state 'werner(0.9)'` writes.  The values
-# are those of the outer-product sampler that preceded the Gram product,
-# which moved them by at most 5.6e-17.
+# are those of the `separable-v2` stream, one pure product state per sample.
 WITNESS_CHECK_TABLE = [
-    ("werner(0.9)", "werner", 0, True, 0.001416904137504893),
-    ("werner(0.2)", "werner", 1, False, 0.001416904137504893),
-    ("werner(0.9)", "chsh", 0, True, 0.30313186749702375),
-    ("werner(0.6)", "chsh", 1, False, 0.30313186749702375),
-    ("werner(0.6)", "chsh-strengthened", 0, True, 0.010238648683571251),
-    ("ghz", "ghz", 0, True, 0.03979858963682294),
-    ("werner(0.9)", "made", 0, True, 0.0006135374889032624),
+    ("werner(0.9)", "werner", 0, True, 0.00024235253199640183),
+    ("werner(0.2)", "werner", 1, False, 0.00024235253199640183),
+    ("werner(0.9)", "chsh", 0, True, 0.3050842056329182),
+    ("werner(0.6)", "chsh", 1, False, 0.3050842056329182),
+    ("werner(0.6)", "chsh-strengthened", 0, True, 0.012190986819465673),
+    ("ghz", "ghz", 0, True, 0.013029739061203706),
+    ("werner(0.9)", "made", 0, True, 0.0001049417246901801),
 ]
 
 

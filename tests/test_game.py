@@ -493,14 +493,15 @@ class TestRunGame:
         for (s, t), (a, b), payoff in zip(labels.tolist(), answers.tolist(), payoffs.tolist()):
             assert payoff == -w.table[s, t] * a * b / cfg.pi[s, t]
 
-    def test_streaming_discards_records(self, tmp_path):
-        # records are opt-in at any round count, and to_csv needs them
+    def test_streaming_discards_records(self):
+        # records are opt-in at any round count, and csv_lines needs them
         strat = ew.honest_strategy(ew.make_werner(0.5))
         w = ew.werner_witness().weights
         streamed = ew.run_game(ew.GameConfig.uniform(100, seed=0), strat, w)
         assert streamed.joint is None
+        # the call raises, before any text is made or iterated
         with pytest.raises(ValueError, match="streamed"):
-            streamed.to_csv(tmp_path / "rounds.csv")
+            streamed.csv_lines()
         kept = ew.run_game(ew.GameConfig.uniform(100_001, seed=0), strat, w,
                            keep_records=True)
         assert kept.joint.size == 100_001
@@ -956,7 +957,7 @@ class TestTranscript:
 
 
 def row_loop_csv(tr, path):
-    """Transcript.to_csv as ewgame 0.1.0 wrote it, one round per write."""
+    """The per-round CSV as ewgame 0.1.0 wrote it, one round per write."""
     label_cols = ["s", "t"] if tr.n_parties == 2 else ["i", "j", "k"]
     answer_cols = ["a", "b", "c"][: tr.n_parties]
     with open(path, "w", newline="") as fh:
@@ -976,16 +977,16 @@ class TestTranscriptCsv:
         tr = ew.run_game(ew.GameConfig.uniform(rounds, seed=6, n_parties=n),
                          ew.honest_strategy(state), wit.weights, keep_records=True)
         row_loop_csv(tr, tmp_path / "loop.csv")
-        tr.to_csv(tmp_path / "block.csv")
-        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+        blocks = list(tr.csv_lines())
+        # the header, then full blocks of CSV_BLOCK_ROWS rows and the remainder
+        assert [b.count("\n") for b in blocks] == [1, game.CSV_BLOCK_ROWS, game.CSV_BLOCK_ROWS, 5]
+        assert "".join(blocks).encode() == (tmp_path / "loop.csv").read_bytes()
 
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         cfg = ew.GameConfig.uniform(200, seed=4)
         w = ew.werner_witness().weights
         tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(0.9)), w, keep_records=True)
-        path = tmp_path / "rounds.csv"
-        tr.to_csv(path)
-        lines = path.read_text().strip().split("\n")
+        lines = "".join(tr.csv_lines()).strip().split("\n")
         assert lines[0] == "s,t,a,b,payoff"
         assert len(lines) == 201
         s, t, a, b, payoff = lines[1].split(",")

@@ -1,5 +1,5 @@
-"""Law-level tests for the RNG schemes: ``counts-v1``, ``rounds-v2`` and
-``separable-v1``.
+"""Law-level tests for the RNG schemes: ``counts-v1``, ``rounds-v2``,
+``separable-v1`` and ``separable-v2``.
 
 A byte-identity test can guard only a change that keeps every bit.  A
 change that reorders a sum or a product, such as building the mixtures as
@@ -15,9 +15,9 @@ are spread evenly over blocks of positions, and the cells of consecutive
 rounds are independent: their pair counts match the product of the
 marginals.
 
-For the separable sampler (``separable-v1``):
+For the separable sampler behind ``separable-v1`` (``random_separable``)
+and ``separable-v2`` (``check_witness``, one component per sample):
 
-- component counts are uniform on 1..4;
 - the weights are flat-Dirichlet: with k components on n qubits the mean
   purity Tr(sigma^2) is 2/(k+1) + (k-1)/(k+1) * 2^-n, from
   E[w_j^2] = 2/(k(k+1)), E[w_j w_l] = 1/(k(k+1)) and a mean overlap
@@ -103,47 +103,11 @@ def test_quantiles_match_tables():
 
 
 # ---------------------------------------------------------------------------
-# Component counts
-# ---------------------------------------------------------------------------
-
-def checked_counts(monkeypatch, rng) -> np.ndarray:
-    """The component counts check_witness draws for N_SAMPLES samples."""
-    counts, mixtures = [], witness._product_mixtures
-
-    def recording(gen, ks, n_qubits):
-        counts.append(np.asarray(ks))
-        return mixtures(gen, ks, n_qubits)
-
-    monkeypatch.setattr(witness, "_product_mixtures", recording)
-    ew.check_witness(ew.werner_witness(), ew.make_werner(1.0), N_SAMPLES, rng)
-    return np.concatenate(counts)
-
-
-def counts_chi2(ks: np.ndarray) -> float:
-    observed = np.array([np.sum(ks == k) for k in range(1, 5)])
-    assert observed.sum() == len(ks)
-    return chi2_against(observed, np.full(4, len(ks) / 4.0))[0]
-
-
-def test_counts_are_uniform_on_1_to_4(monkeypatch):
-    ks = checked_counts(monkeypatch, np.random.default_rng(11))
-    assert len(ks) == N_SAMPLES
-    assert set(np.unique(ks)) == {1, 2, 3, 4}
-    assert counts_chi2(ks) <= chi2_quantile(TAIL, 3)
-
-
-def test_counts_law_fails_on_counts_from_1_to_3(monkeypatch):
-    rng = np.random.default_rng(11)
-    mutant = DrawChanged(rng, integers=lambda low, high, size: rng.integers(low, high - 1, size))
-    assert counts_chi2(checked_counts(monkeypatch, mutant)) > chi2_quantile(TAIL, 3)
-
-
-# ---------------------------------------------------------------------------
 # Dirichlet weights
 # ---------------------------------------------------------------------------
 
 def purity_z(rng, n_qubits: int, k: int = 3) -> float:
-    sigmas = witness._product_mixtures(rng, np.full(N_SAMPLES, k), n_qubits)
+    sigmas = witness._product_mixtures(rng, N_SAMPLES, k, n_qubits)
     purity = np.einsum("nij,nji->n", sigmas, sigmas).real
     return float(z_scores(purity, 2.0 / (k + 1) + (k - 1) / (k + 1) * 2.0 ** -n_qubits))
 
@@ -167,7 +131,7 @@ def test_weight_law_fails_on_squared_exponentials(n_qubits):
 def bloch_vectors(rng) -> np.ndarray:
     """Bloch vectors (Tr sigma X, Tr sigma Y, Tr sigma Z) of N_SAMPLES
     single-component single-qubit samples."""
-    sigmas = witness._product_mixtures(rng, np.ones(N_SAMPLES, dtype=np.int64), 1)
+    sigmas = witness._product_mixtures(rng, N_SAMPLES, 1, 1)
     return np.einsum("nij,kji->nk", sigmas, qcore.PAULIS[1:]).real
 
 
@@ -200,9 +164,10 @@ OBSERVABLES = {
 
 
 def witness_values(rng, n_qubits: int) -> np.ndarray:
-    """Tr(sigma W) on N_SAMPLES samples with counts uniform on 1..4."""
-    ks = rng.integers(1, 5, N_SAMPLES)
-    sigmas = witness._product_mixtures(rng, ks, n_qubits)
+    """Tr(sigma W) on N_SAMPLES mixtures of 3 components: with one, the
+    unnormalised weights below would only scale each state by a mean-1
+    exponential and leave the mean in place."""
+    sigmas = witness._product_mixtures(rng, N_SAMPLES, 3, n_qubits)
     return np.einsum("nij,ji->n", sigmas, OBSERVABLES[n_qubits]).real
 
 
@@ -221,10 +186,10 @@ def test_mean_witness_value_is_trace_over_d(n_qubits):
 def test_witness_law_fails_on_unnormalised_weights(monkeypatch, n_qubits):
     mixtures = witness._product_mixtures
 
-    def unnormalised(rng, ks, n):
+    def unnormalised(rng, count, k, n):
         # the raw exponentials as weights: each state times their sum
-        e = copy.deepcopy(rng).standard_exponential(int(np.sum(ks)))
-        return np.add.reduceat(e, np.cumsum(ks) - ks)[:, None, None] * mixtures(rng, ks, n)
+        e = copy.deepcopy(rng).standard_exponential((count, k))
+        return e.sum(axis=1)[:, None, None] * mixtures(rng, count, k, n)
 
     monkeypatch.setattr(witness, "_product_mixtures", unnormalised)
     values = witness_values(np.random.default_rng(13 + n_qubits), n_qubits)

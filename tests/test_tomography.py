@@ -39,10 +39,9 @@ class TestMoments:
         w = ew.werner_witness().weights
         cfg = ew.GameConfig.support_only(w, 5_000, seed=0)
         tr = ew.run_game(cfg, ew.honest_strategy(ew.make_werner(0.5)), w)
-        with pytest.raises(ew.IncompleteTomographyError) as err:
+        with pytest.raises(ValueError) as err:
             ew.accumulate(tr)
-        assert len(err.value.missing) == 12
-        assert (0, 1) in err.value.missing
+        assert str(err.value).startswith("no rounds for 12 label cells: [(0, 1), (0, 2),")
 
     def test_accumulate_from_uniform_run(self):
         tr = honest_transcript(ew.bell_psi_plus(), 1_000_000, seed=13)
@@ -65,9 +64,8 @@ class TestMoments:
         pi[0, 1] = pi[2, 3] = 0.0
         w = ew.werner_witness().weights
         tr = ew.run_game(ew.GameConfig(pi, 5_000, 0), ew.honest_strategy(ew.make_werner(0.5)), w)
-        with pytest.raises(ew.IncompleteTomographyError) as err:
+        with pytest.raises(ValueError) as err:
             ew.accumulate(tr)
-        assert err.value.missing == [(0, 1), (2, 3)]
         assert str(err.value) == "no rounds for 2 label cells: [(0, 1), (2, 3)]"
 
     def test_reconstruct_scans_for_missing_cells_once(self, cell_scans):
@@ -78,7 +76,7 @@ class TestMoments:
         w = ew.werner_witness().weights
         tr = ew.run_game(ew.GameConfig.support_only(w, 5_000, seed=0),
                          ew.honest_strategy(ew.make_werner(0.5)), w)
-        with pytest.raises(ew.IncompleteTomographyError):
+        with pytest.raises(ValueError, match="no rounds for 12 label cells"):
             ew.accumulate(tr)
         assert cell_scans == [(4, 4)]
 

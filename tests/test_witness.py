@@ -95,18 +95,28 @@ class TestBuiltinWitnesses:
         assert payoffs.max() <= 1e-9, f"{name}: separable payoff {payoffs.max():.3e}"
 
 
+def xz_chsh_observables():
+    """The x/z-plane setting A = x, A' = z, B = -(x+z)/sqrt(2), B' = (z-x)/sqrt(2)."""
+    sx, sz = qcore.PAULIS[1], qcore.PAULIS[3]
+    return sx, sz, -(sx + sz) / RT2, (sz - sx) / RT2
+
+
+def xz_bell_operator():
+    """A(x)B + A'(x)B + A(x)B' - A'(x)B' for the x/z observables, as four
+    Kronecker products."""
+    a, a2, b, b2 = xz_chsh_observables()
+    return np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
+
+
 def chsh_operator(sign=+1):
     """2 I +/- (A(x)B + A'(x)B + A(x)B' - A'(x)B') for the x/z observables."""
-    a, a2, b, b2 = ew.xz_chsh_observables()
-    bell = np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
-    return 2 * np.eye(4) + sign * bell
+    return 2 * np.eye(4) + sign * xz_bell_operator()
 
 
 class TestChshWitness:
     def test_xz_observables_expansion(self):
         # expand the four tensor terms by hand
-        a, a2, b, b2 = ew.xz_chsh_observables()
-        combo = np.kron(a, b) + np.kron(a2, b) + np.kron(a, b2) - np.kron(a2, b2)
+        combo = xz_bell_operator()
         sx, sz = qcore.PAULIS[1], qcore.PAULIS[3]
         expect = -RT2 * (np.kron(sx, sx) + np.kron(sz, sz))
         assert np.max(np.abs(combo - expect)) < 1e-12
@@ -124,6 +134,19 @@ class TestChshWitness:
     def test_fixed_is_half_of_chsh(self):
         full = chsh_operator(+1)
         assert np.max(np.abs(ew.fixed_chsh_witness().operator - full / 2)) < 1e-12
+
+    def test_chsh_value_matches_the_kronecker_oracle_bit_for_bit(self):
+        # chsh_value reads its operator off the CHSH witness; the value is the
+        # oracle's to the bit, so `ewgame chsh` prints the same bytes
+        bell = xz_bell_operator()
+        assert np.array_equal(2.0 * (ew.fixed_chsh_witness().operator - np.eye(4)), bell)
+        gen = np.random.default_rng(31)
+        states = ([ew.make_werner(0.05 * i) for i in range(21)]
+                  + [ew.bell_psi_plus(), ew.maximally_mixed(2)]
+                  + [ew.random_density_matrix(gen, 4) for _ in range(200)])
+        for rho in states:
+            expect = float(qcore.expectations(rho.matrix, bell))
+            assert ew.chsh_value(rho).value.hex() == expect.hex()
 
     def test_minus_sign_witness_nonnegative_on_separables(self, separable_corpus):
         values = np.einsum("nij,ji->n", separable_corpus, chsh_operator(-1)).real
@@ -250,24 +273,21 @@ class TestRandomSeparable:
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_matches_kron_loop(self, n, k):
         for seed in range(5):
-            old, new = np.random.default_rng(seed), np.random.default_rng(seed)
+            old, oracle, new = (np.random.default_rng(seed) for _ in range(3))
             expect = kron_loop_separable(old, k, n)
             got = ew.random_separable(new, k, n).matrix
             assert np.max(np.abs(got - expect)) <= 1e-14
-            assert new.random() == old.random()
+            assert np.max(np.abs(got - reduceat_mixtures(oracle, [k], n)[0])) <= 1e-14
+            assert new.random() == old.random() == oracle.random()
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("ks", [[1, 6, 2, 4, 1], [3, 1, 1, 1, 1, 1, 9], [4, 4, 4]],
-                             ids=["1-6-2-4-1", "3-1-1-1-1-1-9", "4-4-4"])
-    def test_ragged_chunks_match_reduceat_oracle(self, n, ks):
-        # check_witness draws counts of 1 to 4 and random_separable one
-        # count, so only here do samples of mixed counts above 4 share a
-        # chunk, padded to the largest
+    @pytest.mark.parametrize("count,k", [(5, 1), (7, 9), (3, 4)], ids=["5x1", "7x9", "3x4"])
+    def test_batches_match_reduceat_oracle(self, n, count, k):
         for seed in range(5):
             old, new = np.random.default_rng(seed), np.random.default_rng(seed)
-            expect = reduceat_mixtures(old, ks, n)
-            got = witness._product_mixtures(new, ks, n)
-            assert got.shape == expect.shape == (len(ks), 2 ** n, 2 ** n)
+            expect = reduceat_mixtures(old, [k] * count, n)
+            got = witness._product_mixtures(new, count, k, n)
+            assert got.shape == expect.shape == (count, 2 ** n, 2 ** n)
             assert np.max(np.abs(got - expect)) <= 1e-14
             assert new.random() == old.random()
 
@@ -327,11 +347,28 @@ class TestCheckWitness:
         wit, rho = ew.ghz_witness(), ew.ghz_state()
         checked, direct = np.random.default_rng(5), np.random.default_rng(5)
         report = ew.check_witness(wit, rho, 1, checked)
-        k = int(direct.integers(1, 5, 1)[0])
-        sigma = ew.random_separable(direct, k, n_qubits=3)
+        sigma = ew.random_separable(direct, 1, n_qubits=3)
         value = np.trace(sigma.matrix @ wit.operator).real
         assert report.min_separable_value == pytest.approx(value, abs=1e-14)
         assert checked.random() == direct.random()
+
+    @pytest.mark.parametrize("wit,rho", [(ew.werner_witness(), ew.make_werner(1.0)),
+                                         (ew.ghz_witness(), ew.ghz_state())])
+    def test_every_scored_sample_is_pure(self, monkeypatch, wit, rho):
+        # Tr(sigma W) is linear in sigma, so only pure product states are scored
+        scored, expectations = [], qcore.expectations
+
+        def recording(states, operator):
+            if states.ndim == 3:
+                scored.append(states)
+            return expectations(states, operator)
+
+        monkeypatch.setattr(qcore, "expectations", recording)
+        ew.check_witness(wit, rho, SAMPLE_CHUNK + 7, np.random.default_rng(2))
+        sigmas = np.concatenate(scored)
+        assert len(sigmas) == SAMPLE_CHUNK + 7
+        purity = np.einsum("nij,nji->n", sigmas, sigmas).real
+        assert np.max(np.abs(purity - 1.0)) <= 1e-12
 
     def test_longer_run_extends_the_same_samples(self):
         wit, rho = ew.werner_witness(), ew.make_werner(1.0)
