@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, product
 
 import numpy as np
@@ -30,27 +30,11 @@ DETECTION_ALPHA = 1e-3  # the largest chance that a game whose payoff is <= 0 ce
 CSV_BLOCK_ROWS = 4096
 
 # Joint outcomes are indexed 0..2^n-1; party j's answer is the j-th bit from
-# the left, with bit 0 meaning +1 and bit 1 meaning -1.
-
-
-@lru_cache(maxsize=4)
-def _answer_table(n_parties: int) -> np.ndarray:
-    """Every party's +/-1 answer for each joint outcome index, shape
-    (2^n, n), int8.  The array is shared and read-only."""
-    bits = (np.arange(2 ** n_parties)[:, None] >> np.arange(n_parties - 1, -1, -1)) & 1
-    answers = (1 - 2 * bits).astype(np.int8)
-    answers.setflags(write=False)
-    return answers
-
-
-@lru_cache(maxsize=4)
-def _label_table(n_parties: int) -> np.ndarray:
-    """Every party's label for each raveled label cell, shape (4^n, n),
-    int8.  The array is shared and read-only."""
-    cells = np.unravel_index(np.arange(4 ** n_parties), (4,) * n_parties)
-    labels = np.stack(cells, axis=1).astype(np.int8)
-    labels.setflags(write=False)
-    return labels
+# the left, with bit 0 meaning +1 and bit 1 meaning -1.  Every per-cell table
+# factorises over the parties, so each n-party table is the n-fold Kronecker
+# product of a one-party table: on N-d arrays np.kron runs every result axis
+# over the parties with party 1 most significant, the order of the raveled
+# label cells and of the joint outcomes.
 
 
 @lru_cache(maxsize=4)
@@ -60,8 +44,9 @@ def parity_table(n_parties: int) -> np.ndarray:
     answers of the parties whose label is nonzero.  Label 0 measures the
     identity, so its answer is never read.  The array is shared and
     read-only."""
-    asked = _label_table(n_parties)[:, None, :] != 0
-    parity = np.where(asked, _answer_table(n_parties), 1).prod(axis=2, dtype=np.int64)
+    # one party: row l, column a holds the paid factor of answer a to label l
+    paid = np.array([[1, 1], [1, -1], [1, -1], [1, -1]], dtype=np.int64)
+    parity = reduce(np.kron, [paid] * n_parties)
     parity.setflags(write=False)
     return parity
 
@@ -289,9 +274,11 @@ class Transcript:
         answer_cols = ["a", "b", "c"][:n]
         # a row depends only on its joint index: format each one once
         fmt = ",".join(["%d"] * (2 * n) + ["%.17g"]) + "\n"
-        labels, answers = _label_table(n).tolist(), _answer_table(n).tolist()
-        rows = np.array([fmt % (*labels[k >> n], *answers[k & (len(answers) - 1)], pay)
-                         for k, pay in enumerate(self.payments.ravel().tolist())],
+        # row k of cols: the labels and answer bits of joint index k
+        cols = np.indices((4,) * n + (2,) * n).reshape(2 * n, -1)
+        cols[n:] = 1 - 2 * cols[n:]
+        rows = np.array([fmt % (*row, pay)
+                         for row, pay in zip(cols.T.tolist(), self.payments.ravel().tolist())],
                         dtype=object)
         joint = self.joint
         blocks = ("".join(rows[joint[start:start + CSV_BLOCK_ROWS]].tolist())
@@ -341,34 +328,21 @@ def detection_threshold(tr: Transcript) -> float:
 # Measurement statistics and built-in strategies
 # ---------------------------------------------------------------------------
 
-def _projector_coefficients() -> np.ndarray:
-    # m[l, a, k]: Pauli coefficients of the projector onto answer a (0: +1,
-    # 1: -1) for label l, i.e. (I + a sigma_l)/2 = sum_k m[l, a, k] sigma_k.
-    # Label 0 measures the identity: the answer is +1 with certainty.
-    m = np.zeros((4, 2, 4))
-    m[0, 0, 0] = 1.0
-    for label in range(1, 4):
-        m[label, :, 0] = 0.5
-        m[label, 0, label] = 0.5
-        m[label, 1, label] = -0.5
-    m.setflags(write=False)
-    return m
-
-
-_PROJECTOR_COEFFS = _projector_coefficients()
+# m[l, a, k]: Pauli coefficients of the projector (I + (-1)^a sigma_l)/2 onto
+# answer a (0: +1, 1: -1) for label l, i.e. sum_k m[l, a, k] sigma_k.  As
+# sigma_0 = I, label 0's -1 projector is zero: its answer is +1 with certainty.
+_PROJECTOR_COEFFS = 0.5 * (np.eye(4)[0] + np.array([[1.0], [-1.0]]) * np.eye(4)[:, None])
+_PROJECTOR_COEFFS.setflags(write=False)
 
 
 @lru_cache(maxsize=4)
 def _outcome_map(n_parties: int) -> np.ndarray:
     """The Born rule in Pauli coordinates as one (8^n, 4^n) matrix: row
     (labels, outcome) holds the Pauli coefficients of the n-party product of
-    answer projectors, one projector-coefficient factor per party.  The
-    array is shared and read-only."""
+    answer projectors, the Kronecker product of one projector-coefficient
+    table per party.  The array is shared and read-only."""
     n = n_parties
-    operands = []
-    for j in range(n):
-        operands += [_PROJECTOR_COEFFS, [j, n + j, 2 * n + j]]
-    born = np.einsum(*operands, list(range(3 * n))).reshape(8 ** n, 4 ** n)
+    born = reduce(np.kron, [_PROJECTOR_COEFFS] * n).reshape(8 ** n, 4 ** n)
     born.setflags(write=False)
     return born
 
@@ -397,17 +371,16 @@ def classical_cheat_strategy() -> Strategy:
     bit 1 for label 1 and bit 3 for label 3, while on label 2 Bob flips
     bit 2.  This reproduces the (+1, -1, +1) diagonal correlations of the
     maximally entangled state without any shared entanglement.  The table
-    is enumerated exactly over the eight equally likely bit patterns.  Built
+    is the exact mean over the eight equally likely bit patterns of the
+    Kronecker product of the two parties' one-hot answer tables.  Built
     once and shared: the strategy is frozen and its table read-only."""
-    table = np.zeros((4, 4, 4), dtype=np.float64)
-    for b1, b2, b3 in product((1, -1), repeat=3):
-        alice = (1, b1, b2, b3)
-        bob = (1, b1, -b2, b3)
-        for s in range(4):
-            for t in range(4):
-                # outcome index: Alice's answer is the high bit, 1 meaning -1
-                table[s, t, 2 * (alice[s] < 0) + (bob[t] < 0)] += 1.0 / 8.0
-    return Strategy(name="cheat", outcome_table=table)
+    def one_hot(answers):
+        # row l: the answer to label l, column 0 for +1 and 1 for -1
+        return np.eye(2)[(1 - np.array(answers)) // 2]
+
+    table = np.mean([np.kron(one_hot((1, b1, b2, b3)), one_hot((1, b1, -b2, b3)))
+                     for b1, b2, b3 in product((1, -1), repeat=3)], axis=0)
+    return Strategy(name="cheat", outcome_table=table.reshape(4, 4, 4))
 
 
 # ---------------------------------------------------------------------------

@@ -102,13 +102,8 @@ def werner_witness() -> Witness:
     trace inner product, so the expected payoff equals the Euclidean distance
     from the state's diagonal projection to the Tr(rho W) = 0 plane.
     """
-    w = np.zeros((4, 4))
     f = 1.0 / np.sqrt(3.0)
-    w[0, 0] = f
-    w[1, 1] = -f
-    w[2, 2] = f
-    w[3, 3] = -f
-    return Witness(PauliWeights(2, w))
+    return Witness(PauliWeights(2, np.diag((f, -f, f, -f))))
 
 
 @lru_cache(maxsize=1)
@@ -117,23 +112,16 @@ def fixed_chsh_witness() -> Witness:
     setting A = x, A' = z, B = -(x+z)/sqrt(2), B' = (z-x)/sqrt(2), whose
     Bell operator A(x)B + A'(x)B + A(x)B' - A'(x)B' is -sqrt(2) (xx + zz);
     ``game.chsh_value`` reads Bell off this witness as 2 (W - I)."""
-    w = np.zeros((4, 4))
-    w[0, 0] = 1.0
-    w[1, 1] = -1.0 / np.sqrt(2.0)
-    w[3, 3] = -1.0 / np.sqrt(2.0)
-    return Witness(PauliWeights(2, w))
+    f = 1.0 / np.sqrt(2.0)
+    return Witness(PauliWeights(2, np.diag((1.0, -f, 0.0, -f))))
 
 
 @lru_cache(maxsize=1)
 def strengthened_chsh_witness() -> Witness:
     """(1/sqrt(2)) (I - xx - zz): tightens the x/z CHSH bound from 2 to sqrt(2),
     lowering the Werner detection threshold from sqrt(2)/2 to 1/2."""
-    w = np.zeros((4, 4))
     f = 1.0 / np.sqrt(2.0)
-    w[0, 0] = f
-    w[1, 1] = -f
-    w[3, 3] = -f
-    return Witness(PauliWeights(2, w))
+    return Witness(PauliWeights(2, np.diag((f, -f, 0.0, -f))))
 
 
 @lru_cache(maxsize=1)

@@ -162,7 +162,7 @@ class TestLabelZero:
         table = gen.dirichlet(np.ones(2 ** n), size=4 ** n)
         # flip the answers of a random subset of each cell's label-0 parties:
         # party j's answer is bit n-1-j of the outcome index
-        labels = game._label_table(n)
+        labels = np.stack(np.unravel_index(np.arange(4 ** n), (4,) * n), axis=1)
         flips = ((labels == 0) & (gen.integers(0, 2, size=labels.shape) == 1)) @ (
             1 << np.arange(n - 1, -1, -1))
         flipped = table[np.arange(4 ** n)[:, None], np.arange(2 ** n) ^ flips[:, None]]
@@ -190,7 +190,9 @@ class TestLabelZero:
                        for _ in range(5)]
         for table in tables:
             n = table.ndim - 1
-            minus = (game._label_table(n)[:, None, :] == 0) & (game._answer_table(n) == -1)
+            labels = np.stack(np.unravel_index(np.arange(4 ** n), (4,) * n), axis=1)
+            answers = np.array([decode_answers(k, n) for k in range(2 ** n)])
+            minus = (labels[:, None, :] == 0) & (answers == -1)
             assert np.all(table.reshape(4 ** n, -1)[minus.any(axis=2)] == 0.0)
 
 
@@ -394,6 +396,18 @@ class TestCheatStrategy:
             for t in range(1, 4):
                 if s != t:
                     assert corr[s, t] == pytest.approx(0.0, abs=1e-15)
+
+    def test_table_matches_the_cell_by_cell_enumeration_bit_for_bit(self):
+        # the eight shared-bit patterns, enumerated one label cell at a time
+        table = np.zeros((4, 4, 4))
+        for b1, b2, b3 in product((1, -1), repeat=3):
+            alice = (1, b1, b2, b3)
+            bob = (1, b1, -b2, b3)
+            for s in range(4):
+                for t in range(4):
+                    # outcome index: Alice's answer is the high bit, 1 meaning -1
+                    table[s, t, 2 * (alice[s] < 0) + (bob[t] < 0)] += 1.0 / 8.0
+        assert ew.classical_cheat_strategy().outcome_table.tobytes() == table.tobytes()
 
     def test_table_matches_bell_statistics(self):
         # the cheat reproduces the honest Bell-state table for these settings
@@ -736,14 +750,6 @@ class TestRecordsFromCounts:
             tracemalloc.stop()
         assert tr.joint.size == rounds
         assert peak / rounds < 32, f"{peak / rounds:.1f} B/round"
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_lookup_tables(self, n):
-        answers, labels = game._answer_table(n), game._label_table(n)
-        assert answers.dtype == labels.dtype == np.int8
-        assert not answers.flags.writeable and not labels.flags.writeable
-        assert answers.tolist() == [list(decode_answers(k, n)) for k in range(2 ** n)]
-        assert labels.tolist() == [list(c) for c in product(range(4), repeat=n)]
 
 
 class TestStrategy:

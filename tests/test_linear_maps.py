@@ -2,9 +2,10 @@
 the named constants built once per process.
 
 Each map is checked against the einsum it replaced, kept here as an oracle:
-the Born-rule contraction for outcome tables and the Pauli-basis sums for
-traces, coefficients and Pauli sums.  The shared constants must be
-the same instance on every call and must refuse every write.
+the Born-rule contraction for the outcome map and outcome tables and the
+Pauli-basis sums for traces, coefficients and Pauli sums.  The shared
+constants must be the same instance on every call and must refuse every
+write.
 """
 
 import numpy as np
@@ -29,12 +30,20 @@ def states(draw):
     return ew.DensityMatrix(m / m.trace())
 
 
-def einsum_outcome_table(rho):
-    n = rho.n_qubits
+def projector_operands(n):
     operands = []
     for j in range(n):
         operands += [game._PROJECTOR_COEFFS, [j, n + j, 2 * n + j]]
-    operands += [einsum_pauli_traces(rho.matrix), list(range(2 * n, 3 * n))]
+    return operands
+
+
+def einsum_outcome_map(n):
+    return np.einsum(*projector_operands(n), list(range(3 * n))).reshape(8 ** n, 4 ** n)
+
+
+def einsum_outcome_table(rho):
+    n = rho.n_qubits
+    operands = projector_operands(n) + [einsum_pauli_traces(rho.matrix), list(range(2 * n, 3 * n))]
     return np.einsum(*operands, list(range(2 * n))).reshape((4,) * n + (2 ** n,))
 
 
@@ -49,6 +58,11 @@ def einsum_pauli_sum(table):
 
 
 class TestEinsumOracles:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_outcome_map(self, n):
+        # the Kronecker build may hold -0.0 where the einsum holds +0.0
+        assert np.array_equal(game._outcome_map(n), einsum_outcome_map(n))
+
     @settings(max_examples=60, deadline=None)
     @given(rho=states())
     def test_outcome_table(self, rho):

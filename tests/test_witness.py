@@ -80,6 +80,21 @@ class TestBuiltinWitnesses:
         assert w[1, 1] == pytest.approx(-f, abs=1e-15)
         assert w[3, 3] == pytest.approx(-f, abs=1e-15)
 
+    @pytest.mark.parametrize("make,diagonal", [
+        (ew.werner_witness, (1 / RT3, -1 / RT3, 1 / RT3, -1 / RT3)),
+        (ew.fixed_chsh_witness, (1.0, -1.0 / RT2, None, -1.0 / RT2)),
+        (ew.strengthened_chsh_witness, (1 / RT2, -1 / RT2, None, -1 / RT2)),
+    ], ids=["werner", "chsh", "chsh-strengthened"])
+    def test_diagonal_witnesses_match_zero_and_set_tables(self, make, diagonal):
+        # a zero table whose nonzero diagonal entries are set one by one
+        table = np.zeros((4, 4))
+        for l, value in enumerate(diagonal):
+            if value is not None:
+                table[l, l] = value
+        wit, expect = make(), ew.Witness(ew.PauliWeights(2, table))
+        assert wit.weights.table.tobytes() == expect.weights.table.tobytes()
+        assert wit.operator.tobytes() == expect.operator.tobytes()
+
     @pytest.mark.parametrize("name,wit", builtin_witnesses())
     def test_operator_matches_weights(self, name, wit):
         assert np.max(np.abs(wit.operator - rebuild_from_weights(wit))) < 1e-12
