@@ -59,4 +59,4 @@ from .witness import (
     werner_witness,
 )
 
-__version__ = "0.13.0"
+__version__ = "0.14.0"

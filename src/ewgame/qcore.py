@@ -71,8 +71,13 @@ def pauli_basis(n_qubits: int) -> np.ndarray:
 
 
 def _as_operator(matrix, name: str = "operator", stack: bool = False) -> np.ndarray:
-    """Finite complex square matrix of dimension 2, 4 or 8, or with
-    stack=True a nonempty (..., d, d) stack of them."""
+    """The one door for an operator argument: the stored matrix of a
+    DensityMatrix, which passed these checks and the Hermiticity rule when
+    it was built, or else matrix as a finite complex square matrix of
+    dimension 2, 4 or 8 (with stack=True a nonempty (..., d, d) stack of
+    them)."""
+    if isinstance(matrix, DensityMatrix):
+        return matrix.matrix
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim < 2 or (m.ndim > 2 and not stack) or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
@@ -86,8 +91,9 @@ def _as_operator(matrix, name: str = "operator", stack: bool = False) -> np.ndar
 
 
 def _hermitian_part(m: np.ndarray, name: str = "operator") -> np.ndarray:
-    """Raise unless m is Hermitian within HERMITICITY_TOL; return its
-    Hermitian part (m + m^dag)/2 as a fresh C-ordered array.
+    """The package's one Hermiticity rule: raise unless every entry of
+    m - m^dag is within HERMITICITY_TOL; return the Hermitian part
+    (m + m^dag)/2 as a fresh C-ordered array, which is Hermitian bit for bit.
 
     C order keeps m - adj and the in-place updates on matching layouts; on
     the transposed view of m.conj() each of them would be a strided pass.
@@ -158,31 +164,20 @@ class DensityMatrix:
         return self.dim.bit_length() - 1
 
 
-def _matrix_of(x, name: str = "operator") -> np.ndarray:
-    """The matrix of a DensityMatrix, which is already validated, or x
-    checked by _as_operator."""
-    return x.matrix if isinstance(x, DensityMatrix) else _as_operator(x, name)
-
-
 def pauli_traces(matrix) -> np.ndarray:
-    """Raw trace table Tr(M * sigma_t) for every Pauli string, shape (4,)*n
+    """Real trace table Tr(M * sigma_t) for every Pauli string, shape (4,)*n
     for a 2^n x 2^n matrix or DensityMatrix.
 
-    The matrix must be finite (a DensityMatrix already is), and the
-    imaginary residue must stay within 2^(n-1) * HERMITICITY_TOL (a larger
-    one means the input was not Hermitian); it is discarded after the check.
+    A matrix must pass _hermitian_part's rule, which a DensityMatrix passed
+    when it was built; the imaginary part of each trace is then at most
+    2^(n-1) * HERMITICITY_TOL, and it is discarded.
     """
-    m = _matrix_of(matrix, "matrix")
+    m = _as_operator(matrix, "matrix")
+    if not isinstance(matrix, DensityMatrix):
+        _hermitian_part(m, "matrix")
     n_qubits = m.shape[0].bit_length() - 1
     # row k of the basis, raveled, dotted with M^T raveled is Tr(sigma_k M)
     traces = pauli_basis(n_qubits).reshape(4 ** n_qubits, -1) @ m.T.ravel()
-    # Only the anti-Hermitian part A = (M - M^dag)/2 adds an imaginary part,
-    # Tr(sigma A).  Each entry of A is at most HERMITICITY_TOL/2 on a matrix
-    # _hermitian_part accepts, and sigma has 2^n unit entries, so the
-    # residue of an accepted matrix is at most 2^(n-1) * HERMITICITY_TOL.
-    resid = abs(traces.imag).max()
-    if not resid <= 2 ** (n_qubits - 1) * HERMITICITY_TOL:
-        raise ValueError(f"imaginary residue {resid:.3e} in Pauli traces; input not Hermitian")
     return traces.real.reshape((4,) * n_qubits)
 
 
@@ -218,7 +213,7 @@ def expectations(states: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 def partial_transpose(state) -> np.ndarray:
     """Partial transpose of a two-qubit operator over the second qubit (B)."""
-    m = _matrix_of(state)
+    m = _as_operator(state)
     if m.shape != (4, 4):
         raise ValueError(f"partial transpose is defined for 4x4 operators, got {m.shape}")
     return np.ascontiguousarray(m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
@@ -231,12 +226,13 @@ def hermitian_eigensystem(op) -> tuple[np.ndarray, np.ndarray]:
 
 
 def trace_distance(a, b) -> float:
-    """Half the sum of absolute eigenvalues of (a - b)."""
-    # each operand is checked before the subtraction, which would warn on inf
-    ma, mb = _matrix_of(a), _matrix_of(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    vals, _ = hermitian_eigensystem(ma - mb)
+    """Half the sum of absolute eigenvalues of (a - b), from the Hermitian
+    parts of the two operands, each checked on its own."""
+    ha, hb = (_hermitian_part(_as_operator(x)) for x in (a, b))
+    if ha.shape != hb.shape:
+        raise ValueError(f"dimension mismatch: {ha.shape} vs {hb.shape}")
+    # a difference of Hermitian parts is Hermitian bit for bit: nothing to check
+    vals, _ = np.linalg.eigh(ha - hb)
     return float(0.5 * abs(vals).sum())
 
 
@@ -281,8 +277,11 @@ def maximally_mixed(n_qubits: int) -> DensityMatrix:
 
 
 def random_density_matrix(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Hilbert-Schmidt random state: G G^dag / Tr for complex Gaussian G."""
-    dim = check_int(dim, "dim", 2, 8)
+    """Hilbert-Schmidt random state: G G^dag / Tr for complex Gaussian G.
+
+    dim is checked before anything is drawn."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim not in (2, 4, 8):
+        raise ValueError(f"dim must be 2, 4 or 8, got {dim!r}")
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace())

@@ -45,8 +45,7 @@ def project_psd(raw) -> qcore.DensityMatrix:
 
     Idempotent; physical inputs pass through unchanged.
     """
-    m = np.asarray(raw, dtype=np.complex128)
-    vals, vecs = qcore.hermitian_eigensystem(m)
+    vals, vecs = qcore.hermitian_eigensystem(raw)
     clipped = np.clip(vals, 0.0, None)
     total = clipped.sum()
     if total <= 0.0:

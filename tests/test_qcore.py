@@ -112,12 +112,15 @@ class TestDensityMatrixValidation:
             dim = int(rng.choice([2, 4, 8]))
             ew.random_density_matrix(rng, dim)  # raises on any violation
 
-    @pytest.mark.parametrize("dim", [2.5, True, 1, 16])
-    def test_random_state_dimension_is_an_integer_in_range(self, rng, dim):
-        # a ValueError, never numpy's TypeError for a float shape
+    @pytest.mark.parametrize("dim", [2.5, True, 1, 16, 3, 5, 6, 7, 9, 4.0])
+    def test_random_state_dimension_is_an_integer_in_range(self, dim):
+        # one message for every rejected dimension, checked before anything
+        # is drawn; a ValueError, never numpy's TypeError for a float shape
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
         with pytest.raises(ValueError) as err:
             ew.random_density_matrix(rng, dim)
-        assert str(err.value) == f"dim must be an integer from 2 to 8, got {dim!r}"
+        assert str(err.value) == f"dim must be 2, 4 or 8, got {dim!r}"
+        assert rng.random() == twin.random()
 
     def test_rejects_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
@@ -285,7 +288,8 @@ class TestPauliCoefficients:
 
     def test_residue_bound_covers_every_accepted_state(self):
         # each entry is within HERMITICITY_TOL of its adjoint's, yet the
-        # residues of the 2^3 entries of e.g. I (x) I (x) sigma_x add up
+        # imaginary parts of the 2^3 entries of e.g. I (x) I (x) sigma_x add
+        # up in its trace; the entrywise rule alone decides
         m = np.eye(8, dtype=complex) / 8
         for a in range(4):
             m[2 * a, 2 * a + 1] += 0.45e-10j
@@ -298,8 +302,9 @@ class TestPauliCoefficients:
     def test_rejects_clearly_non_hermitian(self):
         m = np.eye(4, dtype=complex) / 4
         m[0, 1] = 1e-6j
-        with pytest.raises(ValueError, match="imaginary residue"):
+        with pytest.raises(ValueError) as err:
             qcore.pauli_traces(m)
+        assert str(err.value) == "matrix is not Hermitian (max deviation 1.000e-06)"
 
     def test_from_identity_coefficient_only(self):
         table = np.zeros((4, 4))
@@ -403,3 +408,116 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ew.trace_distance(ew.maximally_mixed(2), ew.maximally_mixed(3))
+
+
+# ---------------------------------------------------------------------------
+# One door for every operator argument, one Hermiticity rule
+# ---------------------------------------------------------------------------
+
+def off_hermitian(gen, h, k, diagonal=True):
+    """h plus a random anti-Hermitian part scaled so that the entrywise
+    deviation max|M - M^dag| of the sum is k * HERMITICITY_TOL, up to the
+    rounding of the sum.  With diagonal=False the part is zero on the
+    diagonal, so a state keeps its trace."""
+    d = h.shape[0]
+    g = gen.normal(size=(d, d)) + 1j * gen.normal(size=(d, d))
+    a = (g - g.conj().T) / 2
+    if not diagonal:
+        a[np.diag_indices(d)] = 0.0
+    a *= k * qcore.HERMITICITY_TOL / abs(2 * a).max()
+    return h + a
+
+
+def as_bytes(out):
+    """The bytes of a result: an array, a float, a DensityMatrix's matrix or
+    a tuple of those."""
+    if isinstance(out, tuple):
+        return b"".join(as_bytes(x) for x in out)
+    if isinstance(out, ew.DensityMatrix):
+        out = out.matrix
+    return np.asarray(out).tobytes()
+
+
+OPERATOR_CALLS = {
+    "pauli_traces": (qcore.pauli_traces, "matrix"),
+    "Witness.from_operator": (ew.Witness.from_operator, "matrix"),
+    "hermitian_eigensystem": (ew.hermitian_eigensystem, "operator"),
+    "trace_distance(M, M)": (lambda m: ew.trace_distance(m, m), "operator"),
+}
+
+
+@pytest.mark.parametrize("call,name", OPERATOR_CALLS.values(), ids=OPERATOR_CALLS.keys())
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]),
+       k=st.sampled_from([0.5, 0.99, 1.01, 2.0]))
+def test_one_entrywise_rule_decides_hermiticity(call, name, seed, n, k):
+    gen = np.random.default_rng(seed)
+    g = gen.normal(size=(2 ** n, 2 ** n)) + 1j * gen.normal(size=(2 ** n, 2 ** n))
+    m = off_hermitian(gen, (g + g.conj().T) / 2, k)
+    dev = abs(m - m.conj().T).max()
+    assert dev == pytest.approx(k * qcore.HERMITICITY_TOL, abs=1e-14)
+    if k <= 1:
+        call(m)
+        return
+    with pytest.raises(ValueError) as err:
+        call(m)
+    assert str(err.value) == f"{name} is not Hermitian (max deviation {dev:.3e})"
+
+
+def density_matrix_calls(other):
+    """Every function that takes an operator argument, as name -> call of
+    one argument; other is a second state of the same size."""
+    calls = {
+        "pauli_traces": qcore.pauli_traces,
+        "hermitian_eigensystem": ew.hermitian_eigensystem,
+        "trace_distance first": lambda x: ew.trace_distance(x, other),
+        "trace_distance second": lambda x: ew.trace_distance(other, x),
+        "project_psd": ew.project_psd,
+        "validate_density_matrices": lambda x: qcore.validate_density_matrices(x, stack=False),
+        "validate_density_matrices stack": qcore.validate_density_matrices,
+        "DensityMatrix": ew.DensityMatrix,
+    }
+    if other.dim == 4:
+        calls["partial_transpose"] = ew.partial_transpose
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]),
+       k=st.sampled_from([0.0, 0.5, 0.99]))
+def test_a_density_matrix_is_taken_as_its_matrix(seed, n, k):
+    # the stored matrix is Hermitian only within the tolerance, so a call
+    # that used a DensityMatrix otherwise than its matrix would show
+    gen = np.random.default_rng(seed)
+    rho, other = (ew.DensityMatrix(off_hermitian(
+        gen, ew.random_density_matrix(gen, 2 ** n).matrix, k, diagonal=False))
+        for _ in range(2))
+    for name, call in density_matrix_calls(other).items():
+        assert as_bytes(call(rho)) == as_bytes(call(rho.matrix)), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]),
+       ka=st.floats(0.0, 0.99), kb=st.floats(0.0, 0.99), wrapped=st.booleans())
+def test_trace_distance_takes_every_pair_of_accepted_states(seed, n, ka, kb, wrapped):
+    # the difference of two accepted states can deviate by up to twice the
+    # tolerance; each operand is checked, never the difference
+    gen = np.random.default_rng(seed)
+    a, b = (off_hermitian(gen, ew.random_density_matrix(gen, 2 ** n).matrix, k, diagonal=False)
+            for k in (ka, kb))
+    states = ew.DensityMatrix(a), ew.DensityMatrix(b)
+    x, y = states if wrapped else (a, b)
+    d = ew.trace_distance(x, y)
+    assert 0.0 <= d <= 1.0 + 1e-12
+    assert d == pytest.approx(ew.trace_distance(y, x), abs=1e-14)
+
+
+def test_trace_distance_of_states_deviating_in_opposite_directions():
+    # each state deviates by 6e-11 and is accepted; their difference deviates
+    # by 1.2e-10, so a check of the difference would reject the pair
+    a, b = np.eye(4, dtype=complex) / 4, np.eye(4, dtype=complex) / 4
+    a[0, 1] += 6e-11
+    b[0, 1] -= 6e-11
+    pair = ew.DensityMatrix(a), ew.DensityMatrix(b)
+    assert ew.trace_distance(*pair) == pytest.approx(6e-11, abs=1e-20)
+    assert ew.trace_distance(a, b) == pytest.approx(6e-11, abs=1e-20)

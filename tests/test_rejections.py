@@ -159,7 +159,7 @@ CASES = [
     ("Witness", "+inf", put(OPERATOR, ((1, 1), INF)), "matrix contains non-finite entries"),
     ("Witness", "-inf", put(OPERATOR, ((1, 1), -INF)), "matrix contains non-finite entries"),
     ("Witness", "not Hermitian", put(OPERATOR, ((0, 1), 0.1)),
-     "imaginary residue 1.000e-01 in Pauli traces; input not Hermitian"),
+     "matrix is not Hermitian (max deviation 1.000e-01)"),
     ("Witness", "empty", np.zeros((0, 0)), "matrix dimension must be 2, 4 or 8, got 0"),
     ("Witness", "scalar", np.float64(1.0), "matrix must be a square matrix, got shape ()"),
 ]
