@@ -33,7 +33,6 @@ from .qcore import (
     make_werner,
     maximally_mixed,
     partial_transpose,
-    pauli_string,
     random_density_matrix,
     trace_distance,
 )
@@ -59,4 +58,4 @@ from .witness import (
     werner_witness,
 )
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"

@@ -61,8 +61,9 @@ def subspace_hyperplane(witness: Witness, axes) -> tuple[np.ndarray, float]:
     if not support <= allowed:
         raise ValueError(
             f"witness weights outside the subspace: {sorted(support - allowed)}")
-    normal = np.array([witness.weights[ax] for ax in axes], dtype=np.float64)
-    offset = witness.weights[(0,) * n]
+    table = witness.weights.table
+    normal = np.array([table[ax] for ax in axes], dtype=np.float64)
+    offset = table[(0,) * n]
     return normal, float(offset)
 
 

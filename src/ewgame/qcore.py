@@ -1,6 +1,6 @@
 """Dense complex operator algebra for one to three qubits.
 
-Pauli strings and their tensor products, named two-qubit states, validated
+The n-qubit Pauli basis, named two- and three-qubit states, validated
 density matrices, partial transposition, Hermitian eigendecomposition,
 expectation values Tr(sigma O), and the maps between operators and their
 Pauli-basis coefficient tables.
@@ -11,8 +11,7 @@ validated structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -44,28 +43,17 @@ def check_int(value, name: str, low: int, high: int | None = None) -> int:
     return int(value)
 
 
-def pauli_string(labels) -> np.ndarray:
-    """Tensor product of single-qubit Paulis, e.g. (1, 3) -> sigma_x (x) sigma_z.
-
-    Labels index {0: I, 1: x, 2: y, 3: z}; one to three labels are supported.
-    """
-    labels = tuple(check_int(l, "label", 0, 3) for l in labels)
-    if not 1 <= len(labels) <= 3:
-        raise ValueError(f"need 1 to 3 labels, got {len(labels)}")
-    out = PAULIS[labels[0]]
-    for l in labels[1:]:
-        out = np.kron(out, PAULIS[l])
-    return out
-
-
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=4, typed=True)
 def pauli_basis(n_qubits: int) -> np.ndarray:
-    """All 4^n Pauli strings stacked as one read-only array.
+    """All 4^n Pauli strings stacked as one read-only array: the n-fold
+    Kronecker power of PAULIS, labelled {0: I, 1: x, 2: y, 3: z}.
 
     Row order is np.ndindex order over (4,)*n, i.e. the raveled order of a
-    coefficient table of shape (4,)*n.
+    coefficient table of shape (4,)*n.  The cache is typed, so that True
+    misses the entry of 1 and is rejected.
     """
-    stack = np.stack([pauli_string(l) for l in product(range(4), repeat=n_qubits)])
+    n = check_int(n_qubits, "n_qubits", 1, 3)
+    stack = reduce(np.kron, [PAULIS] * n)
     stack.setflags(write=False)
     return stack
 

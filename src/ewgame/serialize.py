@@ -165,7 +165,7 @@ def _witness_from_json(data) -> witness.Witness:
             raise ValueError(f"duplicate label tuple {labels}")
         seen.add(labels)
         table[labels] = parse_weight_value(value)
-    return witness.Witness(witness.PauliWeights(n, table))
+    return witness.Witness(witness.PauliWeights(table))
 
 
 def witness_to_dict(w: witness.Witness) -> dict:

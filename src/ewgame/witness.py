@@ -28,17 +28,15 @@ class PPTStateError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PauliWeights:
-    """Real coefficient table over Pauli label tuples, shape (4,)*n; n is
-    stored as a Python int."""
+    """Real coefficient table over Pauli label tuples, shape (4,)*n for
+    n = 1, 2 or 3; n is the table's ndim."""
 
-    n_qubits: int
     table: np.ndarray
 
     def __post_init__(self):
-        n = qcore.check_int(self.n_qubits, "n_qubits", 1, 3)
         t = np.array(self.table, dtype=np.float64)
-        if t.shape != (4,) * n:
-            raise ValueError(f"expected shape {(4,) * n}, got {t.shape}")
+        if not 1 <= t.ndim <= 3 or t.shape != (4,) * t.ndim:
+            raise ValueError(f"weights must have shape (4,)*n for n = 1, 2 or 3, got {t.shape}")
         # one reduction decides both checks: NaN and inf make it non-finite
         top = abs(t).max()
         if not top < np.inf:
@@ -46,11 +44,11 @@ class PauliWeights:
         if top == 0.0:
             raise ValueError("weights must have at least one nonzero entry")
         t.setflags(write=False)
-        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "table", t)
 
-    def __getitem__(self, labels) -> float:
-        return float(self.table[labels])
+    @property
+    def n_qubits(self) -> int:
+        return self.table.ndim
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,8 +71,7 @@ class Witness:
     @classmethod
     def from_operator(cls, op) -> "Witness":
         traces = qcore.pauli_traces(op)
-        n = traces.ndim
-        return cls(PauliWeights(n, traces / (2.0 ** n)))
+        return cls(PauliWeights(traces / (2.0 ** traces.ndim)))
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,7 @@ def werner_witness() -> Witness:
     from the state's diagonal projection to the Tr(rho W) = 0 plane.
     """
     f = 1.0 / np.sqrt(3.0)
-    return Witness(PauliWeights(2, np.diag((f, -f, f, -f))))
+    return Witness(PauliWeights(table=np.diag((f, -f, f, -f))))
 
 
 @lru_cache(maxsize=1)
@@ -113,7 +110,7 @@ def fixed_chsh_witness() -> Witness:
     Bell operator A(x)B + A'(x)B + A(x)B' - A'(x)B' is -sqrt(2) (xx + zz);
     ``game.chsh_value`` reads Bell off this witness as 2 (W - I)."""
     f = 1.0 / np.sqrt(2.0)
-    return Witness(PauliWeights(2, np.diag((1.0, -f, 0.0, -f))))
+    return Witness(PauliWeights(table=np.diag((1.0, -f, 0.0, -f))))
 
 
 @lru_cache(maxsize=1)
@@ -121,7 +118,7 @@ def strengthened_chsh_witness() -> Witness:
     """(1/sqrt(2)) (I - xx - zz): tightens the x/z CHSH bound from 2 to sqrt(2),
     lowering the Werner detection threshold from sqrt(2)/2 to 1/2."""
     f = 1.0 / np.sqrt(2.0)
-    return Witness(PauliWeights(2, np.diag((f, -f, 0.0, -f))))
+    return Witness(PauliWeights(table=np.diag((f, -f, 0.0, -f))))
 
 
 @lru_cache(maxsize=1)

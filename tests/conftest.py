@@ -1,8 +1,21 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
 import ewgame as ew
 from ewgame import game, qcore, tomography, witness
+
+
+# the Pauli matrices I, x, y, z written out, independent of qcore.PAULIS
+PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])],
+                 dtype=complex)
+
+
+def pauli_string(labels):
+    """sigma_l1 (x) ... (x) sigma_ln from the written-out PAULI: an oracle
+    for qcore.pauli_basis built without the package."""
+    return reduce(np.kron, [PAULI[l] for l in labels])
 
 
 @pytest.fixture

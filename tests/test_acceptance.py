@@ -127,7 +127,7 @@ def test_criterion_08_estimator_identity():
     pi = np.full((4, 4), 1 / 16)
     for _ in range(100):
         rho = ew.random_density_matrix(gen, 4)
-        wit = ew.Witness(ew.PauliWeights(2, gen.uniform(-1, 1, size=(4, 4))))
+        wit = ew.Witness(ew.PauliWeights(gen.uniform(-1, 1, size=(4, 4))))
         enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), wit.weights)
         assert abs(enumerated - ew.expected_payoff(rho, wit)) <= 1e-12
     report(8, "enumerated sum Pi*V*payment equals -Tr(rho W) to 1e-12 "

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewgame as ew
-from conftest import decode_rounds
+from conftest import decode_rounds, pauli_string
 from ewgame import game, qcore
 
 RT2 = np.sqrt(2.0)
@@ -25,7 +25,7 @@ def born_rule_table(rho):
     n = rho.n_qubits
     eye = np.eye(2)
     projs = [(eye, np.zeros((2, 2)))] + [
-        ((eye + ew.pauli_string((l,))) / 2, (eye - ew.pauli_string((l,))) / 2)
+        ((eye + pauli_string((l,))) / 2, (eye - pauli_string((l,))) / 2)
         for l in range(1, 4)]
     table = np.empty((4,) * n + (2 ** n,))
     for labels in product(range(4), repeat=n):
@@ -65,7 +65,7 @@ def random_strategy_game(rng, zero_cells):
     pi = rng.dirichlet(np.ones(16))
     pi[rng.choice(16, size=zero_cells, replace=False)] = 0.0
     pi = (pi / pi.sum()).reshape(4, 4)
-    weights = ew.PauliWeights(2, np.where(pi > 0, rng.normal(size=(4, 4)), 0.0))
+    weights = ew.PauliWeights(np.where(pi > 0, rng.normal(size=(4, 4)), 0.0))
     table = rng.dirichlet(np.ones(4), size=16).reshape(4, 4, 4)
     return pi, weights, ew.Strategy(name="random", outcome_table=table)
 
@@ -103,8 +103,8 @@ class TestOutcomeDistribution:
             for t in range(1, 4):
                 v = table[s, t]
                 for k, (a, b) in enumerate([(1, 1), (1, -1), (-1, 1), (-1, -1)]):
-                    pa = (eye + a * ew.pauli_string((s,))) / 2
-                    pb = (eye + b * ew.pauli_string((t,))) / 2
+                    pa = (eye + a * pauli_string((s,))) / 2
+                    pb = (eye + b * pauli_string((t,))) / 2
                     direct = np.trace(rho.matrix @ np.kron(pa, pb)).real
                     assert v[k] == pytest.approx(direct, abs=1e-12)
 
@@ -145,7 +145,7 @@ def test_payoff_table_matches_the_cell_formula_bit_for_bit(seed, n, dead):
     for cell, k in product(range(4 ** n), range(2 ** n)):
         if pi[cell] > 0.0:
             expect[cell, k] = -w[cell] * paid_parity(cell, k, n) / pi[cell]
-    table = game.payoff_table(pi.reshape((4,) * n), ew.PauliWeights(n, w.reshape((4,) * n)))
+    table = game.payoff_table(pi.reshape((4,) * n), ew.PauliWeights(w.reshape((4,) * n)))
     assert table.tobytes() == expect.tobytes()
 
 
@@ -158,7 +158,7 @@ class TestLabelZero:
     def test_exact_payoff_ignores_the_answers_to_label_0(self, seed, n):
         gen = np.random.default_rng(seed)
         pi = gen.dirichlet(np.ones(4 ** n)).reshape((4,) * n)
-        w = ew.PauliWeights(n, gen.normal(size=(4,) * n))
+        w = ew.PauliWeights(gen.normal(size=(4,) * n))
         table = gen.dirichlet(np.ones(2 ** n), size=4 ** n)
         # flip the answers of a random subset of each cell's label-0 parties:
         # party j's answer is bit n-1-j of the outcome index
@@ -379,7 +379,7 @@ class TestHonestStrategy:
         for n in (2, 3):
             rho = ew.random_density_matrix(rng, 2 ** n)
             pi = rng.dirichlet(np.ones(4 ** n)).reshape((4,) * n)
-            w = ew.PauliWeights(n, rng.normal(size=(4,) * n))
+            w = ew.PauliWeights(rng.normal(size=(4,) * n))
             rows = ew.honest_strategy(rho).outcome_table.reshape(4 ** n, -1)
             expect = np.einsum("c,ck,ck->", pi.ravel(), rows, game.payoff_table(pi, w))
             assert ew.exact_average_payoff(pi, game.outcome_table(rho), w) == float(expect)
@@ -473,7 +473,7 @@ class TestRunGame:
         for _ in range(100):
             rho = ew.random_density_matrix(rng, 4)
             table = rng.uniform(-1, 1, size=(4, 4))
-            wit = ew.Witness(ew.PauliWeights(2, table))
+            wit = ew.Witness(ew.PauliWeights(table))
             enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), wit.weights)
             assert enumerated == pytest.approx(ew.expected_payoff(rho, wit), abs=1e-12)
 
@@ -487,7 +487,7 @@ class TestRunGame:
         pi[gen.choice(4 ** n, size=dead, replace=False)] = 0.0
         pi = (pi / pi.sum()).reshape((4,) * n)
         table = np.where(pi > 0, gen.uniform(-1, 1, size=pi.shape), 0.0)
-        wit = ew.Witness(ew.PauliWeights(n, table))
+        wit = ew.Witness(ew.PauliWeights(table))
         rho = ew.random_density_matrix(gen, 2 ** n)
         enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), wit.weights)
         assert enumerated == pytest.approx(ew.expected_payoff(rho, wit), abs=1e-12)
@@ -603,8 +603,8 @@ def parity_pair_game(gen, n, dead):
     p_even = gen.uniform(0.05, 0.95, size=cells)
     table[np.arange(cells), gen.choice(even, size=cells)] = p_even
     table[np.arange(cells), gen.choice(odd, size=cells)] = 1.0 - p_even
-    weights = ew.PauliWeights(n, np.where(pi > 0, gen.normal(size=cells), 0.0)
-                              .reshape((4,) * n))
+    weights = ew.PauliWeights(np.where(pi > 0, gen.normal(size=cells), 0.0)
+                           .reshape((4,) * n))
     return (pi.reshape((4,) * n), weights,
             ew.Strategy(name="pairs", outcome_table=table.reshape((4,) * n + (2 ** n,))))
 
@@ -669,7 +669,7 @@ class TestStreamedCounts:
         cfg = ew.GameConfig(pi.reshape(4, 4), 1_000_000, seed=3)
         assert cfg.pi.sum() > 1.0
         tr = ew.run_game(cfg, ew.Strategy(name="edge", outcome_table=table),
-                         ew.PauliWeights(2, w), keep_records=False)
+                         ew.PauliWeights(w), keep_records=False)
         assert tr.counts.sum() == 1_000_000 and tr.counts[-1] == 0
 
 
@@ -802,7 +802,7 @@ class TestEmpiricalPayoff:
         for weight, rounds in ((0.7, 500), (0.1, 1_000_000), (1 / 3, 1_000_000)):
             table = np.zeros((4, 4))
             table[0, 0] = weight
-            w = ew.PauliWeights(2, table)
+            w = ew.PauliWeights(table)
             cfg = ew.GameConfig.support_only(w, rounds, seed=0)
             tr = ew.run_game(cfg, ew.honest_strategy(ew.maximally_mixed(2)), w)
             mean, se = ew.empirical_payoff(tr)
@@ -817,7 +817,7 @@ class TestEmpiricalPayoff:
         table = np.zeros((4, 4))
         table[1, 1] = -1 / 16
         tr = ew.Transcript(counts, ew.GameConfig(UNIFORM_PI, n, seed=0),
-                           ew.PauliWeights(2, table))
+                           ew.PauliWeights(table))
         assert tr.payments[5, :2].tolist() == [1.0, -1.0]
         mean, se = ew.empirical_payoff(tr)
         assert mean == pytest.approx(0.0, abs=1e-12)
@@ -837,7 +837,7 @@ class TestEmpiricalPayoff:
     def test_standard_error_matches_the_records(self, seed, n, rounds):
         gen = np.random.default_rng(seed)
         pi = gen.dirichlet(np.ones(4 ** n)).reshape((4,) * n)
-        weights = ew.PauliWeights(n, gen.normal(size=(4,) * n))
+        weights = ew.PauliWeights(gen.normal(size=(4,) * n))
         table = gen.dirichlet(np.ones(2 ** n), size=4 ** n).reshape((4,) * n + (2 ** n,))
         tr = ew.run_game(ew.GameConfig(pi, rounds, seed), ew.Strategy("random", table),
                          weights, keep_records=True)

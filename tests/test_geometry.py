@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import ewgame as ew
+from conftest import pauli_string
 from ewgame import geometry, qcore
 
 RT2 = np.sqrt(2.0)
@@ -51,8 +52,8 @@ class TestRangeModel:
             [(1, 0), (0, 1), (-1, 0), (0, -1)])
 
     def test_separables_fill_the_diamond(self, separable_corpus):
-        sx = ew.pauli_string((1, 1))
-        sz = ew.pauli_string((3, 3))
+        sx = pauli_string((1, 1))
+        sz = pauli_string((3, 3))
         xs = np.einsum("nij,ji->n", separable_corpus, sx).real
         zs = np.einsum("nij,ji->n", separable_corpus, sz).real
         assert np.max(np.abs(xs) + np.abs(zs)) <= 1.0 + 1e-9
@@ -91,7 +92,7 @@ class TestWernerLineIntersection:
     def test_constant_payoff_raises(self):
         table = np.zeros((4, 4))
         table[0, 0] = 1.0
-        flat = ew.Witness(ew.PauliWeights(2, table))
+        flat = ew.Witness(ew.PauliWeights(table))
         with pytest.raises(ValueError, match="constant"):
             ew.werner_line_intersection(flat)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ewgame as ew
-from conftest import decode_rounds
+from conftest import decode_rounds, pauli_string
 from ewgame import game, qcore
 
 
@@ -14,13 +14,13 @@ class TestGhzState:
     def test_zz_identity_correlation(self):
         # direct trace oracle
         rho = ew.ghz_state()
-        op = ew.pauli_string((3, 3, 0))
+        op = pauli_string((3, 3, 0))
         assert np.trace(rho.matrix @ op).real == pytest.approx(1.0, abs=1e-12)
         assert qcore.pauli_traces(rho.matrix)[3, 3, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_xxx_correlation(self):
         rho = ew.ghz_state()
-        op = ew.pauli_string((1, 1, 1))
+        op = pauli_string((1, 1, 1))
         assert np.trace(rho.matrix @ op).real == pytest.approx(1.0, abs=1e-12)
         assert qcore.pauli_traces(rho.matrix)[1, 1, 1] == pytest.approx(1.0, abs=1e-12)
 
@@ -40,7 +40,7 @@ class TestGhzWitness:
         rebuilt = np.zeros((8, 8), dtype=complex)
         for ix in np.argwhere(wit.weights.table != 0.0):
             labels = tuple(int(l) for l in ix)
-            rebuilt += wit.weights.table[labels] * ew.pauli_string(labels)
+            rebuilt += wit.weights.table[labels] * pauli_string(labels)
         assert np.max(np.abs(rebuilt - wit.operator)) < 1e-12
 
     def test_separable_floor(self):
@@ -91,7 +91,7 @@ class TestRunGame3:
         for _ in range(20):
             rho = ew.random_density_matrix(rng, 8)
             table = rng.uniform(-1, 1, size=(4, 4, 4))
-            w = ew.PauliWeights(3, table)
+            w = ew.PauliWeights(table)
             enumerated = ew.exact_average_payoff(pi, game.outcome_table(rho), w)
             assert enumerated == pytest.approx(
                 ew.expected_payoff(rho, ew.Witness(w)), abs=1e-12)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewgame as ew
+from conftest import pauli_string
 from ewgame import qcore
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -12,31 +13,42 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class TestPauliString:
+    """The rows of qcore.pauli_basis against the oracle of conftest, which
+    Kronecker-multiplies Pauli matrices written out there."""
+
     def test_single_x(self):
-        assert np.array_equal(ew.pauli_string((1,)), SX)
+        assert np.array_equal(qcore.pauli_basis(1)[1], SX)
 
     def test_identity_pair(self):
-        assert np.array_equal(ew.pauli_string((0, 0)), np.eye(4))
+        assert np.array_equal(qcore.pauli_basis(2)[0], np.eye(4))
 
     def test_zz_diagonal(self):
         # direct tensor-product evaluation
-        assert np.array_equal(ew.pauli_string((3, 3)), np.diag([1, -1, -1, 1]).astype(complex))
-        assert np.array_equal(ew.pauli_string((3, 3)), np.kron(SZ, SZ))
+        zz = qcore.pauli_basis(2)[15]
+        assert np.array_equal(zz, np.diag([1, -1, -1, 1]).astype(complex))
+        assert np.array_equal(zz, np.kron(SZ, SZ))
 
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            ew.pauli_string((4,))
-        with pytest.raises(ValueError):
-            ew.pauli_string(())
-        with pytest.raises(ValueError):
-            ew.pauli_string((0, 0, 0, 0))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_basis_is_the_oracle_stack_in_ndindex_order(self, n):
+        basis = qcore.pauli_basis(n)
+        oracle = np.stack([pauli_string(labels) for labels in np.ndindex((4,) * n)])
+        assert basis.dtype == np.complex128 and basis.shape == oracle.shape
+        assert basis.tobytes() == oracle.tobytes()
+        assert not basis.flags.writeable
 
-    @pytest.mark.parametrize("label", [1.5, True, "1", -1])
-    def test_label_must_be_an_integer(self, label):
-        # a label is never truncated: (1.5, 3) is not sigma_x (x) sigma_z
+    @pytest.mark.parametrize("n", [0, 4, True], ids=["zero", "four", "bool"])
+    def test_basis_rejects_a_bad_qubit_count(self, n):
+        # True is not 1: the cache is typed, so a cached basis of 1 does not answer it
+        qcore.pauli_basis(1)
         with pytest.raises(ValueError) as err:
-            ew.pauli_string((label, 3))
-        assert str(err.value) == f"label must be an integer from 0 to 3, got {label!r}"
+            qcore.pauli_basis(n)
+        assert str(err.value) == f"n_qubits must be an integer from 1 to 3, got {n!r}"
+
+    @pytest.mark.parametrize("n", [0, 4], ids=["0-d", "(4,)*4"])
+    def test_coefficients_reject_a_bad_qubit_count(self, n):
+        with pytest.raises(ValueError) as err:
+            ew.from_pauli_coefficients(np.ones((4,) * n))
+        assert str(err.value) == f"n_qubits must be an integer from 1 to 3, got {n}"
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_orthogonality_exhaustive(self, n):
@@ -48,10 +60,8 @@ class TestPauliString:
                 assert abs(np.trace(a @ b) - expect) < 1e-12
 
     @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_hermitian_and_involutive(self, n, rng):
-        for _ in range(10):
-            labels = tuple(rng.integers(0, 4, size=n))
-            m = ew.pauli_string(labels)
+    def test_hermitian_and_involutive(self, n):
+        for m in qcore.pauli_basis(n):
             assert np.max(np.abs(m - m.conj().T)) == 0.0
             assert np.max(np.abs(m @ m - np.eye(2 ** n))) < 1e-15
 
@@ -265,7 +275,7 @@ class TestPauliCoefficients:
         rho = ew.bell_psi_plus()
         r = qcore.pauli_traces(rho.matrix)
         for labels in np.ndindex(4, 4):
-            direct = np.trace(rho.matrix @ ew.pauli_string(labels)).real
+            direct = np.trace(rho.matrix @ pauli_string(labels)).real
             assert r[labels] == pytest.approx(direct, abs=1e-14)
         assert r[1, 1] == pytest.approx(1.0, abs=1e-14)
         assert r[2, 2] == pytest.approx(-1.0, abs=1e-14)

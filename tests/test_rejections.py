@@ -49,9 +49,9 @@ VALIDATORS = {
     "GameConfig": lambda p: ew.GameConfig(p, 10, 0),
     "GameConfig, zero rounds": lambda p: ew.GameConfig(p, 0, 0),
     "count_table": game.count_table,
-    "PauliWeights": lambda t: ew.PauliWeights(2, t),
-    # a table of the shape the qubit count asks for, so that only the count is wrong
-    "PauliWeights, qubit count": lambda n: ew.PauliWeights(n, np.ones((4,) * int(n))),
+    "PauliWeights": ew.PauliWeights,
+    # a table of n axes of length 4, so that only the qubit count it implies is wrong
+    "PauliWeights, qubit count": lambda n: ew.PauliWeights(np.ones((4,) * n)),
     "Witness": ew.Witness.from_operator,
 }
 
@@ -146,15 +146,12 @@ CASES = [
     ("PauliWeights", "nan, otherwise zero", put(np.zeros((4, 4)), ((1, 1), NAN)),
      "weights must be finite"),
     ("PauliWeights", "negative entry", -WEIGHTS.table, None),
-    ("PauliWeights", "empty", np.zeros(0), "expected shape (4, 4), got (0,)"),
-    ("PauliWeights, qubit count", "zero", 0, "n_qubits must be an integer from 1 to 3, got 0"),
-    ("PauliWeights, qubit count", "negative", -1,
-     "n_qubits must be an integer from 1 to 3, got -1"),
-    ("PauliWeights, qubit count", "four", 4, "n_qubits must be an integer from 1 to 3, got 4"),
-    ("PauliWeights, qubit count", "bool", True,
-     "n_qubits must be an integer from 1 to 3, got True"),
-    ("PauliWeights, qubit count", "float", 2.0,
-     "n_qubits must be an integer from 1 to 3, got 2.0"),
+    ("PauliWeights", "empty", np.zeros(0),
+     "weights must have shape (4,)*n for n = 1, 2 or 3, got (0,)"),
+    ("PauliWeights, qubit count", "zero", 0,
+     "weights must have shape (4,)*n for n = 1, 2 or 3, got ()"),
+    ("PauliWeights, qubit count", "four", 4,
+     "weights must have shape (4,)*n for n = 1, 2 or 3, got (4, 4, 4, 4)"),
     ("Witness", "nan", np.full((4, 4), NAN), "matrix contains non-finite entries"),
     ("Witness", "+inf", put(OPERATOR, ((1, 1), INF)), "matrix contains non-finite entries"),
     ("Witness", "-inf", put(OPERATOR, ((1, 1), -INF)), "matrix contains non-finite entries"),

@@ -63,7 +63,7 @@ class TestRoundTrips:
         weight = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
         table = np.array(data.draw(st.lists(weight, min_size=4 ** n, max_size=4 ** n)))
         table[0] = data.draw(st.floats(0.5, 2.0))  # at least one nonzero weight
-        wit = ew.Witness(ew.PauliWeights(n, table.reshape((4,) * n)))
+        wit = ew.Witness(ew.PauliWeights(table.reshape((4,) * n)))
         path = tmp_path / "wit.json"
         path.write_text(json.dumps(serialize.witness_to_dict(wit)))
         back = serialize.parse_witness_spec(str(path))
@@ -75,7 +75,7 @@ class TestRoundTrips:
     def test_negative_zero_weight_is_written(self):
         table = np.zeros((4, 4))
         table[0, 0], table[1, 1] = 1.0, -0.0
-        wit = ew.Witness(ew.PauliWeights(2, table))
+        wit = ew.Witness(ew.PauliWeights(table))
         rows = json.dumps(serialize.witness_to_dict(wit)["weights"])
         assert rows == "[[0, 0, 1.0], [1, 1, -0.0]]"
 
@@ -103,8 +103,8 @@ class TestWitnessSpecs:
         path = tmp_path / "wit.json"
         path.write_text(json.dumps({"n": 2, "weights": [[0, 0, 1.0], [3, 3, -0.5]]}))
         wit = serialize.parse_witness_spec(str(path))
-        assert wit.weights[0, 0] == 1.0
-        assert wit.weights[3, 3] == -0.5
+        assert wit.weights.table[0, 0] == 1.0
+        assert wit.weights.table[3, 3] == -0.5
 
     def test_witness_dict_round_trip(self, tmp_path):
         wit = ew.ppt_witness(ew.make_werner(0.9))
@@ -222,7 +222,7 @@ class TestIntegerFields:
         path = tmp_path / "wit.json"
         path.write_text(json.dumps({"n": 2.0, "weights": [[1.0, 1, 0.5], [3, 3.0, -0.5]]}))
         wit = serialize.parse_witness_spec(str(path))
-        assert wit.weights[1, 1] == 0.5 and wit.weights[3, 3] == -0.5
+        assert wit.weights.table[1, 1] == 0.5 and wit.weights.table[3, 3] == -0.5
 
 
 class TestTokens:

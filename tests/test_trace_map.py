@@ -4,11 +4,10 @@ expected_payoff, chsh_value and check_witness read the real part of
 Tr(sigma O) for operands that have already passed a Hermiticity check, so
 a state DensityMatrix accepts is never rejected for the imaginary part its
 tolerance allows.  The payoff is checked against -sum_t w[t] Tr(rho sigma_t)
-built from Pauli matrices written out here, not from qcore's basis.
+built from the Pauli matrices written out in conftest, not from qcore's basis.
 """
 
 import json
-from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -17,18 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ewgame as ew
+from conftest import pauli_string
 from ewgame import cli, qcore, serialize
-
-PAULI = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-         np.diag([1, -1])]
 
 
 def oracle_payoff(rho, weights):
     """-sum_t w[t] Tr(rho sigma_t), one Pauli string at a time."""
     total = 0.0
     for labels in product(range(4), repeat=weights.ndim):
-        sigma = reduce(np.kron, [PAULI[l] for l in labels])
-        total += weights[labels] * np.trace(rho @ sigma).real
+        total += weights[labels] * np.trace(rho @ pauli_string(labels)).real
     return -total
 
 
@@ -90,7 +86,7 @@ def noisy_states(draw):
 def test_payoff_is_minus_the_weighted_pauli_traces(case):
     m, table = case
     rho = ew.DensityMatrix(m)
-    wit = ew.Witness(ew.PauliWeights(table.ndim, table))
+    wit = ew.Witness(ew.PauliWeights(table))
     assert ew.expected_payoff(rho, wit) == pytest.approx(oracle_payoff(m, table), abs=1e-12)
 
 

@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ewgame as ew
 from ewgame import qcore, serialize, witness
 from ewgame.witness import SAMPLE_CHUNK, SEPARABLE_FLOOR
 
-from conftest import builtin_witnesses
+from conftest import builtin_witnesses, pauli_string
 
 RT2 = np.sqrt(2.0)
 RT3 = np.sqrt(3.0)
@@ -54,7 +57,7 @@ def rebuild_from_weights(wit):
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for ix in np.argwhere(wit.weights.table != 0.0):
         labels = tuple(int(l) for l in ix)
-        out += wit.weights.table[labels] * ew.pauli_string(labels)
+        out += wit.weights.table[labels] * pauli_string(labels)
     return out
 
 
@@ -67,14 +70,14 @@ class TestBuiltinWitnesses:
         assert np.max(np.abs(w.table - expect)) < 1e-15
 
     def test_fixed_chsh_weights(self):
-        w = ew.fixed_chsh_witness().weights
+        w = ew.fixed_chsh_witness().weights.table
         assert w[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert w[1, 1] == pytest.approx(-1 / RT2, abs=1e-15)
         assert w[3, 3] == pytest.approx(-1 / RT2, abs=1e-15)
-        assert np.count_nonzero(w.table) == 3
+        assert np.count_nonzero(w) == 3
 
     def test_strengthened_weights(self):
-        w = ew.strengthened_chsh_witness().weights
+        w = ew.strengthened_chsh_witness().weights.table
         f = 1.0 / RT2
         assert w[0, 0] == pytest.approx(f, abs=1e-15)
         assert w[1, 1] == pytest.approx(-f, abs=1e-15)
@@ -91,7 +94,7 @@ class TestBuiltinWitnesses:
         for l, value in enumerate(diagonal):
             if value is not None:
                 table[l, l] = value
-        wit, expect = make(), ew.Witness(ew.PauliWeights(2, table))
+        wit, expect = make(), ew.Witness(ew.PauliWeights(table))
         assert wit.weights.table.tobytes() == expect.weights.table.tobytes()
         assert wit.operator.tobytes() == expect.operator.tobytes()
 
@@ -196,7 +199,7 @@ class TestPayoffCurves:
         # traceless Pauli terms vanish on I/4
         for _ in range(20):
             table = rng.uniform(-1, 1, size=(4, 4))
-            wit = ew.Witness(ew.PauliWeights(2, table))
+            wit = ew.Witness(ew.PauliWeights(table))
             p = ew.expected_payoff(ew.maximally_mixed(2), wit)
             assert p == pytest.approx(-table[0, 0], abs=1e-12)
 
@@ -261,12 +264,23 @@ class TestPptWitness:
 
 
 class TestPauliWeights:
-    def test_numpy_qubit_count_is_stored_as_an_int(self):
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([1, 2, 3]))
+    def test_qubit_count_is_the_table_ndim(self, data, n):
+        t = data.draw(arrays(np.float64, (4,) * n,
+                             elements=st.floats(allow_nan=False, allow_infinity=False))
+                      .filter(lambda a: (a != 0.0).any()))
+        weights = ew.PauliWeights(t)
         # witness_to_dict writes n_qubits, and json writes no numpy integer
-        weights = ew.PauliWeights(np.int64(2), ew.werner_witness().weights.table)
-        assert type(weights.n_qubits) is int and weights.n_qubits == 2
-        payload = json.loads(json.dumps(serialize.witness_to_dict(ew.Witness(weights))))
-        assert payload["n"] == 2
+        assert type(weights.n_qubits) is int and weights.n_qubits == n
+        assert weights.table.dtype == np.float64
+        assert weights.table.tobytes() == t.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 3), (4, 4, 3), (4,) * 4])
+    def test_table_shape_is_checked_by_one_rule(self, shape):
+        with pytest.raises(ValueError) as err:
+            ew.PauliWeights(np.ones(shape))
+        assert str(err.value) == f"weights must have shape (4,)*n for n = 1, 2 or 3, got {shape}"
 
 
 class TestRandomSeparable:
@@ -416,11 +430,11 @@ class TestCheckWitness:
 class TestWitnessTypes:
     def test_weights_validation(self):
         with pytest.raises(ValueError):
-            ew.PauliWeights(2, np.zeros((4, 4)))
+            ew.PauliWeights(np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            ew.PauliWeights(2, np.full((4, 4), np.inf))
+            ew.PauliWeights(np.full((4, 4), np.inf))
         with pytest.raises(ValueError):
-            ew.PauliWeights(2, np.zeros((4, 3)))
+            ew.PauliWeights(np.zeros((4, 3)))
 
     def test_inconsistent_operator_rejected(self):
         # the operator is built from the weights; no other can be given
@@ -433,6 +447,6 @@ class TestWitnessTypes:
 
     def test_from_operator_roundtrip(self, rng):
         table = rng.uniform(-1, 1, size=(4, 4))
-        op = ew.Witness(ew.PauliWeights(2, table)).operator
+        op = ew.Witness(ew.PauliWeights(table)).operator
         back = ew.Witness.from_operator(op)
         assert np.max(np.abs(back.weights.table - table)) < 1e-12
