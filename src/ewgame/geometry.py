@@ -56,6 +56,8 @@ def subspace_hyperplane(witness: Witness, axes) -> tuple[np.ndarray, float]:
     """
     axes = tuple(tuple(qcore.check_int(l, "label", 0, 3) for l in ax) for ax in axes)
     n = witness.n_qubits
+    if any(len(ax) != n for ax in axes):
+        raise ValueError(f"every axis must have {n} labels, got {axes}")
     support = {tuple(ix) for ix in np.argwhere(witness.weights.table != 0.0)}
     allowed = set(axes) | {(0,) * n}
     if not support <= allowed:

@@ -120,6 +120,12 @@ class TestDistanceIdentity:
             geometry.subspace_hyperplane(ew.werner_witness(), ((1.9, 1), (2, 2), (3, 3)))
         assert str(err.value) == "label must be an integer from 0 to 3, got 1.9"
 
+    def test_hyperplane_axes_have_one_label_per_qubit(self):
+        # an axis of one label would index a row of the 4x4 weight table
+        with pytest.raises(ValueError) as err:
+            geometry.subspace_hyperplane(ew.werner_witness(), ((1,), (2,), (3,)))
+        assert str(err.value) == "every axis must have 2 labels, got ((1,), (2,), (3,))"
+
 
 class TestFigureExport:
     def test_fig2_hyperplane_points_on_plane(self):
