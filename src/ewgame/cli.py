@@ -135,7 +135,7 @@ def cmd_tomography(args) -> int:
 def cmd_geometry(args) -> int:
     fig = geometry.export_figure_data(args.figure, resolution=args.resolution)
     if args.format == "structured":
-        _emit_json(fig.to_dict(), args.out)
+        _emit(fig.json_text(), args.out)
     else:
         _emit(fig.csv_lines(), args.out)
     return EXIT_OK

@@ -227,11 +227,9 @@ class Transcript:
                              f"got {counts.shape}")
         if counts[pi.ravel() == 0.0].any():
             raise ValueError("count matrix has rounds in cells pi never draws")
-        # the int64 sum wraps past 2^63 - 1, so a float sum, far from that
-        # bound on either side at float precision, rules the wrap out
-        if (counts.sum() != config.rounds
-                or counts.sum(dtype=np.float64) >= 1.5 * 2.0 ** 63):
-            raise ValueError(f"count matrix holds {sum(counts.ravel().tolist())} rounds "
+        total = sum(counts.ravel().tolist())
+        if total != config.rounds:
+            raise ValueError(f"count matrix holds {total} rounds "
                              f"but the config plays {config.rounds}")
         pays = payoff_table(pi, self.weights)
         pays.setflags(write=False)

@@ -5,6 +5,7 @@ hyperplanes, and plot-ready figure data.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import count, repeat
@@ -106,18 +107,30 @@ class FigureData:
                               for i, z, p in zip(count(index), zcol, block))
                 index += len(block)
 
-    def to_dict(self) -> dict:
-        return {
+    def json_text(self) -> Iterator[str]:
+        """json.dumps of the figure with indent=2, and a newline, as text: the
+        head whole, then the points in blocks of at most CSV_BLOCK_ROWS, each
+        encoded as a list and re-indented one level."""
+        enc = json.JSONEncoder(indent=2)
+        head = enc.encode({
             "figure": self.figure,
             "dimension": self.dimension,
             "edges": [{"series": s, "from": p, "to": q}
                       for s, pairs in self.edges.items() for p, q in pairs.tolist()],
-            "points": [
-                {"series": s, "coords": p, **({} if zs is None else {"werner_z": z})}
-                for s, (coords, zs) in self.points.items()
-                for p, z in zip(coords.tolist(), repeat(None) if zs is None else zs.tolist())
-            ],
-        }
+            "points": [],
+        })
+        yield head[:-len("]\n}")]  # up to the "[" of '"points": []\n}'
+        sep = ""
+        for series, (coords, zs) in self.points.items():
+            for start in range(0, len(coords), CSV_BLOCK_ROWS):
+                block = coords[start:start + CSV_BLOCK_ROWS].tolist()
+                zcol = repeat(None) if zs is None else zs[start:start + len(block)].tolist()
+                items = [{"series": series, "coords": p, **({} if z is None else {"werner_z": z})}
+                         for p, z in zip(block, zcol)]
+                # "[\n  {...},\n  {...}\n]" one level deeper, without its brackets
+                yield sep + enc.encode(items).replace("\n", "\n  ")[1:-len("\n  ]")]
+                sep = ","
+        yield "\n  ]\n}\n" if sep else "]\n}\n"
 
 
 def _polytope_edges(vertices: np.ndarray) -> np.ndarray:

@@ -59,11 +59,17 @@ def pauli_basis(n_qubits: int) -> np.ndarray:
 
 
 def _as_operator(matrix, name: str = "operator", stack: bool = False) -> np.ndarray:
-    """The one door for an operator argument: the stored matrix of a
-    DensityMatrix, which passed these checks and the Hermiticity rule when
-    it was built, or else matrix as a finite complex square matrix of
-    dimension 2, 4 or 8 (with stack=True a nonempty (..., d, d) stack of
-    them)."""
+    """The one door for an operator argument, and the package's one
+    Hermiticity rule.  A DensityMatrix yields its stored matrix, which came
+    through this door when it was built.  Anything else must be a finite
+    complex square matrix of dimension 2, 4 or 8 (with stack=True a nonempty
+    (..., d, d) stack of them) with every entry of m - m^dag within
+    HERMITICITY_TOL; the door returns its Hermitian part (m + m^dag)/2 as a
+    fresh C-ordered array, which is Hermitian bit for bit.
+
+    C order keeps m - adj and the in-place updates on matching layouts; on
+    the transposed view of m.conj() each of them would be a strided pass.
+    """
     if isinstance(matrix, DensityMatrix):
         return matrix.matrix
     m = np.asarray(matrix, dtype=np.complex128)
@@ -75,17 +81,6 @@ def _as_operator(matrix, name: str = "operator", stack: bool = False) -> np.ndar
         raise ValueError(f"{name} stack is empty")
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def _hermitian_part(m: np.ndarray, name: str = "operator") -> np.ndarray:
-    """The package's one Hermiticity rule: raise unless every entry of
-    m - m^dag is within HERMITICITY_TOL; return the Hermitian part
-    (m + m^dag)/2 as a fresh C-ordered array, which is Hermitian bit for bit.
-
-    C order keeps m - adj and the in-place updates on matching layouts; on
-    the transposed view of m.conj() each of them would be a strided pass.
-    """
     adj = np.conjugate(m.swapaxes(-1, -2), order="C")
     dev = abs(m - adj).max()
     if not dev <= HERMITICITY_TOL:
@@ -97,25 +92,23 @@ def _hermitian_part(m: np.ndarray, name: str = "operator") -> np.ndarray:
 
 def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
     """Check a (..., d, d) stack of density matrices (one d x d matrix when
-    stack=False) and return it as complex128: finite, Hermitian, unit trace,
-    and no eigenvalue below -PSD_TOL.  The first failing check raises
+    stack=False) and return the Hermitian part h = (m + m^dag)/2 that
+    _as_operator returns: m finite and Hermitian by its rule, h of unit
+    trace with no eigenvalue below -PSD_TOL.  The first failing check raises
     ValueError; for a stack it reports the worst offending matrix.
 
-    The Hermiticity check returns the Hermitian part h = (m + m^dag)/2.
     Positivity is one batched Cholesky factorisation of a copy of h with
     PSD_TOL added to its diagonal.
     """
-    m = _as_operator(matrices, "density matrix", stack)
-    h = _hermitian_part(m, "density matrix")
-    tr = m.trace(axis1=-2, axis2=-1)
+    h = _as_operator(matrices, "density matrix", stack)
+    tr = h.trace(axis1=-2, axis2=-1)
     off = abs(tr - 1.0)
     if not off.max() <= TRACE_TOL:
         raise ValueError(f"density matrix trace is {tr.flat[np.argmax(off)]:.12g}, expected 1")
     # h + PSD_TOL*I has a Cholesky factor exactly when no eigenvalue of h is
     # below -PSD_TOL, up to rounding of about d*eps; the eigenvalues are
-    # computed only to decide and word a rejection.  Cholesky reads only the
-    # lower triangle, hence the Hermitian part.
-    d = m.shape[-1]
+    # computed only to decide and word a rejection.
+    d = h.shape[-1]
     shifted = h.copy()
     # every (d + 1)-th entry of a C-ordered d x d matrix is on its diagonal
     shifted.reshape(-1, d * d)[:, ::d + 1] += PSD_TOL
@@ -125,21 +118,23 @@ def validate_density_matrices(matrices, stack: bool = True) -> np.ndarray:
         low = np.linalg.eigvalsh(h)[..., 0].min()
         if low < -PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {low:.3e}") from None
-    return m
+    return h
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A validated quantum state: Hermitian, unit trace, positive semidefinite.
 
-    Eigenvalues down to -1e-10 are tolerated as arithmetic noise; anything
-    more negative is rejected.
+    matrix is the Hermitian part that validate_density_matrices returns,
+    stored read-only, so it is Hermitian bit for bit.  Eigenvalues down to
+    -1e-10 are tolerated as arithmetic noise; anything more negative is
+    rejected.
     """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = validate_density_matrices(self.matrix, stack=False).copy()
+        m = validate_density_matrices(self.matrix, stack=False)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -154,19 +149,11 @@ class DensityMatrix:
 
 def pauli_traces(matrix) -> np.ndarray:
     """Real trace table Tr(M * sigma_t) for every Pauli string, shape (4,)*n
-    for a 2^n x 2^n matrix or DensityMatrix.
-
-    A matrix must pass _hermitian_part's rule, which a DensityMatrix passed
-    when it was built; the imaginary part of each trace is then at most
-    2^(n-1) * HERMITICITY_TOL, and it is discarded.
-    """
+    for a 2^n x 2^n matrix or DensityMatrix, taken from the Hermitian part
+    that _as_operator returns."""
     m = _as_operator(matrix, "matrix")
-    if not isinstance(matrix, DensityMatrix):
-        _hermitian_part(m, "matrix")
     n_qubits = m.shape[0].bit_length() - 1
-    # row k of the basis, raveled, dotted with M^T raveled is Tr(sigma_k M)
-    traces = pauli_basis(n_qubits).reshape(4 ** n_qubits, -1) @ m.T.ravel()
-    return traces.real.reshape((4,) * n_qubits)
+    return expectations(pauli_basis(n_qubits), m).reshape((4,) * n_qubits)
 
 
 def pauli_sum(table: np.ndarray) -> np.ndarray:
@@ -186,11 +173,11 @@ def from_pauli_coefficients(table) -> np.ndarray:
 
 
 def expectations(states: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Tr(sigma op) for one validated d x d state or a (..., d, d) stack of
-    them and a Hermitian d x d op, as a float array of the stack's shape.
-
-    Both operands have passed a Hermiticity check, so the imaginary part is
-    bounded by its tolerance; it is discarded.
+    """Tr(sigma op) for one d x d sigma or a (..., d, d) stack of them and a
+    d x d op, as a float array of the stack's shape.  Nothing is checked:
+    the callers pass Hermitian operands (_as_operator's results, stored
+    states and witnesses, Pauli strings), so the discarded imaginary part
+    is rounding.
     """
     d = op.shape[-1]
     if states.shape[-1] != d:
@@ -200,7 +187,8 @@ def expectations(states: np.ndarray, op: np.ndarray) -> np.ndarray:
 
 
 def partial_transpose(state) -> np.ndarray:
-    """Partial transpose of a two-qubit operator over the second qubit (B)."""
+    """Partial transpose over the second qubit (B) of the Hermitian part of a
+    two-qubit operator."""
     m = _as_operator(state)
     if m.shape != (4, 4):
         raise ValueError(f"partial transpose is defined for 4x4 operators, got {m.shape}")
@@ -208,15 +196,15 @@ def partial_transpose(state) -> np.ndarray:
 
 
 def hermitian_eigensystem(op) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a
-    Hermitian operator (LAPACK via np.linalg.eigh)."""
-    return np.linalg.eigh(_hermitian_part(_as_operator(op)))
+    """Eigenvalues (ascending) and orthonormal eigenvector columns of the
+    Hermitian part of an operator (LAPACK via np.linalg.eigh)."""
+    return np.linalg.eigh(_as_operator(op))
 
 
 def trace_distance(a, b) -> float:
     """Half the sum of absolute eigenvalues of (a - b), from the Hermitian
     parts of the two operands, each checked on its own."""
-    ha, hb = (_hermitian_part(_as_operator(x)) for x in (a, b))
+    ha, hb = _as_operator(a), _as_operator(b)
     if ha.shape != hb.shape:
         raise ValueError(f"dimension mismatch: {ha.shape} vs {hb.shape}")
     # a difference of Hermitian parts is Hermitian bit for bit: nothing to check

@@ -555,6 +555,24 @@ class TestGeometry:
         with open(target) as fh:
             assert sum(1 for _ in fh) == 1 + 18 + 501 * 502 // 2 + 500 + 1
 
+    def test_structured_at_the_bound_streams(self, tmp_path):
+        # the 15 MB of JSON text is written a block of points at a time,
+        # never held whole and never built as one dict per point
+        target = tmp_path / "fig2.json"
+        tracemalloc.start()
+        try:
+            code = cli.main(["geometry", "fig2", "--resolution", "500",
+                             "--format", "structured", "--out", str(target)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+        with open(target) as fh:
+            payload = json.load(fh)
+        assert len(payload["edges"]) == 18
+        assert len(payload["points"]) == 501 * 502 // 2 + 500 + 1
+
 
 class TestChsh:
     def test_violating_werner(self, capsys):

@@ -182,11 +182,14 @@ class TestFigureExport:
 
     def test_structured_export(self):
         fig = ew.export_figure_data("fig3", resolution=4)
-        payload = fig.to_dict()
+        payload = json.loads("".join(fig.json_text()))
         assert payload["figure"] == "fig3"
         assert payload["dimension"] == 2
         series = {p["series"] for p in payload["points"]}
         assert {"chsh_line", "strengthened_line", "werner_line"} <= series
+        empty = geometry.FigureData("empty", 2)
+        assert "".join(empty.json_text()) == json.dumps(
+            {"figure": "empty", "dimension": 2, "edges": [], "points": []}, indent=2) + "\n"
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -209,8 +212,8 @@ class TestFigureExport:
         fig = ew.export_figure_data(which, resolution)
         edges, points = reference_figure(which, resolution)
         assert "".join(fig.csv_lines()) == reference_csv(edges, points)
-        assert json.dumps(fig.to_dict()) == json.dumps(
-            reference_dict(which, dimension, edges, points))
+        assert "".join(fig.json_text()) == json.dumps(
+            reference_dict(which, dimension, edges, points), indent=2) + "\n"
 
 
 def reference_figure(which, r):

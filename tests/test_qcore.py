@@ -199,7 +199,7 @@ class TestDensityMatrixValidation:
         m = np.stack(matrices) if stack else matrices[0]
         h = (m + m.conj().swapaxes(-1, -2)) / 2
         if np.min(np.linalg.eigvalsh(h)[..., 0]) >= -qcore.PSD_TOL:
-            assert qcore.validate_density_matrices(m, stack).tobytes() == m.tobytes()
+            assert qcore.validate_density_matrices(m, stack).tobytes() == h.tobytes()
         else:
             with pytest.raises(ValueError, match="negative eigenvalue"):
                 qcore.validate_density_matrices(m, stack)
@@ -248,6 +248,10 @@ HERMITIAN_PART_USERS = {
     "validate one": lambda m: qcore.validate_density_matrices(m[0], stack=False),
     "validate stack": qcore.validate_density_matrices,
     "hermitian_eigensystem": lambda m: ew.hermitian_eigensystem(m[0]),
+    "pauli_traces": lambda m: qcore.pauli_traces(m[0]),
+    "partial_transpose": lambda m: ew.partial_transpose(m[0]),
+    "trace_distance": lambda m: ew.trace_distance(m[0], m[1]),
+    "DensityMatrix": lambda m: ew.DensityMatrix(m[0]),
 }
 
 
@@ -496,14 +500,17 @@ def density_matrix_calls(other):
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 3]),
        k=st.sampled_from([0.0, 0.5, 0.99]))
 def test_a_density_matrix_is_taken_as_its_matrix(seed, n, k):
-    # the stored matrix is Hermitian only within the tolerance, so a call
-    # that used a DensityMatrix otherwise than its matrix would show
+    # a call that used a DensityMatrix otherwise than as its stored matrix
+    # would show; the raw input gives the same bytes, since the state stores
+    # the Hermitian part that every call takes from it
     gen = np.random.default_rng(seed)
-    rho, other = (ew.DensityMatrix(off_hermitian(
-        gen, ew.random_density_matrix(gen, 2 ** n).matrix, k, diagonal=False))
-        for _ in range(2))
+    m, m_other = (off_hermitian(gen, ew.random_density_matrix(gen, 2 ** n).matrix, k,
+                                diagonal=False) for _ in range(2))
+    rho, other = ew.DensityMatrix(m), ew.DensityMatrix(m_other)
     for name, call in density_matrix_calls(other).items():
-        assert as_bytes(call(rho)) == as_bytes(call(rho.matrix)), name
+        expected = as_bytes(call(rho))
+        assert as_bytes(call(rho.matrix)) == expected, name
+        assert as_bytes(call(m)) == expected, name
 
 
 @settings(max_examples=60, deadline=None)

@@ -40,7 +40,8 @@ class TestEdgeState:
     def test_density_matrix_accepts_it(self):
         m = edge_state()
         assert abs(m - m.conj().T).max() == qcore.HERMITICITY_TOL
-        assert np.array_equal(ew.DensityMatrix(m).matrix, m)
+        # the Hermitian part of the two imaginary entries is zero
+        assert np.array_equal(ew.DensityMatrix(m).matrix, np.eye(4) / 4)
 
     def test_payoff_and_chsh_have_values(self):
         rho = ew.DensityMatrix(edge_state())
@@ -117,3 +118,26 @@ def test_dimension_mismatch_is_named():
 def test_partial_transpose_rejects_non_finite(value):
     with pytest.raises(ValueError, match="^operator contains non-finite entries$"):
         ew.partial_transpose(np.full((4, 4), value))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=noisy_states())
+def test_a_state_is_stored_as_its_hermitian_part(case):
+    m, _ = case
+    h = (m + m.conj().T) / 2
+    for out in (qcore.validate_density_matrices(m, stack=False), ew.DensityMatrix(m).matrix):
+        assert out.tobytes() == h.tobytes()
+        assert np.array_equal(out, out.conj().T)
+
+
+def test_partial_transpose_follows_the_hermiticity_rule():
+    m = np.eye(4, dtype=complex) / 4
+    m[0, 1] += 0.5e-10
+    h = (m + m.conj().T) / 2
+    pt = ew.partial_transpose(m)
+    assert pt.tobytes() == ew.partial_transpose(ew.DensityMatrix(m)).tobytes()
+    assert np.array_equal(pt, h.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4))
+    m[0, 1] = 1e-9
+    with pytest.raises(ValueError) as err:
+        ew.partial_transpose(m)
+    assert str(err.value) == "operator is not Hermitian (max deviation 1.000e-09)"
