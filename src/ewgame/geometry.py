@@ -1,6 +1,7 @@
 """Correlation-space geometry: the attainable ranges (tetrahedron/octahedron
-in the diagonal 3-space, square/diamond in the xx-zz plane), witness
-hyperplanes, and plot-ready figure data.
+in the diagonal 3-space, square/diamond in the xx-zz plane) and plot-ready
+data for the paper's two figures, whose witness plane and lines are built
+from their closed forms.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ from .game import CSV_BLOCK_ROWS
 from .serialize import float17
 from .witness import (Witness, expected_payoff, fixed_chsh_witness,
                       strengthened_chsh_witness, werner_witness)
-
-DIAGONAL_AXES = ((1, 1), (2, 2), (3, 3))
-XZ_AXES = ((1, 1), (3, 3))
 
 TETRAHEDRON_VERTICES = np.array(
     [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)], dtype=np.float64)
@@ -46,28 +44,6 @@ def werner_line_intersection(witness: Witness) -> float:
     if abs(slope) < 1e-12:
         raise ValueError("payoff is constant along the Werner line; no intersection")
     return float(-p0 / slope)
-
-
-def subspace_hyperplane(witness: Witness, axes) -> tuple[np.ndarray, float]:
-    """Normal vector and offset of {coords : Tr(rho W) = 0} inside a subspace.
-
-    Valid only when the witness weights are supported on the identity plus
-    the subspace axes; then Tr(rho W) = offset + normal . coords with
-    normal[k] = w[axes[k]] and offset = w[0,...,0].
-    """
-    axes = tuple(tuple(qcore.check_int(l, "label", 0, 3) for l in ax) for ax in axes)
-    n = witness.n_qubits
-    if any(len(ax) != n for ax in axes):
-        raise ValueError(f"every axis must have {n} labels, got {axes}")
-    support = {tuple(ix) for ix in np.argwhere(witness.weights.table != 0.0)}
-    allowed = set(axes) | {(0,) * n}
-    if not support <= allowed:
-        raise ValueError(
-            f"witness weights outside the subspace: {sorted(support - allowed)}")
-    table = witness.weights.table
-    normal = np.array([table[ax] for ax in axes], dtype=np.float64)
-    offset = table[(0,) * n]
-    return normal, float(offset)
 
 
 # ---------------------------------------------------------------------------
@@ -142,29 +118,6 @@ def _polytope_edges(vertices: np.ndarray) -> np.ndarray:
     return np.stack([vertices[i[keep]], vertices[j[keep]]], axis=1)
 
 
-def _clip_line_to_square(normal: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
-    """Intersection segment of {offset + normal . c = 0} with [-1, 1]^2."""
-    hits = []
-    for axis in (0, 1):
-        other = 1 - axis
-        for border in (-1.0, 1.0):
-            if normal[other] == 0.0:
-                continue
-            val = -(offset + normal[axis] * border) / normal[other]
-            if abs(val) <= 1.0 + 1e-12:
-                pt = np.empty(2)
-                pt[axis] = border
-                pt[other] = val
-                hits.append(pt)
-    uniq = []
-    for h in hits:
-        if not any(np.allclose(h, u, atol=1e-9) for u in uniq):
-            uniq.append(h)
-    if len(uniq) < 2:
-        raise ValueError("hyperplane does not cross the unit square")
-    return uniq[0], uniq[1]
-
-
 def _line_points(p: np.ndarray, q: np.ndarray, resolution: int) -> np.ndarray:
     lam = np.linspace(0.0, 1.0, resolution)[:, None]
     return (1.0 - lam) * p[None, :] + lam * q[None, :]
@@ -187,11 +140,9 @@ def _figure_diagonal(resolution: int) -> FigureData:
     fig.edges["tetrahedron"] = _polytope_edges(TETRAHEDRON_VERTICES)
     fig.edges["octahedron"] = _polytope_edges(OCTAHEDRON_VERTICES)
 
-    normal, offset = subspace_hyperplane(werner_witness(), DIAGONAL_AXES)
-    on_plane = OCTAHEDRON_VERTICES[np.abs(offset + OCTAHEDRON_VERTICES @ normal) < 1e-12]
-    if len(on_plane) != 3:
-        raise ValueError("witness plane is not an octahedron face")
-    fig.points["hyperplane"] = (_triangle_grid(on_plane, resolution), None)
+    # the werner witness plane x - y + z = 1 holds the octahedron face
+    # (1, 0, 0), (0, -1, 0), (0, 0, 1)
+    fig.points["hyperplane"] = (_triangle_grid(OCTAHEDRON_VERTICES[[0, 3, 4]], resolution), None)
 
     z_star = werner_line_intersection(werner_witness())
     werner_dir = np.array([1.0, -1.0, 1.0])
@@ -208,8 +159,11 @@ def _figure_xz(resolution: int) -> FigureData:
 
     for series, wit in (("chsh_line", fixed_chsh_witness()),
                         ("strengthened_line", strengthened_chsh_witness())):
-        normal, offset = subspace_hyperplane(wit, XZ_AXES)
-        p, q = _clip_line_to_square(normal, offset)
+        # the line w00 + w11 x + w33 z = 0, where w11 = w33, crosses the
+        # square at (1, c) and (c, 1)
+        w = wit.weights.table
+        c = -(w[0, 0] + w[1, 1]) / w[3, 3]
+        p, q = np.array([1.0, c]), np.array([c, 1.0])
         fig.points[series] = (_line_points(p, q, resolution), None)
 
     werner_dir = np.array([1.0, 1.0])

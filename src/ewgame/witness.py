@@ -147,8 +147,12 @@ def ppt_witness(rho: qcore.DensityMatrix) -> Witness:
     if vals[0] >= NPT_THRESHOLD:
         raise PPTStateError("state is PPT; no witness of this form exists")
     phi = vecs[:, 0]
-    proj = np.outer(phi, phi.conj())
-    return Witness.from_operator(qcore.partial_transpose(proj))
+    # sigma_y^T = -sigma_y, so W's Pauli table is the projector's with its
+    # t = 2 column negated; 0.0 - x keeps an exact zero at +0.0, as the
+    # traces of the transposed projector give it
+    traces = qcore.pauli_traces(np.outer(phi, phi.conj()))
+    traces[:, 2] = 0.0 - traces[:, 2]
+    return Witness(PauliWeights(traces / 4.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -12,13 +13,32 @@ from ewgame import geometry, qcore
 
 RT2 = np.sqrt(2.0)
 RT3 = np.sqrt(3.0)
-DIAG = geometry.DIAGONAL_AXES
+DIAG = ((1, 1), (2, 2), (3, 3))
+XZ = ((1, 1), (3, 3))
+
+# sha256 of the figures at the default resolution, 20, as `ewgame geometry`
+# writes them in each format
+FIGURE_SHA256 = {
+    ("fig2", "csv"): "e0425cc836e449dad42799ac6c25d498af5336b04a60294a4ab38427ef411244",
+    ("fig2", "structured"): "72eb5a892286d9bad4b6a2d400bb9668ae3b1d1194fd54d250f66f87cd3ed68b",
+    ("fig3", "csv"): "57f2a22f9a919ed264c4d150604ef4a4a3d8c30bfaedfcdfb9046b6363f78028",
+    ("fig3", "structured"): "f8935ba37da85e340ea39dd1127eab7fbb94e1c0d3e79d49203f197003df0873",
+}
 
 
 def diagonal_coords(rho):
     """Correlations Tr(rho sigma_a (x) sigma_a) along the xx, yy, zz axes."""
     r = qcore.pauli_traces(rho.matrix)
     return np.array([r[ax] for ax in DIAG])
+
+
+def witness_plane(wit, axes):
+    """Normal (w[ax] for each axis) and offset w[0, 0] of the plane
+    Tr(rho W) = 0 in the axes' coordinates, for a witness whose weights lie
+    on the identity and those axes."""
+    w = wit.weights.table
+    assert {tuple(ix) for ix in np.argwhere(w != 0.0)} <= set(axes) | {(0, 0)}
+    return np.array([w[ax] for ax in axes]), float(w[0, 0])
 
 
 def in_tetrahedron(coords, tol=1e-9):
@@ -102,29 +122,12 @@ class TestDistanceIdentity:
         # the witness's diagonal part is a unit vector, so -Tr(rho W) equals
         # the signed Euclidean distance from the projection to the plane
         wit = ew.werner_witness()
-        normal, offset = geometry.subspace_hyperplane(wit, DIAG)
-        unit = normal / np.linalg.norm(normal)
+        normal, offset = witness_plane(wit, DIAG)
         for _ in range(200):
             rho = ew.random_density_matrix(rng, 4)
             coords = diagonal_coords(rho)
             signed = -(offset + normal @ coords) / np.linalg.norm(normal)
             assert ew.expected_payoff(rho, wit) == pytest.approx(signed, abs=1e-10)
-
-    def test_hyperplane_requires_subspace_support(self):
-        with pytest.raises(ValueError, match="outside the subspace"):
-            geometry.subspace_hyperplane(ew.werner_witness(), geometry.XZ_AXES)
-
-    def test_hyperplane_axes_are_integer_labels(self):
-        # an axis is never truncated: (1.9, 1) is not (1, 1)
-        with pytest.raises(ValueError) as err:
-            geometry.subspace_hyperplane(ew.werner_witness(), ((1.9, 1), (2, 2), (3, 3)))
-        assert str(err.value) == "label must be an integer from 0 to 3, got 1.9"
-
-    def test_hyperplane_axes_have_one_label_per_qubit(self):
-        # an axis of one label would index a row of the 4x4 weight table
-        with pytest.raises(ValueError) as err:
-            geometry.subspace_hyperplane(ew.werner_witness(), ((1,), (2,), (3,)))
-        assert str(err.value) == "every axis must have 2 labels, got ((1,), (2,), (3,))"
 
 
 class TestFigureExport:
@@ -206,6 +209,13 @@ class TestFigureExport:
         assert str(err.value) == (
             f"resolution must be an integer from 2 to 500, got {resolution!r}")
 
+    @pytest.mark.parametrize("key", sorted(FIGURE_SHA256))
+    def test_default_exports_keep_their_bytes(self, key):
+        which, fmt = key
+        fig = ew.export_figure_data(which)
+        text = "".join(fig.csv_lines() if fmt == "csv" else fig.json_text())
+        assert hashlib.sha256(text.encode()).hexdigest() == FIGURE_SHA256[key]
+
     @pytest.mark.parametrize("which,dimension", [("fig2", 3), ("fig3", 2)])
     @pytest.mark.parametrize("resolution", [2, 3, 16, 101])
     def test_exports_match_the_per_point_builder(self, which, dimension, resolution):
@@ -216,10 +226,29 @@ class TestFigureExport:
             reference_dict(which, dimension, edges, points), indent=2) + "\n"
 
 
+def clip_to_square(normal, offset):
+    """Ends of the line {offset + normal . c = 0} inside [-1, 1]^2: its
+    crossings with the square's four sides, each end once."""
+    ends = []
+    for axis, border in itertools.product((0, 1), (-1.0, 1.0)):
+        other = 1 - axis
+        val = -(offset + normal[axis] * border) / normal[other]
+        if abs(val) <= 1.0 + 1e-12:
+            end = np.empty(2)
+            end[axis] = border
+            end[other] = val
+            if not any(np.allclose(end, e, atol=1e-9) for e in ends):
+                ends.append(end)
+    assert len(ends) == 2, ends
+    return ends
+
+
 def reference_figure(which, r):
     """Edges and points of a figure built one point at a time, in the order
     and with the float operations of the loops the array expressions in
-    geometry replaced; kept as the oracle for their bytes."""
+    geometry replaced; kept as the oracle for their bytes.  The witness
+    plane's face and lines are found from the witness tables: the octahedron
+    vertices on the plane, and the line's crossings with the square."""
     def polytope_edges(series, vertices):
         center = vertices.mean(axis=0)
         return [(series, vertices[i].copy(), vertices[j].copy())
@@ -231,7 +260,7 @@ def reference_figure(which, r):
     if which == "fig2":
         edges += polytope_edges("tetrahedron", geometry.TETRAHEDRON_VERTICES)
         edges += polytope_edges("octahedron", geometry.OCTAHEDRON_VERTICES)
-        normal, offset = geometry.subspace_hyperplane(ew.werner_witness(), DIAG)
+        normal, offset = witness_plane(ew.werner_witness(), DIAG)
         v1, v2, v3 = [v for v in geometry.OCTAHEDRON_VERTICES
                       if abs(offset + normal @ v) < 1e-12]
         for i in range(r + 1):
@@ -246,8 +275,7 @@ def reference_figure(which, r):
         edges += polytope_edges("black_square", geometry.SQUARE_VERTICES)
         edges += polytope_edges("blue_square", geometry.DIAMOND_VERTICES)
         for series, wit in (("chsh_line", chsh), ("strengthened_line", strengthened)):
-            normal, offset = geometry.subspace_hyperplane(wit, geometry.XZ_AXES)
-            p, q = geometry._clip_line_to_square(normal, offset)
+            p, q = clip_to_square(*witness_plane(wit, XZ))
             for lam in np.linspace(0.0, 1.0, r):
                 points.append((series, (1.0 - lam) * p + lam * q, None))
         werner_dir = np.array([1.0, 1.0])

@@ -253,6 +253,36 @@ class TestPptWitness:
             assert p > 0
             assert p == pytest.approx(-lam, abs=1e-10)
 
+    def test_weights_match_the_transposed_projector(self, rng):
+        # oracle: the Pauli weights of (|phi><phi|)^T_B itself, bit for bit,
+        # zeros' signs included (the named states have exact zero weights)
+        states = [ew.bell_psi_plus(), ew.make_werner(0.5), ew.make_werner(1.0)]
+        while len(states) < 303:
+            rho = ew.random_density_matrix(rng, 4)
+            if np.linalg.eigvalsh(ew.partial_transpose(rho))[0] < witness.NPT_THRESHOLD:
+                states.append(rho)
+        for rho in states:
+            _, vecs = ew.hermitian_eigensystem(ew.partial_transpose(rho))
+            phi = vecs[:, 0]
+            old = ew.Witness.from_operator(ew.partial_transpose(np.outer(phi, phi.conj())))
+            assert ew.ppt_witness(rho).weights.table.tobytes() == old.weights.table.tobytes()
+
+    def test_projector_enters_the_operator_door_once(self, monkeypatch):
+        # the state's partial transpose and the projector pass the door once
+        # each; the state itself comes in as a DensityMatrix
+        door = qcore._as_operator
+        raw = []
+
+        def counting(matrix, *args, **kwargs):
+            if not isinstance(matrix, ew.DensityMatrix):
+                raw.append(matrix)
+            return door(matrix, *args, **kwargs)
+
+        rho = ew.make_werner(0.9)
+        monkeypatch.setattr(qcore, "_as_operator", counting)
+        ew.ppt_witness(rho)
+        assert len(raw) == 2
+
     def test_nonnegative_on_separables(self, rng, separable_corpus):
         wit = ew.ppt_witness(ew.bell_psi_plus())
         values = np.einsum("nij,ji->n", separable_corpus, wit.operator).real
