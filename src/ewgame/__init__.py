@@ -58,4 +58,4 @@ from .witness import (
     werner_witness,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"

@@ -14,7 +14,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from itertools import chain, islice
 
 import numpy as np
 
@@ -36,11 +35,10 @@ def _emit(chunks, out: str | None) -> None:
 
 
 def _emit_json(payload, out: str | None) -> None:
-    """Write json.dumps(payload, indent=2) and a newline, never held whole, in blocks
-    of tokens: an unbuffered stdout (PYTHONUNBUFFERED) makes a syscall per write."""
-    tokens = json.JSONEncoder(indent=2).iterencode(payload)
-    blocks = iter(lambda: "".join(islice(tokens, game.CSV_BLOCK_ROWS)), "")
-    _emit(chain(blocks, ["\n"]), out)
+    """Write json.dumps(payload, indent=2) and a newline in one piece: each
+    payload here is a few kB.  The figures, which run to megabytes, stream
+    their JSON themselves through FigureData.json_text()."""
+    _emit([json.dumps(payload, indent=2) + "\n"], out)
 
 
 # ---------------------------------------------------------------------------
@@ -100,35 +98,32 @@ def cmd_tomography(args) -> int:
     r_hat = tomography.accumulate(tr)
     est = tomography.reconstruct(r_hat)
     err = tomography.reconstruction_error(rho, est)
+    if args.format == "text":
+        text = [f"rounds={tr.rounds} seed={tr.config.seed}",
+                f"trace_distance_to_input={float17(err)}", "r_hat:"]
+        text += ["  " + " ".join(f"{r:+.6f}" for r in row) for row in r_hat]
+        _emit(["\n".join(text) + "\n"], args.out)
+        return EXIT_OK
 
     counts = tr.counts.reshape(4, 4)
     # binomial standard error of each cell's mean of n answers of +/-1
     se = np.sqrt(np.clip(1.0 - r_hat * r_hat, 0.0, None) / counts)
+    cells = [(s, t) for s in range(4) for t in range(4)]
     if args.format == "csv":
         lines = ["s,t,r_hat,std_error,count"]
-        for s in range(4):
-            for t in range(4):
-                lines.append(f"{s},{t},{float17(r_hat[s, t])},"
-                             f"{float17(se[s, t])},{counts[s, t]}")
+        lines += [f"{s},{t},{float17(r_hat[s, t])},{float17(se[s, t])},{counts[s, t]}"
+                  for s, t in cells]
         _emit(["\n".join(lines) + "\n"], args.out)
     else:
-        payload = {
+        _emit_json({
             "rounds": tr.rounds,
             "seed": tr.config.seed,
-            "correlations": [[s, t, r_hat[s, t]] for s in range(4) for t in range(4)],
-            "standard_errors": [[s, t, se[s, t]] for s in range(4) for t in range(4)],
+            "correlations": [[s, t, r_hat[s, t]] for s, t in cells],
+            "standard_errors": [[s, t, se[s, t]] for s, t in cells],
             "raw": serialize.matrix_to_dict(est.raw),
             "projected": serialize.matrix_to_dict(est.projected.matrix),
             "trace_distance_to_input": err,
-        }
-        if args.format == "structured":
-            _emit_json(payload, args.out)
-        else:
-            text = [f"rounds={tr.rounds} seed={tr.config.seed}",
-                    f"trace_distance_to_input={float17(err)}", "r_hat:"]
-            for s in range(4):
-                text.append("  " + " ".join(f"{r_hat[s, t]:+.6f}" for t in range(4)))
-            _emit(["\n".join(text) + "\n"], args.out)
+        }, args.out)
     return EXIT_OK
 
 

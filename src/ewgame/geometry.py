@@ -110,11 +110,10 @@ class FigureData:
 
 
 def _polytope_edges(vertices: np.ndarray) -> np.ndarray:
-    # For the four regular solids used here, the edge set is exactly the
-    # vertex pairs that are not antipodal through the centroid.
-    centered = vertices - vertices.mean(axis=0)
+    # The four solids here are centred at 0 with small-integer vertices, so
+    # their edges are exactly the vertex pairs whose sum is not zero.
     i, j = np.triu_indices(len(vertices), 1)
-    keep = ~np.isclose(centered[i], -centered[j], atol=1e-9).all(axis=1)
+    keep = (vertices[i] + vertices[j]).any(axis=1)
     return np.stack([vertices[i[keep]], vertices[j[keep]]], axis=1)
 
 

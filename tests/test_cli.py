@@ -473,7 +473,16 @@ class TestTomography:
                 (tmp_path / "cells.csv").read_text().strip().split("\n")[1:]]
         assert [float(r[3]) for r in rows] == se.ravel().tolist()
         _, out, _ = run_cli(capsys, *args, "--format", "structured")
-        assert [e for _, _, e in json.loads(out)["standard_errors"]] == se.ravel().tolist()
+        payload = json.loads(out)
+        assert [e for _, _, e in payload["standard_errors"]] == se.ravel().tolist()
+        # the three formats report the same run
+        r_hat = [c for _, _, c in payload["correlations"]]
+        assert [float(r[2]) for r in rows] == r_hat
+        assert [int(r[4]) for r in rows] == tr.counts.tolist()
+        _, out, _ = run_cli(capsys, *args)
+        text_rows = out.split("r_hat:\n")[1].splitlines()
+        assert text_rows == ["  " + " ".join(f"{r:+.6f}" for r in r_hat[4 * s:4 * s + 4])
+                             for s in range(4)]
 
     @pytest.mark.parametrize("fmt", ["text", "structured", "csv"])
     def test_scans_for_missing_cells_once(self, capsys, cell_scans, tmp_path, fmt):
@@ -647,6 +656,21 @@ def test_witness_check_table(capsys, tmp_path, state, wit, code, verdict, min_va
     report = json.loads(out)
     assert (got, report["verdict"], report["n_samples"], err) == (code, verdict, 2000, "")
     assert report["min_separable_value"] == pytest.approx(min_value, abs=1e-14)
+
+
+@pytest.mark.parametrize("command", [
+    ("simulate", "--state", "werner(1)", "--witness", "werner", "--rounds", "10000",
+     "--format", "structured"),
+    ("tomography", "--state", "werner(0.8)", "--rounds", "1000", "--format", "structured"),
+    ("witness", "make", "--state", "werner(0.9)"),
+    ("witness", "check", "--state", "werner(0.9)", "--witness", "werner", "--samples", "10",
+     "--format", "structured"),
+], ids=["simulate", "tomography", "witness-make", "witness-check"])
+def test_structured_output_is_json_dumps(capsys, command):
+    # every structured payload is json.dumps(payload, indent=2) and a newline
+    code, out, err = run_cli(capsys, *command)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command", [
